@@ -35,6 +35,7 @@ from .krein import (
     build_weighted,
     c_matrix,
     free_green,
+    gamma_at,
     gamma_direct,
     gamma_schur,
     gram_matrix,

@@ -8,7 +8,6 @@ import argparse
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,11 +20,11 @@ from .errors import (
     TailNotContractive,
     ZrsError,
 )
-from .krein import build_q, build_weighted, gamma_direct, gram_matrix
-from .scatterers import check_admissibility, from_config, tail_bound
+from .krein import build_q, build_weighted, gamma_direct
+from .scatterers import check_admissibility, from_config, tail_bound, write_text
 from .spherical import default_order, make_grid
 
-SWEEP_CSV_HEADER = "lambda,defect_reduced,gamma_norm,gamma_cond,mu,increment"
+SWEEP_CSV_HEADER = sc.DEFECT_CSV_HEADER + ",increment"
 NSWEEP_CSV_HEADER = "n_low,n_high,gamma_diff"
 
 
@@ -54,7 +53,7 @@ def _build_parser():
         q.add_argument("--grid-points", type=int, default=None,
                        help="lambda samples for sweeps")
         q.add_argument("--seed", type=int, default=None)
-        q.add_argument("--out", default=None, help="output path (default stdout)")
+        q.add_argument("--out", default=sys.stdout, help="output path (default stdout)")
         q.add_argument("--n-sweep", default=None,
                        help="comma list of truncations for convergence mode")
     return p
@@ -77,19 +76,11 @@ def _setting(args, cfg, key, attr, default=None):
     return cfg.get(key, default)
 
 
-def _emit(text, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _cmd_validate(args, cfg, s):
     b = _setting(args, cfg, "b", "lam", 25.0)
     n0 = _setting(args, cfg, "n0", "n0")
     report = check_admissibility(s.prefix(args.n) if args.n else s, b, n0=n0)
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+    write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     return 0 if report.passed else 2
 
 
@@ -123,21 +114,8 @@ def _cmd_smatrix(args, cfg, s):
     buf = io.StringIO()
     sc.write_kernel_csv(rep, dirs, dirs, buf)
     lines.append(buf.getvalue())
-    _emit("".join(lines), args.out)
+    write_text(args.out, "".join(lines))
     return 0
-
-
-def _sweep_row(lam, sub):
-    q = build_q(lam, sub)
-    qt, j = build_weighted(sub, q)
-    gamma = gamma_direct(qt, j)
-    return (
-        gamma,
-        sc.unitarity_defect_reduced(lam, sub),
-        float(np.linalg.norm(gamma, 2)),
-        float(np.linalg.cond(gamma)),
-        gram_matrix(lam, sub).mu,
-    )
 
 
 def _cmd_sweep(args, cfg, s):
@@ -151,38 +129,34 @@ def _cmd_sweep(args, cfg, s):
         if len(ns) < 2:
             raise UsageError("N-sweep needs at least two truncations")
         lines = [NSWEEP_CSV_HEADER + "\n"]
-        gammas = {}
-        for nv in ns:
-            q = build_q(lam, s.prefix(nv))
-            qt, j = build_weighted(s.prefix(nv), q)
-            gammas[nv] = gamma_direct(qt, j)
-        for lo, hi in zip(ns[:-1], ns[1:]):
+        subs = [s.prefix(nv) for nv in ns]
+        # Q of a prefix is the leading block of Q, so assemble it once
+        q = build_q(lam, max(subs, key=lambda t: t.n))
+        gammas = [gamma_direct(*build_weighted(t, q[:t.n, :t.n])) for t in subs]
+        for lo, hi, g_lo, g_hi in zip(ns, ns[1:], gammas, gammas[1:]):
             common = min(lo, hi)
-            diff = float(np.linalg.norm(gammas[hi][:common, :common]
-                                        - gammas[lo][:common, :common], 2))
+            diff = float(np.linalg.norm(g_hi[:common, :common]
+                                        - g_lo[:common, :common], 2))
             lines.append(f"{lo},{hi},{diff:.17g}\n")
-        _emit("".join(lines), args.out)
+        write_text(args.out, "".join(lines))
         return 0
 
     interval = _setting(args, cfg, "interval", "interval")
     if interval is None:
         raise UsageError("sweep needs --interval A B")
     a, b = float(interval[0]), float(interval[1])
-    if not 0 < a < b:
-        raise UsageError("interval must satisfy 0 < a < b")
+    if not 0 < a < b < np.inf:
+        raise UsageError("interval must satisfy 0 < a < b < inf")
     points = int(_setting(args, cfg, "grid_points", "grid_points", 32))
     lams = np.linspace(a, b, points)
-    with ThreadPoolExecutor(max_workers=4) as ex:
-        rows = list(ex.map(lambda lam: _sweep_row(lam, sub), lams))
     lines = [SWEEP_CSV_HEADER + "\n"]
     prev_gamma = None
-    for lam, (gamma, d_red, gnorm, gcond, mu) in zip(lams, rows):
+    for gamma, row in sc.lambda_rows(sub, lams):
         inc = (float(np.linalg.norm(gamma - prev_gamma, 2))
                if prev_gamma is not None else float("nan"))
         prev_gamma = gamma
-        lines.append(f"{lam:.17g},{d_red:.17g},{gnorm:.17g},"
-                     f"{gcond:.17g},{mu:.17g},{inc:.17g}\n")
-    _emit("".join(lines), args.out)
+        lines.append(f"{row},{inc:.17g}\n")
+    write_text(args.out, "".join(lines))
     return 0
 
 
@@ -209,7 +183,7 @@ def _cmd_resolvent(args, cfg, s):
         "tolerances": tol,
         "pass": ok,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0 if ok else 3
 
 

@@ -11,6 +11,7 @@ The square root branch is fixed with Im sqrt(z) >= 0, so boundary
 values on the positive axis are taken from above (sqrt(lambda) >= 0).
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,10 @@ class ComplexEnergy:
 
     @classmethod
     def from_z(cls, z):
-        return cls(z=complex(z), sqrt_z=branch_sqrt(z))
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise BadParams(f"spectral point must be finite, got {z}")
+        return cls(z=z, sqrt_z=branch_sqrt(z))
 
     @property
     def conj(self):
@@ -104,12 +108,17 @@ def build_weighted(s, q):
     return qt, s.signs.astype(float)
 
 
-def _checked_inv(a, label, exc=SingularMatrix):
+def check_rcond(a, label, exc=SingularMatrix):
+    """Raise ``exc`` when the SVD reciprocal condition of ``a`` < RCOND_LIMIT."""
     sv = np.linalg.svd(a, compute_uv=False)
     rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     if rcond < RCOND_LIMIT:
         raise exc(f"{label} is numerically singular (rcond {rcond:.2e})",
                   rcond=rcond)
+
+
+def _checked_inv(a, label, exc=SingularMatrix):
+    check_rcond(a, label, exc)
     return np.linalg.inv(a)
 
 
@@ -121,6 +130,11 @@ def gamma_direct(qtilde, j):
     """
     a = qtilde + np.diag(np.asarray(j, dtype=float))
     return _checked_inv(a, "J + Qtilde")
+
+
+def gamma_at(z, s):
+    """Gamma = (J + Qt)^{-1} of ``s`` at one spectral point ``z``."""
+    return gamma_direct(*build_weighted(s, build_q(z, s)))
 
 
 @dataclass(frozen=True)
@@ -251,8 +265,8 @@ def gram_matrix(lam, s):
     entrywise.  Raises NonPositiveGram when the least eigenvalue is
     not positive beyond round-off.
     """
-    if lam <= 0:
-        raise BadParams("lambda must be positive")
+    if not 0 < lam < np.inf:
+        raise BadParams(f"lambda must be positive and finite, got {lam}")
     k = np.sqrt(lam)
     n = s.n
     g = np.full((n, n), k / FOUR_PI)

@@ -23,7 +23,7 @@ from .krein import (
     c_matrix,
     green_at_distance,
 )
-from .scatterers import eta_by_index
+from .scatterers import eta_by_index, write_text
 from .spherical import make_grid
 
 # fixed, arbitrary unit vector for the local boundary-condition rays
@@ -244,9 +244,4 @@ def write_kernel_slice_csv(kern, x0, direction, radii, out):
     buf.write(KERNEL_SLICE_CSV_HEADER + "\n")
     for r, v in zip(radii, vals):
         buf.write(f"{r:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    text = buf.getvalue()
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_text(out, buf.getvalue())

@@ -384,3 +384,12 @@ def load_scatterers(path):
     """Read a scatterer JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         return from_config(json.load(fh))
+
+
+def write_text(out, text):
+    """Write ``text`` to ``out``, a path or an open text file object."""
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, GridMismatch, SingularMatrix
-from .krein import build_q, build_weighted, gamma_direct, gamma_schur, gram_matrix
-from .spherical import default_grid, plane_wave_block, weighted_gram_target
+from .krein import (build_q, build_weighted, check_rcond, gamma_at, gamma_schur,
+                    gram_matrix)
+from .scatterers import write_text
+from .spherical import (default_grid, gram_overlap, plane_wave_block,
+                        weighted_gram_target)
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,11 @@ def smatrix(lam, s, n=None, split=None, tail_bound=None):
     if lam <= 0:
         raise BadParams("lambda must be positive")
     sub = s.prefix(n) if n is not None else s
-    q = build_q(lam, sub)
-    qt, j = build_weighted(sub, q)
     if split is None:
-        gamma = gamma_direct(qt, j)
+        gamma = gamma_at(lam, sub)
     else:
-        gamma, _ = gamma_schur(qt, j, split, tail_bound=tail_bound)
+        gamma, _ = gamma_schur(*build_weighted(sub, build_q(lam, sub)), split,
+                               tail_bound=tail_bound)
     coeff = 1j * np.sqrt(lam) / (8.0 * np.pi**2) * gamma
     return SMatrixRep(lam=float(lam), coeff=coeff, scatterers=sub,
                       gamma_cond=float(np.linalg.cond(gamma)))
@@ -138,11 +140,11 @@ def unitarity_defect_reduced(lam, s, n=None):
     whose spectral norm is returned (zero in exact arithmetic).
     """
     sub = s.prefix(n) if n is not None else s
-    q = build_q(lam, sub)
-    qt, j = build_weighted(sub, q)
-    gamma = gamma_direct(qt, j)
+    return _defect_reduced(lam, gamma_at(lam, sub), weighted_gram_target(lam, sub))
+
+
+def _defect_reduced(lam, gamma, b):
     a = np.sqrt(lam) / (8.0 * np.pi**2)
-    b = weighted_gram_target(lam, sub)
     defect = 1j * a * (gamma.conj().T - gamma) + a**2 * gamma.conj().T @ b @ gamma
     return float(np.linalg.norm(defect, 2))
 
@@ -196,11 +198,7 @@ def omega_unitary(upsilon, lam_mat):
     upsilon = np.asarray(upsilon, dtype=complex)
     lam_mat = np.asarray(lam_mat, dtype=complex)
     a = lam_mat + 1j * upsilon
-    sv = np.linalg.svd(a, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond < 1e-14:
-        raise SingularMatrix("Lambda + i Upsilon is numerically singular",
-                             rcond=rcond)
+    check_rcond(a, "Lambda + i Upsilon")
     n = upsilon.shape[0]
     return np.eye(n) - 2j * np.linalg.solve(a, upsilon)
 
@@ -258,10 +256,8 @@ def gamma_continuity_scan(s, n, interval, points, jump_factor=10.0):
     lams = np.linspace(a, b, int(points))
     gammas = []
     for lam in lams:
-        q = build_q(lam, sub)
-        qt, j = build_weighted(sub, q)
         try:
-            gammas.append(gamma_direct(qt, j))
+            gammas.append(gamma_at(lam, sub))
         except SingularMatrix as exc:
             raise SingularMatrix(f"Gamma inversion failed at lambda={lam:g}: {exc}",
                                  rcond=exc.rcond) from exc
@@ -270,14 +266,6 @@ def gamma_continuity_scan(s, n, interval, points, jump_factor=10.0):
     med = float(np.median(inc)) if len(inc) else 0.0
     flagged = inc > jump_factor * med if med > 0 else np.zeros(len(inc), bool)
     return ContinuityScan(lambdas=lams[1:], increments=inc, flagged=flagged)
-
-
-def _write(out, text):
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 KERNEL_CSV_HEADER = "theta,phi,theta_p,phi_p,re_s,im_s"
@@ -301,7 +289,7 @@ def write_kernel_csv(rep, dirs_out, dirs_in, out):
             ti, pi = ang(ni)
             buf.write(f"{to:.17g},{po:.17g},{ti:.17g},{pi:.17g},"
                       f"{vals[i, j].real:.17g},{vals[i, j].imag:.17g}\n")
-    _write(out, buf.getvalue())
+    write_text(out, buf.getvalue())
 
 
 def write_cross_section_csv(pattern, out):
@@ -310,19 +298,24 @@ def write_cross_section_csv(pattern, out):
     buf.write(CROSS_SECTION_CSV_HEADER + "\n")
     for t, p, v in zip(theta, phi, pattern.values.real):
         buf.write(f"{t:.17g},{p:.17g},{v:.17g}\n")
-    _write(out, buf.getvalue())
+    write_text(out, buf.getvalue())
+
+
+def lambda_rows(s, lambdas):
+    """Yield ``(gamma, row)`` per lambda; ``row`` holds the DEFECT_CSV_HEADER
+    columns.  Gamma and G_N are built once, and gamma_norm and gamma_cond
+    come from one SVD (as np.linalg.norm(., 2) and np.linalg.cond do)."""
+    for lam in lambdas:
+        gamma = gamma_at(lam, s)
+        gd = gram_matrix(lam, s)
+        defect = _defect_reduced(lam, gamma, gram_overlap(gd, s))
+        sv = np.linalg.svd(gamma, compute_uv=False)
+        yield gamma, (f"{lam:.17g},{defect:.17g},{sv[0]:.17g},"
+                      f"{sv[0] / sv[-1]:.17g},{gd.mu:.17g}")
 
 
 def write_defect_csv(s, lambdas, out):
     """Defect-vs-lambda table: unitarity defect, Gamma norms, Gram mu."""
-    buf = io.StringIO()
-    buf.write(DEFECT_CSV_HEADER + "\n")
-    for lam in np.asarray(lambdas, dtype=float):
-        q = build_q(lam, s)
-        qt, j = build_weighted(s, q)
-        gamma = gamma_direct(qt, j)
-        buf.write(f"{lam:.17g},{unitarity_defect_reduced(lam, s):.17g},"
-                  f"{np.linalg.norm(gamma, 2):.17g},"
-                  f"{np.linalg.cond(gamma):.17g},"
-                  f"{gram_matrix(lam, s).mu:.17g}\n")
-    _write(out, buf.getvalue())
+    rows = [DEFECT_CSV_HEADER] + [
+        row for _, row in lambda_rows(s, np.asarray(lambdas, dtype=float))]
+    write_text(out, "\n".join(rows) + "\n")

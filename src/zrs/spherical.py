@@ -12,8 +12,13 @@ import numpy as np
 
 from .errors import BadOrder, BadParams
 from .krein import FOUR_PI, gram_matrix
+from .scatterers import write_text
 
 _GRID_KINDS = ("gauss-legendre-product", "icosphere")
+
+# Product-grid order cap (2 * 1024**2, about 2.1M nodes); band limits such as
+# lambda ~ 1e300 ask for ~1e150 and would overflow the node computation.
+MAX_PRODUCT_ORDER = 1024
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,7 @@ class SphereGrid:
         buf.write("theta,phi,weight\n")
         for t, p, w in zip(theta, phi, self.qweights):
             buf.write(f"{t:.17g},{p:.17g},{w:.17g}\n")
-        text = buf.getvalue()
-        if hasattr(out, "write"):
-            out.write(text)
-        else:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        write_text(out, buf.getvalue())
 
 
 def _product_grid(order):
@@ -137,6 +137,8 @@ def make_grid(kind, order):
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise BadOrder(f"order must be a positive integer, got {order!r}")
     if kind == "gauss-legendre-product":
+        if order > MAX_PRODUCT_ORDER:
+            raise BadOrder(f"grid order {order:.3g} exceeds {MAX_PRODUCT_ORDER}")
         nodes, qw = _product_grid(int(order))
     elif kind == "icosphere":
         if order > 6:
@@ -186,9 +188,13 @@ def overlap_matrix(block):
 
 def weighted_gram_target(lam, s):
     """Exact overlap (16 pi^2 / sqrt(lam)) D^{-1/2} G_N(lam) D^{-1/2}."""
-    g = gram_matrix(lam, s).g
+    return gram_overlap(gram_matrix(lam, s), s)
+
+
+def gram_overlap(gd, s):
+    """:func:`weighted_gram_target` from an already built GramData ``gd``."""
     rootw = np.sqrt(s.abs_weights)
-    return (16.0 * np.pi**2 / np.sqrt(lam)) * g / np.outer(rootw, rootw)
+    return (16.0 * np.pi**2 / np.sqrt(gd.lam)) * gd.g / np.outer(rootw, rootw)
 
 
 def overlap_error(block):

@@ -1,15 +1,21 @@
 """Command-line interface: exit codes, golden headers, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zrs
+from zrs import build_q, build_weighted, gamma_direct, unitarity_defect_reduced
 from zrs.cli import main
+from zrs.scattering import write_defect_csv
+
+from conftest import make_config
 
 TWO_SCATTERERS = {
     "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
@@ -129,6 +135,60 @@ def test_sweep_n_mode(tmp_path):
     assert diffs[0] < 1e-2 and diffs[1] < diffs[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--lambda", "nan"],
+    ["smatrix", "--lambda", "inf"],
+    ["smatrix", "--lambda", "1e300"],
+    ["sweep", "--interval", "1", "inf", "--grid-points", "4"],
+    ["sweep", "--lambda", "nan", "--n-sweep", "1,2"],
+])
+def test_non_finite_or_huge_lambda_exit_1(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    assert main([*argv, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zrs: ") and "Traceback" not in err
+
+
+def _battery_config(tmp_path):
+    """The first N = 5 configuration of the acceptance battery."""
+    s = make_config(1005, 5)
+    return s, write_config(tmp_path, s.to_dict())
+
+
+def test_sweep_rows_match_defect_csv_and_gamma(tmp_path):
+    s, cfg = _battery_config(tmp_path)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--interval", "0.7", "12",
+                 "--grid-points", "9", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    lams = np.linspace(0.7, 12, 9)
+    buf = io.StringIO()
+    write_defect_csv(s, lams, buf)
+    assert [r.rsplit(",", 1)[0] for r in rows] == buf.getvalue().splitlines()[1:]
+    prev = None
+    for lam, row in zip(lams, rows):
+        vals = [float(v) for v in row.split(",")]
+        gamma = gamma_direct(*build_weighted(s, build_q(lam, s)))
+        assert vals[1] == unitarity_defect_reduced(lam, s)
+        assert vals[2] == np.linalg.norm(gamma, 2)
+        assert vals[3] == np.linalg.cond(gamma)
+        if prev is not None:
+            assert vals[5] == np.linalg.norm(gamma - prev, 2)
+        prev = gamma
+
+
+def test_n_sweep_matches_per_prefix_gamma(tmp_path):
+    s, cfg = _battery_config(tmp_path)
+    out = tmp_path / "nsweep.csv"
+    assert main(["sweep", "--config", cfg, "--lambda", "4", "--n-sweep", "2,5,3",
+                 "--out", str(out)]) == 0
+    gam = {n: gamma_direct(*build_weighted(s.prefix(n), build_q(4.0, s.prefix(n))))
+           for n in (2, 3, 5)}
+    diffs = [float(r.split(",")[2]) for r in out.read_text().splitlines()[1:]]
+    assert diffs == [np.linalg.norm(gam[5][:2, :2] - gam[2], 2),
+                     np.linalg.norm(gam[5][:3, :3] - gam[3], 2)]
+
+
 def test_resolvent_pass_and_perturbed_fail(tmp_path, capsys):
     cfg = write_config(tmp_path, {"points": [[0, 0, 0]], "weights": [1.0]})
     rc = main(["resolvent", "--config", cfg])
@@ -201,19 +261,22 @@ def _entry_point_argv():
     return [sys.executable, "-c", code]
 
 
-def test_installed_entry_point(tmp_path):
-    cfg = write_config(tmp_path, TWO_SCATTERERS)
-    entry_point = _entry_point_argv()
+def _run_child(argv, cwd):
+    """Run ``argv`` in a fresh interpreter that imports this ``zrs``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(zrs.__file__).resolve().parents[1]),
                       env.get("PYTHONPATH")]))
+    return subprocess.run(argv, capture_output=True, text=True, cwd=cwd,
+                          env=env, timeout=60)
+
+
+def test_installed_entry_point(tmp_path):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    entry_point = _entry_point_argv()
 
     def run_zrs(*args):
-        return subprocess.run(
-            [*entry_point, *args], capture_output=True,
-            text=True, cwd=tmp_path, env=env, timeout=60,
-        )
+        return _run_child([*entry_point, *args], tmp_path)
 
     proc = run_zrs("validate", "--config", cfg)
     assert proc.returncode == 0, proc.stderr
@@ -221,3 +284,11 @@ def test_installed_entry_point(tmp_path):
     # a usage error must reach the process exit status through run()
     proc = run_zrs("validate")
     assert proc.returncode == 1, proc.stderr
+
+
+def test_python_dash_m(tmp_path):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    proc = _run_child([sys.executable, "-m", "zrs", "validate", "--config", cfg],
+                      tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "pass"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zrs import (
+    BadParams,
     ComplexEnergy,
     ScattererSet,
     SingularMatrix,
@@ -20,6 +21,7 @@ from zrs import (
     krein_matrices,
     m_sampled,
     q_norm_bound,
+    smatrix,
     summability_surrogate,
     tail_bound,
 )
@@ -38,6 +40,13 @@ def test_branch_sqrt():
         assert np.isclose(s * s, z)
     e = ComplexEnergy.from_z(np.pi**2)
     assert np.isclose(e.sqrt_z, np.pi)
+
+
+@pytest.mark.parametrize("fn", [smatrix, gram_matrix, c_matrix])
+@pytest.mark.parametrize("z", [np.nan, np.inf])
+def test_non_finite_spectral_point_rejected(fn, z, two_scatterers):
+    with pytest.raises(BadParams):
+        fn(z, two_scatterers)
     # conjugate point stays on the fixed branch
     ec = ComplexEnergy.from_z(2 - 3j).conj
     assert ec.z == 2 + 3j and ec.sqrt_z.imag >= 0

@@ -17,6 +17,8 @@ from zrs import (
     weighted_gram_target,
 )
 
+from zrs.spherical import MAX_PRODUCT_ORDER
+
 from conftest import make_config
 
 FOUR_PI = 4 * np.pi
@@ -72,6 +74,10 @@ def test_bad_order():
         make_grid("unknown-kind", 4)
     with pytest.raises(BadOrder):
         make_grid("icosphere", 7)
+    # product orders are capped; 1e150 would overflow the node computation
+    for order in (MAX_PRODUCT_ORDER + 1, 10**150):
+        with pytest.raises(BadOrder):
+            make_grid("gauss-legendre-product", order)
 
 
 def test_default_order_growth():
