@@ -40,6 +40,9 @@ def test_branch_sqrt():
         assert np.isclose(s * s, z)
     e = ComplexEnergy.from_z(np.pi**2)
     assert np.isclose(e.sqrt_z, np.pi)
+    # conjugate point stays on the fixed branch
+    ec = ComplexEnergy.from_z(2 - 3j).conj
+    assert ec.z == 2 + 3j and ec.sqrt_z.imag >= 0
 
 
 @pytest.mark.parametrize("fn", [smatrix, gram_matrix, c_matrix])
@@ -47,9 +50,6 @@ def test_branch_sqrt():
 def test_non_finite_spectral_point_rejected(fn, z, two_scatterers):
     with pytest.raises(BadParams):
         fn(z, two_scatterers)
-    # conjugate point stays on the fixed branch
-    ec = ComplexEnergy.from_z(2 - 3j).conj
-    assert ec.z == 2 + 3j and ec.sqrt_z.imag >= 0
 
 
 def test_free_green_trivials():
