@@ -80,8 +80,8 @@ def _cmd_validate(args, cfg, s):
     b = _setting(args, cfg, "b", "lam", 25.0)
     n0 = _setting(args, cfg, "n0", "n0")
     report = check_admissibility(s.prefix(args.n) if args.n else s, b, n0=n0)
-    write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
-    return 0 if report.passed else 2
+    text = json.dumps(report.to_dict(), indent=2) + "\n"
+    return (0 if report.passed else 2), text
 
 
 def _sample_dirs(grid, count=8):
@@ -114,8 +114,7 @@ def _cmd_smatrix(args, cfg, s):
     buf = io.StringIO()
     sc.write_kernel_csv(rep, dirs, dirs, buf)
     lines.append(buf.getvalue())
-    write_text(args.out, "".join(lines))
-    return 0
+    return 0, "".join(lines)
 
 
 def _cmd_sweep(args, cfg, s):
@@ -138,8 +137,7 @@ def _cmd_sweep(args, cfg, s):
             diff = float(np.linalg.norm(g_hi[:common, :common]
                                         - g_lo[:common, :common], 2))
             lines.append(f"{lo},{hi},{diff:.17g}\n")
-        write_text(args.out, "".join(lines))
-        return 0
+        return 0, "".join(lines)
 
     interval = _setting(args, cfg, "interval", "interval")
     if interval is None:
@@ -150,14 +148,12 @@ def _cmd_sweep(args, cfg, s):
     points = int(_setting(args, cfg, "grid_points", "grid_points", 32))
     lams = np.linspace(a, b, points)
     lines = [SWEEP_CSV_HEADER + "\n"]
-    prev_gamma = None
-    for gamma, row in sc.lambda_rows(sub, lams):
-        inc = (float(np.linalg.norm(gamma - prev_gamma, 2))
-               if prev_gamma is not None else float("nan"))
-        prev_gamma = gamma
-        lines.append(f"{row},{inc:.17g}\n")
-    write_text(args.out, "".join(lines))
-    return 0
+    prev = None
+    for gammas, rows in sc.lambda_rows(sub, lams):
+        steps = sc.gamma_steps(gammas, prev)
+        prev = gammas[-1]
+        lines += [f"{row},{inc:.17g}\n" for row, inc in zip(rows, steps)]
+    return 0, "".join(lines)
 
 
 def _cmd_resolvent(args, cfg, s):
@@ -183,10 +179,10 @@ def _cmd_resolvent(args, cfg, s):
         "tolerances": tol,
         "pass": ok,
     }
-    write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    return 0 if ok else 3
+    return (0 if ok else 3), json.dumps(payload, indent=2) + "\n"
 
 
+# each command returns (exit code, output text); main writes the text
 _COMMANDS = {
     "validate": _cmd_validate,
     "smatrix": _cmd_smatrix,
@@ -201,7 +197,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = _load_config(args.config)
         s = from_config(cfg)
-        return _COMMANDS[args.command](args, cfg, s)
+        code, text = _COMMANDS[args.command](args, cfg, s)
     except UsageError as exc:
         print(f"zrs: usage error: {exc}", file=sys.stderr)
         return 1
@@ -213,6 +209,12 @@ def main(argv=None):
         # remaining domain errors are configuration problems
         print(f"zrs: {exc}", file=sys.stderr)
         return 1
+    try:
+        write_text(args.out, text)
+    except OSError as exc:
+        print(f"zrs: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 def run():

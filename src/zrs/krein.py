@@ -7,6 +7,11 @@ coefficient matrix Gamma = (J + Qt)^{-1}, the resolvent coefficient
 C = (Q + 4 pi L)^{-1}, the sphere Gram matrix G_N(lambda), and the
 Schur-Frobenius block inversion with its tail bounds.
 
+``build_q``, ``gamma_at`` and ``gram_matrix`` also take a 1-D array of
+spectral points and return (K, N, N) stacks; ``build_weighted``,
+``gamma_direct`` and ``check_rcond`` work on one matrix or a stack.
+Callers walk long spectral grids in chunks from :func:`stack_chunks`.
+
 The square root branch is fixed with Im sqrt(z) >= 0, so boundary
 values on the positive axis are taken from above (sqrt(lambda) >= 0).
 """
@@ -29,6 +34,19 @@ from .scatterers import eta_by_index
 FOUR_PI = 4.0 * np.pi
 
 RCOND_LIMIT = 1e-14
+
+# Entries per (K, N, N) stack: 16384 complex entries are 256 KiB.  On
+# N = 5..20 sweeps and scans, 4096 entries ran 20% slower and 65536 no
+# faster, while larger stacks raise the peak memory of long sweeps.
+STACK_ENTRIES = 16384
+
+
+def stack_chunks(points, n):
+    """Consecutive slices of ``points`` whose (K, n, n) stacks hold at
+    most STACK_ENTRIES entries (K >= 1)."""
+    step = max(1, STACK_ENTRIES // (n * n))
+    for lo in range(0, len(points), step):
+        yield points[lo:lo + step]
 
 
 def branch_sqrt(z):
@@ -64,16 +82,25 @@ def as_energy(z):
     return ComplexEnergy.from_z(z)
 
 
+def _spectral_points(z):
+    """``(energies, stacked)``: a 1-D ``z`` is a stack of spectral points."""
+    stacked = np.ndim(z) == 1
+    return [as_energy(v) for v in (z if stacked else [z])], stacked
+
+
 def green_at_distance(z, r):
     """Free Green function e^{i sqrt(z) r} / (4 pi r) at distances ``r``.
 
-    Vectorized over ``r``; all distances must be positive.
+    Vectorized over ``r``; a 1-D ``z`` adds a leading spectral axis.  All
+    distances must be positive.
     """
-    e = as_energy(z)
+    es, stacked = _spectral_points(z)
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ZeroDistance("free Green function requires positive distance")
-    return np.exp(1j * e.sqrt_z * r) / (FOUR_PI * r)
+    ik = np.array([1j * e.sqrt_z for e in es]).reshape((-1,) + (1,) * r.ndim)
+    g = np.exp(ik * r) / (FOUR_PI * r)
+    return g if stacked else g[0]
 
 
 def free_green(z, x):
@@ -85,17 +112,23 @@ def free_green(z, x):
 def build_q(z, s):
     """Coupling matrix Q(z): diagonal i sqrt(z)/(4 pi), off-diagonal the
     free Green function between sites.  Complex symmetric; satisfies
-    Q(conj z) = Q(z)^H."""
-    e = as_energy(z)
+    Q(conj z) = Q(z)^H.
+
+    A 1-D ``z`` gives the (K, N, N) stack of Q at each point.
+    """
+    es, stacked = _spectral_points(z)
     n = s.n
-    q = np.full((n, n), 1j * e.sqrt_z / FOUR_PI, dtype=complex)
+    q = np.empty((len(es), n, n), dtype=complex)
+    # the diagonal per point in Python complex arithmetic: numpy's complex
+    # division rounds i sqrt(z) / (4 pi) differently
+    q[...] = np.array([1j * e.sqrt_z / FOUR_PI for e in es])[:, None, None]
     if n > 1:
         d = s.distances()
         iu = np.triu_indices(n, 1)
-        off = green_at_distance(e, d[iu])
-        q[iu] = off
-        q[(iu[1], iu[0])] = off
-    return q
+        off = green_at_distance(es if stacked else es[0], d[iu])
+        q[:, iu[0], iu[1]] = off
+        q[:, iu[1], iu[0]] = off
+    return q if stacked else q[0]
 
 
 def build_weighted(s, q):
@@ -109,12 +142,18 @@ def build_weighted(s, q):
 
 
 def check_rcond(a, label, exc=SingularMatrix):
-    """Raise ``exc`` when the SVD reciprocal condition of ``a`` < RCOND_LIMIT."""
+    """Raise ``exc`` when the SVD reciprocal condition of ``a`` < RCOND_LIMIT.
+
+    ``a`` is one matrix or a (K, N, N) stack; a stack raises for its first
+    failing member.
+    """
     sv = np.linalg.svd(a, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond < RCOND_LIMIT:
-        raise exc(f"{label} is numerically singular (rcond {rcond:.2e})",
-                  rcond=rcond)
+    top = sv[..., 0]
+    rcond = np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top > 0)
+    bad = np.flatnonzero(rcond < RCOND_LIMIT)
+    if bad.size:
+        r = float(rcond.flat[bad[0]])
+        raise exc(f"{label} is numerically singular (rcond {r:.2e})", rcond=r)
 
 
 def _checked_inv(a, label, exc=SingularMatrix):
@@ -123,17 +162,19 @@ def _checked_inv(a, label, exc=SingularMatrix):
 
 
 def gamma_direct(qtilde, j):
-    """Gamma = (J + Qt)^{-1} by dense inversion.
+    """Gamma = (J + Qt)^{-1} by dense inversion; ``qtilde`` may be a stack.
 
     Raises SingularMatrix when the reciprocal condition estimate falls
-    below 1e-14.
+    below 1e-14 (for a stack, at its first such member), before any
+    inversion.
     """
     a = qtilde + np.diag(np.asarray(j, dtype=float))
     return _checked_inv(a, "J + Qtilde")
 
 
 def gamma_at(z, s):
-    """Gamma = (J + Qt)^{-1} of ``s`` at one spectral point ``z``."""
+    """Gamma = (J + Qt)^{-1} of ``s`` at a spectral point ``z``, or the
+    (K, N, N) stack of Gamma at each point of a 1-D ``z``."""
     return gamma_direct(*build_weighted(s, build_q(z, s)))
 
 
@@ -250,7 +291,11 @@ def q_norm_bound(s, z):
 
 @dataclass(frozen=True)
 class GramData:
-    """Sphere Gram matrix G_N(lambda), its least eigenvalue mu, and lambda."""
+    """Sphere Gram matrix G_N(lambda), its least eigenvalue mu, and lambda.
+
+    For a stack of K spectral points ``g`` is (K, N, N) and ``mu`` and
+    ``lam`` are length-K arrays.
+    """
 
     g: np.ndarray
     mu: float
@@ -263,23 +308,35 @@ def gram_matrix(lam, s):
     G_mm = sqrt(lambda)/(4 pi) on the diagonal and
     sin(sqrt(lambda) r)/(4 pi r) off it; equals Im Q(lambda + i0)
     entrywise.  Raises NonPositiveGram when the least eigenvalue is
-    not positive beyond round-off.
+    not positive beyond round-off.  A 1-D ``lam`` gives the stacked
+    GramData; its first failing point raises.
     """
-    if not 0 < lam < np.inf:
-        raise BadParams(f"lambda must be positive and finite, got {lam}")
-    k = np.sqrt(lam)
+    stacked = np.ndim(lam) == 1
+    for v in (lam if stacked else [lam]):
+        if not 0 < v < np.inf:
+            raise BadParams(f"lambda must be positive and finite, got {v}")
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    k = np.sqrt(lams)
     n = s.n
-    g = np.full((n, n), k / FOUR_PI)
+    g = np.empty((len(lams), n, n))
+    g[...] = (k / FOUR_PI)[:, None, None]
     if n > 1:
         d = s.distances()
         iu = np.triu_indices(n, 1)
-        off = np.sin(k * d[iu]) / (FOUR_PI * d[iu])
-        g[iu] = off
-        g[(iu[1], iu[0])] = off
-    mu = float(np.linalg.eigvalsh(g)[0])
-    if mu <= -1e-12 * max(1.0, float(np.linalg.norm(g, 2))):
-        raise NonPositiveGram(f"least Gram eigenvalue {mu:g} <= 0")
-    return GramData(g=g, mu=mu, lam=float(lam))
+        off = np.sin(k[:, None] * d[iu]) / (FOUR_PI * d[iu])
+        g[:, iu[0], iu[1]] = off
+        g[:, iu[1], iu[0]] = off
+    mu = np.linalg.eigvalsh(g)[:, 0]
+    # ||G||_2 enters the round-off floor only where mu < 0
+    neg = np.flatnonzero(mu < 0)
+    if neg.size:
+        floor = -1e-12 * np.maximum(1.0, np.linalg.norm(g[neg], 2, axis=(1, 2)))
+        bad = neg[mu[neg] <= floor]
+        if bad.size:
+            raise NonPositiveGram(f"least Gram eigenvalue {mu[bad[0]]:g} <= 0")
+    if stacked:
+        return GramData(g=g, mu=mu, lam=lams)
+    return GramData(g=g[0], mu=float(mu[0]), lam=float(lam))
 
 
 def m_sampled(s, n, interval, grid=64):
@@ -292,18 +349,21 @@ def m_sampled(s, n, interval, grid=64):
     if not 0 < a < b:
         raise BadParams("interval must satisfy 0 < a < b")
     sub = s.prefix(n)
-    lams = np.geomspace(a, b, int(grid))
     worst = 0.0
-    for lam in lams:
-        gd = gram_matrix(lam, sub)
-        worst = max(worst, float(np.linalg.norm(np.linalg.inv(gd.g), 2)))
+    for lams in stack_chunks(np.geomspace(a, b, int(grid)), sub.n):
+        ginv = np.linalg.inv(gram_matrix(lams, sub).g)
+        worst = max(worst, float(np.linalg.norm(ginv, 2, axis=(1, 2)).max()))
     return worst
+
+
+def _c_from_q(q, s):
+    """C = (Q + 4 pi L)^{-1} from an already built Q."""
+    return _checked_inv(q + FOUR_PI * np.diag(s.weights), "Q + 4 pi L")
 
 
 def c_matrix(z, s):
     """Resolvent coefficient matrix C(z) = (Q(z) + 4 pi L)^{-1}."""
-    q = build_q(z, s)
-    return _checked_inv(q + FOUR_PI * np.diag(s.weights), "Q + 4 pi L")
+    return _c_from_q(build_q(z, s), s)
 
 
 @dataclass(frozen=True)
@@ -330,7 +390,7 @@ def krein_matrices(z, s):
     q = build_q(e, s)
     qt, j = build_weighted(s, q)
     gamma = gamma_direct(qt, j)
-    c = _checked_inv(q + FOUR_PI * np.diag(s.weights), "Q + 4 pi L")
+    c = _c_from_q(q, s)
     return KreinMatrices(energy=e, q=q, qtilde=qt, j=j, gamma=gamma, c=c)
 
 

@@ -215,14 +215,18 @@ def _ratio_converges(terms):
     return bool(ratio < 1.0)
 
 
+def _check_window_top(b):
+    if not 0 < b < np.inf:
+        raise BadParams(f"b must be positive and finite, got {b}")
+
+
 def tail_bound(s, n0, b, eta=None):
     """Tail norm bound p_{N0,L}(b) = max_{m>N0} (sqrt(b) + K0/eta_m^2 + K1) / (4 pi |w_m|).
 
     K0 and K1 are taken over the retained scatterers.  Returns 0.0 for
     an empty tail (N0 = N).
     """
-    if b <= 0:
-        raise BadParams("b must be positive")
+    _check_window_top(b)
     if not 0 <= n0 <= s.n:
         raise BadParams(f"n0 = {n0} outside 0..{s.n}")
     if n0 == s.n:
@@ -256,8 +260,7 @@ def check_admissibility(s, b, n0=None):
     AdmissibilityReport
         Carries flags, never raises on a failing condition.
     """
-    if b <= 0:
-        raise BadParams("b must be positive")
+    _check_window_top(b)
     if n0 is None:
         n0 = max(1, s.n // 2)
     absw = s.abs_weights

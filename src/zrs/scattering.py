@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, GridMismatch, SingularMatrix
+from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (build_q, build_weighted, check_rcond, gamma_at, gamma_schur,
-                    gram_matrix)
+                    gram_matrix, stack_chunks)
 from .scatterers import write_text
 from .spherical import (default_grid, gram_overlap, plane_wave_block,
                         weighted_gram_target)
@@ -140,13 +140,27 @@ def unitarity_defect_reduced(lam, s, n=None):
     whose spectral norm is returned (zero in exact arithmetic).
     """
     sub = s.prefix(n) if n is not None else s
-    return _defect_reduced(lam, gamma_at(lam, sub), weighted_gram_target(lam, sub))
+    return float(_defect_reduced(lam, gamma_at(lam, sub),
+                                 weighted_gram_target(lam, sub)))
 
 
 def _defect_reduced(lam, gamma, b):
-    a = np.sqrt(lam) / (8.0 * np.pi**2)
-    defect = 1j * a * (gamma.conj().T - gamma) + a**2 * gamma.conj().T @ b @ gamma
-    return float(np.linalg.norm(defect, 2))
+    """Spectral norm of the S*S - I coefficient matrix; a 1-D ``lam`` goes
+    with (K, N, N) stacks ``gamma`` and ``b``.  ia and a^2 are formed per
+    lambda in scalar arithmetic, which rounds a^2 differently from numpy's
+    array power."""
+    shape = np.shape(lam) + (1, 1)
+    a = [np.sqrt(v) / (8.0 * np.pi**2) for v in np.ravel(lam)]
+    ia = np.reshape([1j * v for v in a], shape)
+    a2 = np.reshape([v**2 for v in a], shape)
+    gh = np.swapaxes(gamma.conj(), -1, -2)
+    defect = ia * (gh - gamma)
+    # fewer stacks alive at once keeps a sweep's peak memory at the
+    # per-lambda loop's level
+    m = a2 * gh
+    del gh
+    defect += m @ b @ gamma
+    return np.linalg.norm(defect, 2, axis=(-2, -1))
 
 
 def unitarity_defect_quadrature(rep, grid, trials=8, seed=0):
@@ -233,6 +247,45 @@ class ContinuityScan:
         return list(zip(self.lambdas.tolist(), self.increments.tolist()))
 
 
+def _gamma_chunks(s, lambdas, gram=False):
+    """Gamma (and with ``gram`` also G_N) along ``lambdas``, one stack per
+    chunk of :func:`krein.stack_chunks`.
+
+    Yields ``(lams, gammas, gd)``, ``gd`` the stacked GramData or None.  A
+    chunk that fails is replayed one lambda at a time, so the first failing
+    lambda decides the error and, at one lambda, a Gamma failure comes
+    before a G_N failure, as in a per-lambda loop.
+    """
+    for lams in stack_chunks(lambdas, s.n):
+        try:
+            gammas = gamma_at(lams, s)
+            gd = gram_matrix(lams, s) if gram else None
+        except ZrsError:
+            for lam in lams:
+                try:
+                    gamma_at(lam, s)
+                except SingularMatrix as exc:
+                    raise SingularMatrix(
+                        f"Gamma inversion failed at lambda={lam:g}: {exc}",
+                        rcond=exc.rcond) from exc
+                if gram:
+                    gram_matrix(lam, s)
+            raise
+        yield lams, gammas, gd
+
+
+def gamma_steps(gammas, prev=None):
+    """||Gamma_k - Gamma_{k-1}||_2 along a (K, N, N) stack.
+
+    ``prev`` is the Gamma just before the stack; without it the first
+    entry is nan.
+    """
+    if prev is None:
+        return np.concatenate([[np.nan], gamma_steps(gammas[1:], gammas[0])])
+    diffs = np.diff(gammas, axis=0, prepend=prev[None])
+    return np.linalg.norm(diffs, 2, axis=(1, 2))
+
+
 def gamma_continuity_scan(s, n, interval, points, jump_factor=10.0):
     """Scan ||Gamma(lam_{k+1}) - Gamma(lam_k)||_2 on a uniform grid.
 
@@ -254,15 +307,11 @@ def gamma_continuity_scan(s, n, interval, points, jump_factor=10.0):
         raise BadParams("need at least two lambda samples")
     sub = s.prefix(n) if n is not None else s
     lams = np.linspace(a, b, int(points))
-    gammas = []
-    for lam in lams:
-        try:
-            gammas.append(gamma_at(lam, sub))
-        except SingularMatrix as exc:
-            raise SingularMatrix(f"Gamma inversion failed at lambda={lam:g}: {exc}",
-                                 rcond=exc.rcond) from exc
-    inc = np.array([np.linalg.norm(gammas[k + 1] - gammas[k], 2)
-                    for k in range(len(gammas) - 1)])
+    steps, prev = [], None
+    for _, gammas, _ in _gamma_chunks(sub, lams):
+        steps.append(gamma_steps(gammas, prev))
+        prev = gammas[-1]
+    inc = np.concatenate(steps)[1:]
     med = float(np.median(inc)) if len(inc) else 0.0
     flagged = inc > jump_factor * med if med > 0 else np.zeros(len(inc), bool)
     return ContinuityScan(lambdas=lams[1:], increments=inc, flagged=flagged)
@@ -302,20 +351,21 @@ def write_cross_section_csv(pattern, out):
 
 
 def lambda_rows(s, lambdas):
-    """Yield ``(gamma, row)`` per lambda; ``row`` holds the DEFECT_CSV_HEADER
-    columns.  Gamma and G_N are built once, and gamma_norm and gamma_cond
-    come from one SVD (as np.linalg.norm(., 2) and np.linalg.cond do)."""
-    for lam in lambdas:
-        gamma = gamma_at(lam, s)
-        gd = gram_matrix(lam, s)
-        defect = _defect_reduced(lam, gamma, gram_overlap(gd, s))
-        sv = np.linalg.svd(gamma, compute_uv=False)
-        yield gamma, (f"{lam:.17g},{defect:.17g},{sv[0]:.17g},"
-                      f"{sv[0] / sv[-1]:.17g},{gd.mu:.17g}")
+    """Yield ``(gammas, rows)`` per chunk of ``lambdas``: the Gamma stack
+    and one DEFECT_CSV_HEADER row per lambda.  Gamma and G_N are built once
+    per lambda, and gamma_norm and gamma_cond come from one SVD (as
+    np.linalg.norm(., 2) and np.linalg.cond do)."""
+    for lams, gammas, gd in _gamma_chunks(s, lambdas, gram=True):
+        defect = _defect_reduced(lams, gammas, gram_overlap(gd, s))
+        sv = np.linalg.svd(gammas, compute_uv=False)
+        yield gammas, [f"{lam:.17g},{d:.17g},{v[0]:.17g},"
+                       f"{v[0] / v[-1]:.17g},{mu:.17g}"
+                       for lam, d, v, mu in zip(lams, defect, sv, gd.mu)]
 
 
 def write_defect_csv(s, lambdas, out):
     """Defect-vs-lambda table: unitarity defect, Gamma norms, Gram mu."""
-    rows = [DEFECT_CSV_HEADER] + [
-        row for _, row in lambda_rows(s, np.asarray(lambdas, dtype=float))]
+    rows = [DEFECT_CSV_HEADER]
+    for _, chunk in lambda_rows(s, np.asarray(lambdas, dtype=float)):
+        rows += chunk
     write_text(out, "\n".join(rows) + "\n")

@@ -192,9 +192,12 @@ def weighted_gram_target(lam, s):
 
 
 def gram_overlap(gd, s):
-    """:func:`weighted_gram_target` from an already built GramData ``gd``."""
+    """:func:`weighted_gram_target` from an already built GramData ``gd``
+    (one matrix, or a stack for a stacked ``gd``)."""
     rootw = np.sqrt(s.abs_weights)
-    return (16.0 * np.pi**2 / np.sqrt(gd.lam)) * gd.g / np.outer(rootw, rootw)
+    scale = 16.0 * np.pi**2 / np.sqrt(gd.lam)
+    scale = np.reshape(scale, np.shape(scale) + (1, 1))
+    return scale * gd.g / np.outer(rootw, rootw)
 
 
 def overlap_error(block):

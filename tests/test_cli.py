@@ -141,12 +141,23 @@ def test_sweep_n_mode(tmp_path):
     ["smatrix", "--lambda", "1e300"],
     ["sweep", "--interval", "1", "inf", "--grid-points", "4"],
     ["sweep", "--lambda", "nan", "--n-sweep", "1,2"],
+    ["validate", "--lambda", "nan"],
+    ["validate", "--lambda", "inf"],
 ])
 def test_non_finite_or_huge_lambda_exit_1(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, TWO_SCATTERERS)
     assert main([*argv, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("zrs: ") and "Traceback" not in err
+
+
+def test_unwritable_out_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zrs: cannot write output: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def _battery_config(tmp_path):

@@ -15,8 +15,10 @@ from zrs import (
     build_weighted,
     c_matrix,
     free_green,
+    gamma_at,
     gamma_direct,
     gamma_schur,
+    generate_family,
     gram_matrix,
     krein_matrices,
     m_sampled,
@@ -25,6 +27,7 @@ from zrs import (
     summability_surrogate,
     tail_bound,
 )
+from zrs.krein import STACK_ENTRIES, check_rcond
 
 from conftest import make_config
 
@@ -125,6 +128,64 @@ def test_gamma_direct_scalar_cases():
     qt, j = build_weighted(sw, build_q(lam, sw))
     assert np.allclose(gamma_direct(qt, j)[0, 0],
                        w / (w + 1j * np.sqrt(lam) / FOUR_PI))
+
+
+def _stack_config(n):
+    if n == 1:
+        return ScattererSet([[0, 0, 0]], [1.3])
+    if n == 5:
+        return make_config(31, 5)
+    return generate_family("cubic-lattice-ball", {"spacing": 1.0}, n)
+
+
+def _same(a, b):
+    """Equal shape, dtype and bytes (no tolerance, -0.0 != 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 100])
+@pytest.mark.parametrize("extra", [None, 0, 1], ids=["K=1", "K=chunk", "K=chunk+1"])
+def test_stacked_builders_equal_per_point(n, extra):
+    chunk = max(1, STACK_ENTRIES // n**2)
+    k = 1 if extra is None else chunk + extra
+    s = _stack_config(n)
+    lams = np.linspace(0.5, 50.0, k)
+    q = build_q(lams, s)
+    qt, j = build_weighted(s, q)
+    gammas = gamma_direct(qt, j)
+    gd = gram_matrix(lams, s)
+    assert q.shape == gammas.shape == gd.g.shape == (k, n, n)
+    # every member of small stacks; about 256 spread over the N = 1 stacks
+    for i in sorted(set(range(0, k, max(1, k // 256))) | {k - 1}):
+        lam = lams[i]
+        one = gram_matrix(lam, s)
+        assert _same(q[i], build_q(lam, s))
+        assert _same(gammas[i], gamma_at(lam, s))
+        assert _same(gd.g[i], one.g) and gd.mu[i] == one.mu and gd.lam[i] == one.lam
+
+
+def test_m_sampled_equals_per_point_max_across_stacks():
+    s = _stack_config(5)
+    grid = STACK_ENTRIES // 25 + 1
+    worst = max(float(np.linalg.norm(np.linalg.inv(gram_matrix(lam, s).g), 2))
+                for lam in np.geomspace(0.5, 40.0, grid))
+    assert m_sampled(s, 5, (0.5, 40.0), grid=grid) == worst
+
+
+def test_stacked_gamma_raises_for_first_singular_member():
+    a = np.stack([np.eye(3) * (1 + 1j)] * 5)
+    a[1] = np.diag([1.0, 1.0, 1e-15])
+    # exactly singular: np.linalg.inv alone would raise LinAlgError
+    a[3] = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(SingularMatrix) as err:
+        gamma_direct(a, np.zeros(3))
+    assert err.value.rcond == 1e-15
+    a[1] = np.eye(3)
+    with pytest.raises(SingularMatrix) as err:
+        gamma_direct(a, np.zeros(3))
+    assert err.value.rcond == 0.0
+    check_rcond(a[:3], "J + Qtilde")  # no failing member: no error
 
 
 def _adjugate_3x3(a):
@@ -293,6 +354,21 @@ def test_gram_mu_equals_inverse_norm():
     assert np.isclose(gd.mu, 1 / np.linalg.norm(np.linalg.inv(gd.g), 2),
                       rtol=1e-10)
     assert gd.mu > 0
+
+
+def test_gram_norm_taken_only_for_negative_mu(monkeypatch):
+    s = make_config(2, 5)
+    calls = []
+    norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, **kwargs):
+        if ord == 2:  # the spectral norm; distances use vector norms
+            calls.append(1)
+        return norm(x, ord, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    gd = gram_matrix(np.linspace(1.0, 20.0, 30), s)
+    assert np.all(gd.mu > 0) and calls == []
 
 
 def test_m_sampled_scalar():

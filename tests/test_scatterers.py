@@ -169,6 +169,16 @@ def test_tail_bound_empty_tail():
     assert tail_bound(s, 2, 25.0) > 0.0
 
 
+@pytest.mark.parametrize("b", [0.0, -1.0, np.nan, np.inf])
+def test_window_top_must_be_positive_and_finite(b):
+    s = make_config(5, 5)
+    with pytest.raises(BadParams):
+        check_admissibility(s, b)
+    for n0 in (2, 5):
+        with pytest.raises(BadParams):
+            tail_bound(s, n0, b)
+
+
 def test_from_config_forms():
     s = from_config({"points": [[0, 0, 0]], "weights": [2.0]})
     assert s.n == 1

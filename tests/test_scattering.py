@@ -1,11 +1,14 @@
 """Scattering matrix assembly, application, unitarity, Omega, scans."""
 
 import io
+import json
+import re
 
 import numpy as np
 import pytest
 
 from zrs import (
+    BadParams,
     GridMismatch,
     ScattererSet,
     SingularMatrix,
@@ -14,7 +17,10 @@ from zrs import (
     cross_section,
     default_grid,
     default_order,
+    gamma_at,
     gamma_continuity_scan,
+    generate_family,
+    gram_matrix,
     kernel_correction,
     make_grid,
     omega_unitary,
@@ -25,7 +31,12 @@ from zrs import (
     unitarity_defect_quadrature,
     unitarity_defect_reduced,
 )
+from zrs import scattering
+from zrs.cli import main
+from zrs.krein import STACK_ENTRIES
 from zrs.scattering import (
+    gamma_steps,
+    lambda_rows,
     write_cross_section_csv,
     write_defect_csv,
     write_kernel_csv,
@@ -286,3 +297,76 @@ def test_csv_emitters_golden_headers():
     assert lines[0] == "lambda,defect_reduced,gamma_norm,gamma_cond,mu"
     assert len(lines) == 6
     assert all(float(r.split(",")[1]) < 1e-12 for r in lines[1:])
+
+
+def _lattice20():
+    # 40 lambdas per stack
+    return generate_family("cubic-lattice-ball", {"spacing": 1.0}, 20)
+
+
+def test_lambda_rows_and_scan_equal_per_point_across_stacks():
+    s = _lattice20()
+    lams = np.linspace(0.7, 45.0, 97)
+    rows, steps, prev = [], [], None
+    for gammas, chunk in lambda_rows(s, lams):
+        rows += chunk
+        steps.append(gamma_steps(gammas, prev))
+        prev = gammas[-1]
+    steps = np.concatenate(steps)
+    gammas = [gamma_at(lam, s) for lam in lams]
+    for lam, g, row in zip(lams, gammas, rows):
+        assert row == (f"{lam:.17g},{unitarity_defect_reduced(lam, s):.17g},"
+                       f"{np.linalg.norm(g, 2):.17g},{np.linalg.cond(g):.17g},"
+                       f"{gram_matrix(lam, s).mu:.17g}")
+    per_point = np.array([np.linalg.norm(b - a, 2) for a, b in zip(gammas, gammas[1:])])
+    assert np.isnan(steps[0]) and steps[1:].tobytes() == per_point.tobytes()
+    scan = gamma_continuity_scan(s, None, (0.7, 45.0), 97)
+    assert scan.increments.tobytes() == per_point.tobytes()
+
+
+def test_first_failing_lambda_decides_the_error():
+    s = make_config(4, 2)
+    # -1 fails only the G_N check; nan fails Gamma before G_N
+    with pytest.raises(BadParams, match="positive and finite, got -1.0"):
+        write_defect_csv(s, [1.0, -1.0, np.nan], io.StringIO())
+    with pytest.raises(BadParams, match="spectral point must be finite"):
+        write_defect_csv(s, [1.0, np.nan, -1.0], io.StringIO())
+
+
+def test_scan_names_first_singular_lambda(monkeypatch):
+    s = _lattice20()
+    lams = np.linspace(1.0, 40.0, 100)
+    bad = lams[[70, 90]]
+    real = scattering.gamma_at
+
+    def gamma_at_singular_on_bad(z, sub):
+        if np.isin(z, bad).any():
+            raise SingularMatrix("J + Qtilde is numerically singular (rcond 0.00e+00)",
+                                 rcond=0.0)
+        return real(z, sub)
+
+    monkeypatch.setattr(scattering, "gamma_at", gamma_at_singular_on_bad)
+    msg = re.escape(f"Gamma inversion failed at lambda={lams[70]:g}: J + Qtilde")
+    with pytest.raises(SingularMatrix, match=msg) as err:
+        gamma_continuity_scan(s, None, (1.0, 40.0), 100)
+    assert err.value.rcond == 0.0
+
+
+def test_sweep_svd_calls_scale_with_stacks_not_points(tmp_path, monkeypatch):
+    cfg = tmp_path / "lattice5.json"
+    cfg.write_text(json.dumps(
+        {"family": {"kind": "cubic-lattice-ball", "N": 5, "params": {}}}))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    points = 256
+    assert main(["sweep", "--config", str(cfg), "--interval", "0.7", "45",
+                 "--grid-points", str(points), "--out", str(tmp_path / "s.csv")]) == 0
+    stacks = -(-points // (STACK_ENTRIES // 25))
+    # one rcond check and one Gamma SVD per stack; a per-point loop makes 2 * 256
+    assert 0 < len(calls) <= 2 * stacks
