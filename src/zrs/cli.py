@@ -117,6 +117,13 @@ def _cmd_smatrix(args, cfg, s):
     return 0, "".join(lines)
 
 
+def _truncation(entry):
+    try:
+        return int(entry)
+    except ValueError:
+        raise UsageError(f"bad --n-sweep entry {entry.strip()!r}") from None
+
+
 def _cmd_sweep(args, cfg, s):
     sub = s.prefix(args.n) if args.n else s
     nsweep = _setting(args, cfg, "n_sweep", "n_sweep")
@@ -124,7 +131,7 @@ def _cmd_sweep(args, cfg, s):
         lam = _setting(args, cfg, "lambda", "lam")
         if lam is None:
             raise UsageError("N-sweep mode needs --lambda")
-        ns = [int(v) for v in str(nsweep).split(",") if v.strip()]
+        ns = [_truncation(v) for v in str(nsweep).split(",") if v.strip()]
         if len(ns) < 2:
             raise UsageError("N-sweep needs at least two truncations")
         lines = [NSWEEP_CSV_HEADER + "\n"]
@@ -146,6 +153,8 @@ def _cmd_sweep(args, cfg, s):
     if not 0 < a < b < np.inf:
         raise UsageError("interval must satisfy 0 < a < b < inf")
     points = int(_setting(args, cfg, "grid_points", "grid_points", 32))
+    if points < 0:
+        raise UsageError(f"grid points must be non-negative, got {points}")
     lams = np.linspace(a, b, points)
     lines = [SWEEP_CSV_HEADER + "\n"]
     prev = None

@@ -23,6 +23,12 @@ DUPLICATE_EPS = 1e-12
 _FAMILY_KINDS = ("uniform-line", "cubic-lattice-ball", "clustering")
 
 
+def _strict_lower(n):
+    """Mask of the strict lower triangle; the distance matrix is exactly
+    symmetric, so it selects each pair once."""
+    return np.tri(n, k=-1, dtype=bool)
+
+
 def _freeze(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -34,7 +40,8 @@ class ScattererSet:
     """Positions x_m in R^3 and nonzero real weights w_m.
 
     Points must be pairwise distinct (separation above ``eps``); the
-    arrays are stored read-only so instances can be shared freely.
+    arrays, and the distance matrix computed for that check, are stored
+    read-only so instances can be shared freely.
     """
 
     points: np.ndarray
@@ -55,15 +62,15 @@ class ScattererSet:
         if not np.all(np.isfinite(pts)):
             raise BadParams("points must be finite")
         d = pairwise_distances(pts)
-        n = pts.shape[0]
-        if n > 1:
-            dmin = np.min(d[np.triu_indices(n, 1)])
-            if dmin <= self.eps:
-                raise DuplicatePoint(
-                    f"two points are within {self.eps:g} (min distance {dmin:g})"
-                )
+        dmin = np.min(d, initial=np.inf, where=_strict_lower(pts.shape[0]))
+        if dmin <= self.eps:
+            raise DuplicatePoint(
+                f"two points are within {self.eps:g} (min distance {dmin:g})"
+            )
+        d.flags.writeable = False
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "_distances", d)
 
     @property
     def n(self):
@@ -78,15 +85,25 @@ class ScattererSet:
         return np.sign(self.weights)
 
     def prefix(self, n):
-        """First ``n`` scatterers (truncation of a generated family)."""
+        """First ``n`` scatterers (truncation of a generated family).
+
+        A prefix of a valid set is valid, so it shares the leading blocks
+        of the arrays and of the distance matrix without checking again.
+        """
         if n is None or n == self.n:
             return self
         if not 1 <= n <= self.n:
             raise BadParams(f"prefix length {n} outside 1..{self.n}")
-        return ScattererSet(self.points[:n], self.weights[:n], eps=self.eps)
+        sub = object.__new__(ScattererSet)
+        for name, val in (("points", self.points[:n]),
+                          ("weights", self.weights[:n]), ("eps", self.eps),
+                          ("_distances", self._distances[:n, :n])):
+            object.__setattr__(sub, name, val)
+        return sub
 
     def distances(self):
-        return pairwise_distances(self.points)
+        """Read-only (N, N) matrix of pairwise distances."""
+        return self._distances
 
     def diameter(self):
         if self.n == 1:
@@ -104,7 +121,15 @@ class ScattererSet:
 
 def pairwise_distances(points):
     pts = np.asarray(points, dtype=float)
-    return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    # dx^2 + dy^2 + dz^2 in the order norm(axis=-1) sums them, without
+    # (N, N, 3) temporaries
+    d = np.subtract.outer(pts[:, 0], pts[:, 0])
+    d *= d
+    for k in range(1, pts.shape[1]):
+        diff = np.subtract.outer(pts[:, k], pts[:, k])
+        diff *= diff
+        d += diff
+    return np.sqrt(d, out=d)
 
 
 @dataclass(frozen=True)
@@ -129,16 +154,16 @@ def separation_profile(s):
     SeparationProfile
         ``eta`` of length N - 1; empty for a single scatterer.
     """
-    d = s.distances()
     n = s.n
-    eta = np.empty(max(n - 1, 0))
-    running = np.inf
-    for m in range(1, n):
-        # only distances from the newly added point can lower the minimum
-        running = min(running, float(np.min(d[m, :m])))
-        if running <= s.eps:
-            raise DuplicatePoint(f"points {m} and an earlier one coincide")
-        eta[m - 1] = running
+    # row m of the strict lower triangle holds the distances from point m
+    # to the earlier points; min is exact, so the order of the minima
+    # does not matter
+    rows = np.min(s.distances(), axis=1, initial=np.inf,
+                  where=_strict_lower(n))
+    eta = np.minimum.accumulate(rows)[1:]
+    bad = np.flatnonzero(eta <= s.eps)
+    if bad.size:
+        raise DuplicatePoint(f"points {bad[0] + 1} and an earlier one coincide")
     return SeparationProfile(eta=eta)
 
 
@@ -267,6 +292,7 @@ def check_admissibility(s, b, n0=None):
     terms_k0 = 1.0 / absw
     k0 = float(np.sum(terms_k0))
     if s.n == 1:
+        eta = None
         terms_k1 = np.empty(0)
         k1 = 0.0
         tail = np.zeros(1)
@@ -276,7 +302,7 @@ def check_admissibility(s, b, n0=None):
         k1 = float(np.sum(terms_k1))
         # tail[j] = sum of K1 terms with index m > j+1 (1-based)
         tail = np.concatenate([np.cumsum(terms_k1[::-1])[::-1][1:], [0.0]])
-    p = tail_bound(s, n0, b)
+    p = tail_bound(s, n0, b, eta=eta)
     return AdmissibilityReport(
         k0=k0,
         k1=k1,

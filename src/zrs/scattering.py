@@ -301,8 +301,8 @@ def gamma_continuity_scan(s, n, interval, points, jump_factor=10.0):
     Inversion failures are re-raised with the offending lambda attached.
     """
     a, b = interval
-    if not 0 < a < b:
-        raise BadParams("interval must satisfy 0 < a < b")
+    if not 0 < a < b < np.inf:
+        raise BadParams("interval must satisfy 0 < a < b < inf")
     if points < 2:
         raise BadParams("need at least two lambda samples")
     sub = s.prefix(n) if n is not None else s

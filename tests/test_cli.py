@@ -143,6 +143,8 @@ def test_sweep_n_mode(tmp_path):
     ["sweep", "--lambda", "nan", "--n-sweep", "1,2"],
     ["validate", "--lambda", "nan"],
     ["validate", "--lambda", "inf"],
+    ["sweep", "--interval", "1", "2", "--grid-points", "-3"],
+    ["sweep", "--lambda", "4", "--n-sweep", "2,x"],
 ])
 def test_non_finite_or_huge_lambda_exit_1(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, TWO_SCATTERERS)

@@ -27,7 +27,7 @@ from zrs import (
     summability_surrogate,
     tail_bound,
 )
-from zrs.krein import STACK_ENTRIES, check_rcond
+from zrs.krein import STACK_ENTRIES, _checked_inv, check_rcond
 
 from conftest import make_config
 
@@ -186,6 +186,57 @@ def test_stacked_gamma_raises_for_first_singular_member():
         gamma_direct(a, np.zeros(3))
     assert err.value.rcond == 0.0
     check_rcond(a[:3], "J + Qtilde")  # no failing member: no error
+
+
+@pytest.fixture
+def svd_inputs(monkeypatch):
+    """Records every matrix (or stack) handed to np.linalg.svd."""
+    seen, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+def test_checked_inv_certificate_skips_svd(svd_inputs):
+    s = generate_family("cubic-lattice-ball", {}, 20)
+    a = build_weighted(s, build_q(np.linspace(1.0, 30.0, 7), s))[0] + np.eye(20)
+    for m in (a[3], a):
+        assert _same(_checked_inv(m, "J + Qtilde"), np.linalg.inv(m))
+    assert svd_inputs == []
+
+
+@pytest.mark.parametrize("a", [
+    np.diag([1.0, 1e-15]),
+    np.diag([1.0, 0.0]),
+    np.array([[1.0, 1.0], [1.0, 1.0]]),
+    np.zeros((2, 2), dtype=complex),
+], ids=["rcond-1e-15", "zero-pivot", "rank-one", "zero"])
+def test_checked_inv_fallback_raises_with_svd_rcond(a, svd_inputs):
+    with pytest.raises(SingularMatrix) as want:
+        check_rcond(a, "A")
+    with pytest.raises(SingularMatrix) as got:
+        _checked_inv(a, "A")
+    assert str(got.value) == str(want.value)
+    assert got.value.rcond == want.value.rcond
+
+
+def test_checked_inv_fallback_passes_regular_matrix(svd_inputs):
+    a = np.diag([1.0, 1e-13])
+    assert _same(_checked_inv(a, "A"), np.linalg.inv(a))
+    assert len(svd_inputs) == 1
+
+
+def test_checked_inv_stack_checks_only_uncertified_members(svd_inputs):
+    a = np.stack([np.eye(3) * (1 + 1j)] * 6)
+    a[1] = np.diag([1.0, 1.0, 1e-13])  # fails the certificate, regular
+    a[4] = np.diag([1.0, 1.0, 1e-15])
+    with pytest.raises(SingularMatrix) as err:
+        _checked_inv(a, "J + Qtilde")
+    assert err.value.rcond == 1e-15
+    assert len(svd_inputs) == 1 and _same(svd_inputs[0], a[[1, 4]])
 
 
 def _adjugate_3x3(a):

@@ -1,6 +1,7 @@
 """Scatterer configurations, separation profiles, admissibility."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from zrs import (
     separation_profile,
     tail_bound,
 )
+from zrs.scatterers import pairwise_distances
 
 from conftest import make_config
 
@@ -61,6 +63,47 @@ def test_profile_nonincreasing_and_permutation_floor():
     perm = rng.permutation(10)
     sp = ScattererSet(s.points[perm], s.weights[perm])
     assert np.isclose(separation_profile(sp).eta[-1], dmin)
+
+
+def _profile_loop(d, eps):
+    # reference: running minimum of the distances to each newly added point
+    eta, running = [], np.inf
+    for m in range(1, len(d)):
+        running = min(running, float(np.min(d[m, :m])))
+        if running <= eps:
+            return m
+        eta.append(running)
+    return np.array(eta)
+
+
+def test_profile_equals_loop_definition(battery25):
+    for s in battery25 + [generate_family("clustering", {"p": 2, "q": 6}, 60)]:
+        assert separation_profile(s).eta.tobytes() == \
+            _profile_loop(s.distances(), s.eps).tobytes()
+
+
+def test_profile_duplicate_index_equals_loop_definition():
+    s = ScattererSet([[0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 0, 1e-6]], [1] * 4)
+    tight = SimpleNamespace(n=s.n, eps=1e-3, distances=s.distances)
+    assert _profile_loop(s.distances(), tight.eps) == 3
+    with pytest.raises(DuplicatePoint, match="points 3 and"):
+        separation_profile(tight)
+
+
+def test_distances_cached_read_only_and_equal_to_norm(battery25):
+    for s in battery25:
+        pts = s.points
+        assert s.distances() is s.distances()
+        assert not s.distances().flags.writeable
+        # the in-place sum matches norm(axis=-1) bit for bit
+        ref = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        assert pairwise_distances(pts).tobytes() == ref.tobytes()
+        for n in range(1, s.n + 1):
+            sub = s.prefix(n)
+            assert np.array_equal(sub.points, pts[:n])
+            assert np.array_equal(sub.weights, s.weights[:n])
+            assert sub.distances().tobytes() == pairwise_distances(pts[:n]).tobytes()
+            assert not sub.distances().flags.writeable
 
 
 def test_duplicate_point_rejected():

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from zrs import (
     generate_family,
     gram_matrix,
     kernel_correction,
+    m_sampled,
     make_grid,
     omega_unitary,
     overlap_error,
@@ -350,6 +352,18 @@ def test_scan_names_first_singular_lambda(monkeypatch):
     with pytest.raises(SingularMatrix, match=msg) as err:
         gamma_continuity_scan(s, None, (1.0, 40.0), 100)
     assert err.value.rcond == 0.0
+
+
+@pytest.mark.parametrize("scan", [
+    lambda s, interval: gamma_continuity_scan(s, None, interval, 4),
+    lambda s, interval: m_sampled(s, 2, interval, 4),
+], ids=["gamma_continuity_scan", "m_sampled"])
+@pytest.mark.parametrize("interval", [(1.0, np.inf), (2.0, 1.0)])
+def test_scan_interval_must_be_finite(scan, interval, two_scatterers):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match=re.escape("0 < a < b < inf")):
+            scan(two_scatterers, interval)
 
 
 def test_sweep_svd_calls_scale_with_stacks_not_points(tmp_path, monkeypatch):
