@@ -21,7 +21,6 @@ from .scatterers import (
     eta_by_index,
     from_config,
     generate_family,
-    load_scatterers,
     separation_profile,
     tail_bound,
 )

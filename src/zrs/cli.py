@@ -54,7 +54,7 @@ def _build_parser():
                        help="lambda samples for sweeps")
         q.add_argument("--seed", type=int, default=None)
         q.add_argument("--out", default=sys.stdout, help="output path (default stdout)")
-        q.add_argument("--n-sweep", default=None,
+        q.add_argument("--n-sweep", type=_truncations, default=None,
                        help="comma list of truncations for convergence mode")
     return p
 
@@ -69,31 +69,46 @@ def _load_config(path):
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _setting(args, cfg, key, attr, default=None):
+def _integer(val):
+    """``val`` as an int: integers, integral floats and digit strings."""
+    out = int(val)
+    if out != float(val):
+        raise ValueError(val)
+    return out
+
+
+def _interval(val):
+    a, b = val
+    return float(a), float(b)
+
+
+def _setting(args, cfg, key, attr, convert, default=None):
+    """Flag ``attr`` if given, else ``convert(cfg[key])``, else ``default``."""
     val = getattr(args, attr, None)
     if val is not None:
         return val
-    return cfg.get(key, default)
+    val = cfg.get(key)
+    if val is None:
+        return default
+    try:
+        return convert(val)
+    except (TypeError, ValueError):
+        raise UsageError(f"bad value {val!r} for config key {key!r}") from None
 
 
 def _cmd_validate(args, cfg, s):
-    b = _setting(args, cfg, "b", "lam", 25.0)
-    n0 = _setting(args, cfg, "n0", "n0")
-    report = check_admissibility(s.prefix(args.n) if args.n else s, b, n0=n0)
+    b = _setting(args, cfg, "b", "lam", float, 25.0)
+    n0 = _setting(args, cfg, "n0", "n0", _integer)
+    report = check_admissibility(s.prefix(args.n), b, n0=n0)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     return (0 if report.passed else 2), text
 
 
-def _sample_dirs(grid, count=8):
-    idx = np.linspace(0, grid.size - 1, count).astype(int)
-    return grid.nodes[idx]
-
-
 def _cmd_smatrix(args, cfg, s):
-    lam = _setting(args, cfg, "lambda", "lam")
+    lam = _setting(args, cfg, "lambda", "lam", float)
     if lam is None:
         raise UsageError("smatrix needs --lambda")
-    sub = s.prefix(args.n) if args.n else s
+    sub = s.prefix(args.n)
     tb = None
     if args.n0 is not None:
         tb = tail_bound(sub, args.n0, lam)
@@ -102,36 +117,41 @@ def _cmd_smatrix(args, cfg, s):
     except (SingularMatrix, TailNotContractive) as exc:
         exc.args = (f"lambda={lam:g}: {exc}",)
         raise
-    order = _setting(args, cfg, "grid_order", "grid_order",
+    order = _setting(args, cfg, "grid_order", "grid_order", _integer,
                      default_order(lam, sub))
     grid = make_grid("gauss-legendre-product", order)
-    seed = _setting(args, cfg, "seed", "seed", 0)
+    seed = _setting(args, cfg, "seed", "seed", _integer, 0)
     d_red = sc.unitarity_defect_reduced(lam, sub)
     d_quad = sc.unitarity_defect_quadrature(rep, grid, seed=seed)
-    dirs = _sample_dirs(grid)
-    lines = [f"# lambda={lam:.17g} defect_reduced={d_red:.17g} "
-             f"defect_quadrature={d_quad:.17g} gamma_cond={rep.gamma_cond:.17g}\n"]
+    idx = np.linspace(0, grid.size - 1, 8).astype(int)
+    dirs = grid.nodes[idx]
     buf = io.StringIO()
+    buf.write(f"# lambda={lam:.17g} defect_reduced={d_red:.17g} "
+              f"defect_quadrature={d_quad:.17g} gamma_cond={rep.gamma_cond:.17g}\n")
     sc.write_kernel_csv(rep, dirs, dirs, buf)
-    lines.append(buf.getvalue())
-    return 0, "".join(lines)
+    return 0, buf.getvalue()
 
 
-def _truncation(entry):
-    try:
-        return int(entry)
-    except ValueError:
-        raise UsageError(f"bad --n-sweep entry {entry.strip()!r}") from None
+def _truncations(val):
+    """Truncations from the comma string of --n-sweep or a JSON list."""
+    if isinstance(val, str):
+        val = [v for v in val.split(",") if v.strip()]
+    ns = []
+    for entry in val:
+        try:
+            ns.append(_integer(entry))
+        except (TypeError, ValueError):
+            raise UsageError(f"bad --n-sweep entry {str(entry).strip()!r}") from None
+    return ns
 
 
 def _cmd_sweep(args, cfg, s):
-    sub = s.prefix(args.n) if args.n else s
-    nsweep = _setting(args, cfg, "n_sweep", "n_sweep")
-    if nsweep:
-        lam = _setting(args, cfg, "lambda", "lam")
+    sub = s.prefix(args.n)
+    ns = _setting(args, cfg, "n_sweep", "n_sweep", _truncations)
+    if ns:
+        lam = _setting(args, cfg, "lambda", "lam", float)
         if lam is None:
             raise UsageError("N-sweep mode needs --lambda")
-        ns = [_truncation(v) for v in str(nsweep).split(",") if v.strip()]
         if len(ns) < 2:
             raise UsageError("N-sweep needs at least two truncations")
         lines = [NSWEEP_CSV_HEADER + "\n"]
@@ -146,13 +166,13 @@ def _cmd_sweep(args, cfg, s):
             lines.append(f"{lo},{hi},{diff:.17g}\n")
         return 0, "".join(lines)
 
-    interval = _setting(args, cfg, "interval", "interval")
+    interval = _setting(args, cfg, "interval", "interval", _interval)
     if interval is None:
         raise UsageError("sweep needs --interval A B")
-    a, b = float(interval[0]), float(interval[1])
+    a, b = interval
     if not 0 < a < b < np.inf:
         raise UsageError("interval must satisfy 0 < a < b < inf")
-    points = int(_setting(args, cfg, "grid_points", "grid_points", 32))
+    points = _setting(args, cfg, "grid_points", "grid_points", _integer, 32)
     if points < 0:
         raise UsageError(f"grid points must be non-negative, got {points}")
     lams = np.linspace(a, b, points)
@@ -166,7 +186,7 @@ def _cmd_sweep(args, cfg, s):
 
 
 def _cmd_resolvent(args, cfg, s):
-    sub = s.prefix(args.n) if args.n else s
+    sub = s.prefix(args.n)
     z = complex(*cfg.get("z", [0.0, 1.0]))
     z1 = complex(*cfg.get("z1", [1.0, 1.0]))
     z2 = complex(*cfg.get("z2", [-2.0, 0.5]))

@@ -10,7 +10,7 @@ class DuplicatePoint(ZrsError):
 
 
 class BadParams(ZrsError):
-    """Family parameters violate the documented admissibility inequality."""
+    """A parameter is out of its documented range (weights, lambda, b, n0, ...)."""
 
 
 class ZeroDistance(ZrsError):
@@ -18,7 +18,8 @@ class ZeroDistance(ZrsError):
 
 
 class BadOrder(ZrsError):
-    """Requested quadrature order is not a positive integer."""
+    """Quadrature grid request is invalid: order not a positive integer or
+    above the cap, or an unknown grid kind."""
 
 
 class GridMismatch(ZrsError):

@@ -29,7 +29,7 @@ from .errors import (
     TailNotContractive,
     ZeroDistance,
 )
-from .scatterers import eta_by_index
+from .scatterers import site_bounds
 
 FOUR_PI = 4.0 * np.pi
 
@@ -305,14 +305,7 @@ def q_norm_bound(s, z):
 
     Reduces to |sqrt z| / (4 pi |w|) for a single scatterer (no pairs).
     """
-    e = as_energy(z)
-    absw = s.abs_weights
-    if s.n == 1:
-        return float(abs(e.sqrt_z) / (FOUR_PI * absw[0]))
-    eta = eta_by_index(s)
-    k0 = float(np.sum(1.0 / absw))
-    k1 = float(np.sum(1.0 / (eta**2 * absw)))
-    return float(np.max((abs(e.sqrt_z) + k0 / eta**2 + k1) / (FOUR_PI * absw)))
+    return float(np.max(site_bounds(s, abs(as_energy(z).sqrt_z))))
 
 
 @dataclass(frozen=True)

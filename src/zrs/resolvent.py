@@ -10,7 +10,6 @@ symmetry, zero-range boundary conditions) reduce to matrix identities
 plus known Green-function integrals.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .krein import (
     c_matrix,
     green_at_distance,
 )
-from .scatterers import eta_by_index, write_text
+from .scatterers import eta_by_index, write_csv
 from .spherical import make_grid
 
 # fixed, arbitrary unit vector for the local boundary-condition rays
@@ -55,13 +54,10 @@ class ResolventKernel:
         gxp = self.green_columns(xp)
         return free - np.einsum("...m,mn,...n->...", gx, self.c, gxp)
 
-    def __call__(self, x, xp):
-        return self.evaluate(x, xp)
-
 
 def resolvent_kernel(z, s, n=None):
     """Build the resolvent kernel; requires Q(z) + 4 pi L invertible."""
-    sub = s.prefix(n) if n is not None else s
+    sub = s.prefix(n)
     e = as_energy(z)
     return ResolventKernel(energy=e, c=c_matrix(e, sub), scatterers=sub)
 
@@ -74,7 +70,7 @@ def hilbert_identity_residual(z1, z2, s, n=None):
     """
     if complex(z1) == complex(z2):
         raise BadParams("z1 and z2 must differ")
-    sub = s.prefix(n) if n is not None else s
+    sub = s.prefix(n)
     e1, e2 = as_energy(z1), as_energy(z2)
     c1 = c_matrix(e1, sub)
     c2 = c_matrix(e2, sub)
@@ -84,7 +80,7 @@ def hilbert_identity_residual(z1, z2, s, n=None):
 
 def symmetry_residual(z, s, n=None):
     """Residual ||C(z)^H - C(conj z)||_2 of the adjoint symmetry."""
-    sub = s.prefix(n) if n is not None else s
+    sub = s.prefix(n)
     e = as_energy(z)
     return float(np.linalg.norm(c_matrix(e, sub).conj().T
                                 - c_matrix(e.conj, sub), 2))
@@ -119,7 +115,7 @@ def boundary_condition_residual(z, s, n=None, source=None, radii=None,
     ``direction`` fixes the approach ray (unit 3-vector); the default
     is an arbitrary fixed direction.
     """
-    sub = s.prefix(n) if n is not None else s
+    sub = s.prefix(n)
     kern = resolvent_kernel(z, sub)
     if source is None:
         source = np.mean(sub.points, axis=0) + np.array([0.53, 0.71, 0.83])
@@ -240,8 +236,5 @@ def write_kernel_slice_csv(kern, x0, direction, radii, out):
     radii = np.asarray(radii, dtype=float)
     xs = np.asarray(x0, dtype=float) + radii[:, None] * direction
     vals = kern.evaluate(xs, np.asarray(x0, dtype=float))
-    buf = io.StringIO()
-    buf.write(KERNEL_SLICE_CSV_HEADER + "\n")
-    for r, v in zip(radii, vals):
-        buf.write(f"{r:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    write_text(out, buf.getvalue())
+    write_csv(out, KERNEL_SLICE_CSV_HEADER,
+              ((r, v.real, v.imag) for r, v in zip(radii, vals)))

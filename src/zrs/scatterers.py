@@ -11,8 +11,7 @@ distance among the first m points (eta_1 aliases eta_2 so that every
 site contributes a term).
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +84,8 @@ class ScattererSet:
         return np.sign(self.weights)
 
     def prefix(self, n):
-        """First ``n`` scatterers (truncation of a generated family).
+        """First ``n`` scatterers (truncation of a generated family); the
+        whole set for ``n`` None.
 
         A prefix of a valid set is valid, so it shares the leading blocks
         of the arrays and of the distance matrix without checking again.
@@ -106,17 +106,10 @@ class ScattererSet:
         return self._distances
 
     def diameter(self):
-        if self.n == 1:
-            return 0.0
-        d = self.distances()
-        return float(np.max(d))
+        return float(np.max(self._distances))
 
     def to_dict(self):
         return {"points": self.points.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, data):
-        return from_config(data)
 
 
 def pairwise_distances(points):
@@ -154,12 +147,11 @@ def separation_profile(s):
     SeparationProfile
         ``eta`` of length N - 1; empty for a single scatterer.
     """
-    n = s.n
     # row m of the strict lower triangle holds the distances from point m
     # to the earlier points; min is exact, so the order of the minima
     # does not matter
     rows = np.min(s.distances(), axis=1, initial=np.inf,
-                  where=_strict_lower(n))
+                  where=_strict_lower(s.n))
     eta = np.minimum.accumulate(rows)[1:]
     bad = np.flatnonzero(eta <= s.eps)
     if bad.size:
@@ -167,7 +159,7 @@ def separation_profile(s):
     return SeparationProfile(eta=eta)
 
 
-def eta_by_index(s, profile=None):
+def eta_by_index(s):
     """Per-site separation eta_m, m = 1..N, with eta_1 aliased to eta_2.
 
     eta_m is the minimum pairwise distance among the first max(m, 2)
@@ -176,12 +168,8 @@ def eta_by_index(s, profile=None):
     """
     if s.n == 1:
         return np.empty(0)
-    if profile is None:
-        profile = separation_profile(s)
-    eta = np.empty(s.n)
-    eta[0] = profile.eta[0]
-    eta[1:] = profile.eta
-    return eta
+    eta = separation_profile(s).eta
+    return np.concatenate([eta[:1], eta])
 
 
 @dataclass(frozen=True)
@@ -205,8 +193,6 @@ class AdmissibilityReport:
     k0_converges: bool
     k1_converges: bool
     tail_contractive: bool
-    terms_k0: np.ndarray = field(repr=False, default=None)
-    terms_k1: np.ndarray = field(repr=False, default=None)
 
     @property
     def passed(self):
@@ -240,9 +226,20 @@ def _ratio_converges(terms):
     return bool(ratio < 1.0)
 
 
-def _check_window_top(b):
-    if not 0 < b < np.inf:
-        raise BadParams(f"b must be positive and finite, got {b}")
+def site_bounds(s, root, eta=None):
+    """Per-site terms (root + K0/eta_m^2 + K1) / (4 pi |w_m|) of the norm
+    bounds p_L(z) (root = |sqrt z|) and p_{N0,L}(b) (root = sqrt b).
+
+    A single scatterer has no pairs and gives root / (4 pi |w|).
+    """
+    absw = s.abs_weights
+    if s.n == 1:
+        return root / (4.0 * np.pi * absw)
+    if eta is None:
+        eta = eta_by_index(s)
+    k0 = float(np.sum(1.0 / absw))
+    k1 = float(np.sum(1.0 / (eta**2 * absw)))
+    return (root + k0 / eta**2 + k1) / (4.0 * np.pi * absw)
 
 
 def tail_bound(s, n0, b, eta=None):
@@ -251,21 +248,13 @@ def tail_bound(s, n0, b, eta=None):
     K0 and K1 are taken over the retained scatterers.  Returns 0.0 for
     an empty tail (N0 = N).
     """
-    _check_window_top(b)
+    if not 0 < b < np.inf:
+        raise BadParams(f"b must be positive and finite, got {b}")
     if not 0 <= n0 <= s.n:
         raise BadParams(f"n0 = {n0} outside 0..{s.n}")
     if n0 == s.n:
         return 0.0
-    if eta is None:
-        eta = eta_by_index(s)
-    absw = s.abs_weights
-    if s.n == 1:
-        return float(np.sqrt(b) / (4.0 * np.pi * absw[0]))
-    k0 = float(np.sum(1.0 / absw))
-    k1 = float(np.sum(1.0 / (eta**2 * absw)))
-    m = np.arange(n0, s.n)
-    vals = (np.sqrt(b) + k0 / eta[m] ** 2 + k1) / (4.0 * np.pi * absw[m])
-    return float(np.max(vals))
+    return float(np.max(site_bounds(s, np.sqrt(b), eta)[n0:]))
 
 
 def check_admissibility(s, b, n0=None):
@@ -285,23 +274,17 @@ def check_admissibility(s, b, n0=None):
     AdmissibilityReport
         Carries flags, never raises on a failing condition.
     """
-    _check_window_top(b)
     if n0 is None:
         n0 = max(1, s.n // 2)
     absw = s.abs_weights
     terms_k0 = 1.0 / absw
     k0 = float(np.sum(terms_k0))
-    if s.n == 1:
-        eta = None
-        terms_k1 = np.empty(0)
-        k1 = 0.0
-        tail = np.zeros(1)
-    else:
-        eta = eta_by_index(s)
-        terms_k1 = 1.0 / (eta**2 * absw)
-        k1 = float(np.sum(terms_k1))
-        # tail[j] = sum of K1 terms with index m > j+1 (1-based)
-        tail = np.concatenate([np.cumsum(terms_k1[::-1])[::-1][1:], [0.0]])
+    # a single scatterer has an empty eta, so no K1 terms and tail [0]
+    eta = eta_by_index(s)
+    terms_k1 = 1.0 / (eta**2 * absw)
+    k1 = float(np.sum(terms_k1))
+    # tail[j] = sum of K1 terms with index m > j+1 (1-based)
+    tail = np.concatenate([np.cumsum(terms_k1[::-1])[::-1][1:], [0.0]])
     p = tail_bound(s, n0, b, eta=eta)
     return AdmissibilityReport(
         k0=k0,
@@ -311,10 +294,8 @@ def check_admissibility(s, b, n0=None):
         n0=n0,
         b=b,
         k0_converges=_ratio_converges(terms_k0),
-        k1_converges=_ratio_converges(terms_k1) if s.n > 1 else True,
+        k1_converges=_ratio_converges(terms_k1),
         tail_contractive=bool(p < 1.0),
-        terms_k0=_freeze(terms_k0),
-        terms_k1=_freeze(terms_k1),
     )
 
 
@@ -339,20 +320,15 @@ def generate_family(kind, params, n, strict=False):
     """
     if n < 1:
         raise BadParams("n must be >= 1")
-    if kind == "uniform-line":
+    if kind in ("uniform-line", "cubic-lattice-ball"):
         d = float(params.get("spacing", 1.0))
         w = float(params.get("weight", 1.0))
         if d <= 0:
             raise BadParams("spacing must be positive")
-        pts = np.zeros((n, 3))
-        pts[:, 0] = d * np.arange(n)
-        return ScattererSet(pts, np.full(n, w))
-
-    if kind == "cubic-lattice-ball":
-        d = float(params.get("spacing", 1.0))
-        w = float(params.get("weight", 1.0))
-        if d <= 0:
-            raise BadParams("spacing must be positive")
+        if kind == "uniform-line":
+            pts = np.zeros((n, 3))
+            pts[:, 0] = d * np.arange(n)
+            return ScattererSet(pts, np.full(n, w))
         k = 1
         while (2 * k + 1) ** 3 < n:
             k += 1
@@ -409,12 +385,6 @@ def from_config(data):
         raise BadParams(f"scatterer config needs key {exc}") from exc
 
 
-def load_scatterers(path):
-    """Read a scatterer JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_config(json.load(fh))
-
-
 def write_text(out, text):
     """Write ``text`` to ``out``, a path or an open text file object."""
     if hasattr(out, "write"):
@@ -422,3 +392,10 @@ def write_text(out, text):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def write_csv(out, header, rows):
+    """Write a CSV to ``out`` (as :func:`write_text`): the ``header`` line,
+    then one line per row with every number in ``.17g``."""
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    write_text(out, "\n".join(lines) + "\n")

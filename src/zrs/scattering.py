@@ -11,7 +11,6 @@ the brute-force quadrature oracle before being trusted (the sign of
 the kernel prefactor is fixed so that S is unitary; see the tests).
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (build_q, build_weighted, check_rcond, gamma_at, gamma_schur,
                     gram_matrix, stack_chunks)
-from .scatterers import write_text
+from .scatterers import write_csv, write_text
 from .spherical import (default_grid, gram_overlap, plane_wave_block,
                         weighted_gram_target)
 
@@ -55,7 +54,7 @@ def smatrix(lam, s, n=None, split=None, tail_bound=None):
     """
     if lam <= 0:
         raise BadParams("lambda must be positive")
-    sub = s.prefix(n) if n is not None else s
+    sub = s.prefix(n)
     if split is None:
         gamma = gamma_at(lam, sub)
     else:
@@ -81,20 +80,17 @@ class SphereFunction:
         object.__setattr__(self, "values", v)
 
     def inner(self, other):
-        self._check(other)
+        if other.grid is not self.grid and (
+            other.grid.size != self.grid.size
+            or not np.array_equal(other.grid.nodes, self.grid.nodes)
+        ):
+            raise GridMismatch("sphere functions live on different grids")
         return complex(np.sum(self.grid.qweights * self.values
                               * np.conj(other.values)))
 
     def norm(self):
         return float(np.sqrt(np.sum(self.grid.qweights
                                     * np.abs(self.values) ** 2)))
-
-    def _check(self, other):
-        if other.grid is not self.grid and (
-            other.grid.size != self.grid.size
-            or not np.array_equal(other.grid.nodes, self.grid.nodes)
-        ):
-            raise GridMismatch("sphere functions live on different grids")
 
 
 def _apply(rep, f, coeff):
@@ -139,7 +135,7 @@ def unitarity_defect_reduced(lam, s, n=None):
 
     whose spectral norm is returned (zero in exact arithmetic).
     """
-    sub = s.prefix(n) if n is not None else s
+    sub = s.prefix(n)
     return float(_defect_reduced(lam, gamma_at(lam, sub),
                                  weighted_gram_target(lam, sub)))
 
@@ -186,8 +182,7 @@ def unitarity_defect_quadrature(rep, grid, trials=8, seed=0):
         if nf == 0.0:
             continue
         g = apply_smatrix_adjoint(rep, apply_smatrix(rep, f))
-        worst = max(worst, float(np.sqrt(np.sum(grid.qweights
-                                                * np.abs(g.values - f.values) ** 2))) / nf)
+        worst = max(worst, SphereFunction(g.values - f.values, grid).norm() / nf)
     return worst
 
 
@@ -242,9 +237,6 @@ class ContinuityScan:
     @property
     def max_increment(self):
         return float(np.max(self.increments))
-
-    def rows(self):
-        return list(zip(self.lambdas.tolist(), self.increments.tolist()))
 
 
 def _gamma_chunks(s, lambdas, gram=False):
@@ -305,7 +297,7 @@ def gamma_continuity_scan(s, n, interval, points, jump_factor=10.0):
         raise BadParams("interval must satisfy 0 < a < b < inf")
     if points < 2:
         raise BadParams("need at least two lambda samples")
-    sub = s.prefix(n) if n is not None else s
+    sub = s.prefix(n)
     lams = np.linspace(a, b, int(points))
     steps, prev = [], None
     for _, gammas, _ in _gamma_chunks(sub, lams):
@@ -330,24 +322,16 @@ def write_kernel_csv(rep, dirs_out, dirs_in, out):
                 np.mod(np.arctan2(v[1], v[0]), 2 * np.pi))
 
     vals = kernel_correction(rep, dirs_out, dirs_in)
-    buf = io.StringIO()
-    buf.write(KERNEL_CSV_HEADER + "\n")
-    for i, no in enumerate(np.atleast_2d(dirs_out)):
-        to, po = ang(no)
-        for j, ni in enumerate(np.atleast_2d(dirs_in)):
-            ti, pi = ang(ni)
-            buf.write(f"{to:.17g},{po:.17g},{ti:.17g},{pi:.17g},"
-                      f"{vals[i, j].real:.17g},{vals[i, j].imag:.17g}\n")
-    write_text(out, buf.getvalue())
+    write_csv(out, KERNEL_CSV_HEADER,
+              ((*ang(no), *ang(ni), v.real, v.imag)
+               for no, row in zip(np.atleast_2d(dirs_out), vals)
+               for ni, v in zip(np.atleast_2d(dirs_in), row)))
 
 
 def write_cross_section_csv(pattern, out):
     theta, phi = pattern.grid.thetas_phis()
-    buf = io.StringIO()
-    buf.write(CROSS_SECTION_CSV_HEADER + "\n")
-    for t, p, v in zip(theta, phi, pattern.values.real):
-        buf.write(f"{t:.17g},{p:.17g},{v:.17g}\n")
-    write_text(out, buf.getvalue())
+    write_csv(out, CROSS_SECTION_CSV_HEADER,
+              zip(theta, phi, pattern.values.real))
 
 
 def lambda_rows(s, lambdas):

@@ -5,16 +5,13 @@ weights sum to 4 pi (solid-angle convention).  An order-n product grid
 integrates spherical harmonics exactly up to degree 2n - 1.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadOrder, BadParams
-from .krein import FOUR_PI, gram_matrix
-from .scatterers import write_text
-
-_GRID_KINDS = ("gauss-legendre-product", "icosphere")
+from .krein import gram_matrix
+from .scatterers import write_csv
 
 # Product-grid order cap (2 * 1024**2, about 2.1M nodes); band limits such as
 # lambda ~ 1e300 ask for ~1e150 and would overflow the node computation.
@@ -45,11 +42,7 @@ class SphereGrid:
     def to_csv(self, out):
         """Write (theta, phi, weight) rows; ``out`` is a path or file object."""
         theta, phi = self.thetas_phis()
-        buf = io.StringIO()
-        buf.write("theta,phi,weight\n")
-        for t, p, w in zip(theta, phi, self.qweights):
-            buf.write(f"{t:.17g},{p:.17g},{w:.17g}\n")
-        write_text(out, buf.getvalue())
+        write_csv(out, "theta,phi,weight", zip(theta, phi, self.qweights))
 
 
 def _product_grid(order):
@@ -69,87 +62,23 @@ def _product_grid(order):
     return nodes, qw
 
 
-_ICO_CACHE = {}
-
-
-def _icosahedron():
-    g = (1.0 + np.sqrt(5.0)) / 2.0
-    v = np.array(
-        [
-            [-1, g, 0], [1, g, 0], [-1, -g, 0], [1, -g, 0],
-            [0, -1, g], [0, 1, g], [0, -1, -g], [0, 1, -g],
-            [g, 0, -1], [g, 0, 1], [-g, 0, -1], [-g, 0, 1],
-        ],
-        dtype=float,
-    )
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    f = np.array(
-        [
-            [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
-            [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
-            [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
-            [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
-        ]
-    )
-    return v, f
-
-
-def _icosphere(level):
-    if level in _ICO_CACHE:
-        return _ICO_CACHE[level]
-    verts, faces = _icosahedron()
-    verts = list(map(tuple, verts))
-    for _ in range(level - 1):
-        index = {v: i for i, v in enumerate(verts)}
-        mid_cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in mid_cache:
-                m = np.array(verts[i]) + np.array(verts[j])
-                m /= np.linalg.norm(m)
-                t = tuple(m)
-                if t not in index:
-                    index[t] = len(verts)
-                    verts.append(t)
-                mid_cache[key] = index[t]
-            return mid_cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        faces = np.array(new_faces)
-    nodes = np.array(verts)
-    _ICO_CACHE[level] = (nodes, faces)
-    return nodes, faces
-
-
 def make_grid(kind, order):
     """Build a quadrature grid on the unit sphere.
 
     ``gauss-legendre-product`` uses ``order`` Gauss-Legendre nodes in
     cos(theta) times 2*order uniform phi nodes; exact for spherical
-    harmonics up to degree 2*order - 1.  ``icosphere`` subdivides an
-    icosahedron ``order - 1`` times with uniform weights 4 pi / size
-    (quasi-uniform, lower accuracy; intended for visualization).
+    harmonics up to degree 2*order - 1.  It is the only kind; any other
+    ``kind`` raises BadOrder.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise BadOrder(f"order must be a positive integer, got {order!r}")
-    if kind == "gauss-legendre-product":
-        if order > MAX_PRODUCT_ORDER:
-            raise BadOrder(f"grid order {order:.3g} exceeds {MAX_PRODUCT_ORDER}")
-        nodes, qw = _product_grid(int(order))
-    elif kind == "icosphere":
-        if order > 6:
-            raise BadOrder("icosphere subdivision level capped at 6")
-        nodes, _ = _icosphere(int(order))
-        qw = np.full(nodes.shape[0], FOUR_PI / nodes.shape[0])
-    else:
-        raise BadOrder(f"unknown grid kind {kind!r}; expected one of {_GRID_KINDS}")
-    nodes = nodes.copy()
+    if kind != "gauss-legendre-product":
+        raise BadOrder(f"unknown grid kind {kind!r}; expected "
+                       "'gauss-legendre-product'")
+    if order > MAX_PRODUCT_ORDER:
+        raise BadOrder(f"grid order {order:.3g} exceeds {MAX_PRODUCT_ORDER}")
+    nodes, qw = _product_grid(int(order))
     nodes.flags.writeable = False
-    qw = qw.copy()
     qw.flags.writeable = False
     return SphereGrid(nodes=nodes, qweights=qw, kind=kind, order=int(order))
 

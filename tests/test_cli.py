@@ -153,6 +153,37 @@ def test_non_finite_or_huge_lambda_exit_1(tmp_path, capsys, argv):
     assert err.startswith("zrs: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["sweep", "--interval", "1", "2"], "grid_points"),
+    (["validate"], "n0"),
+    (["validate"], "b"),
+])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv, key):
+    cfg = write_config(tmp_path, {**TWO_SCATTERERS, key: "x"})
+    assert main([*argv, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zrs: usage error: ") and f"{key!r}" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_truncation_outside_set_is_rejected(tmp_path, capsys, n):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    assert main(["validate", "--config", cfg, "--n", n]) == 1
+    assert capsys.readouterr().err == f"zrs: prefix length {n} outside 1..2\n"
+
+
+def test_n_sweep_config_list_equals_flag(tmp_path, capsys):
+    family = {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": 100}
+    cfg = write_config(tmp_path, {"family": family, "lambda": 4,
+                                  "n_sweep": [25, 50, 100]})
+    outs = []
+    for extra in ([], ["--n-sweep", "25,50,100"]):
+        assert main(["sweep", "--config", cfg, *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 3
+
+
 def test_unwritable_out_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, TWO_SCATTERERS)
     out = tmp_path / "missing" / "report.json"

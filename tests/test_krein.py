@@ -371,6 +371,17 @@ def test_norm_bound_battery(battery25):
             assert measured <= q_norm_bound(s, z) * (1 + 1e-12)
 
 
+def test_q_norm_bound_equals_tail_bound_with_empty_head(battery25):
+    # both bounds come from one per-site formula: at real b > 0 the bound
+    # p_L(b) is the tail bound with no head, bit for bit
+    bs = [0.3, 1.0, 7.3, 50.0, 1e4, *np.random.default_rng(5).uniform(0.01, 200, 16)]
+    sets = battery25 + [generate_family("clustering", {"p": 2, "q": 6}, 60),
+                        ScattererSet([[0.2, -0.1, 0.4]], [0.7])]
+    for s in sets:
+        for b in bs:
+            assert q_norm_bound(s, b) == tail_bound(s, 0, b)
+
+
 def test_norm_bound_lattice():
     from zrs import generate_family
 
