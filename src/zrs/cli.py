@@ -5,6 +5,7 @@ failure.  Outputs are deterministic for a fixed config and seed.
 """
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -37,7 +38,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by every
+    later :func:`main` call: parsing leaves it unchanged, and no default
+    depends on the process state (``--out`` falls back to the stdout in
+    effect when the output is written)."""
     p = _Parser(prog="zrs", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("validate", "smatrix", "sweep", "resolvent"):
@@ -53,7 +59,7 @@ def _build_parser():
         q.add_argument("--grid-points", type=int, default=None,
                        help="lambda samples for sweeps")
         q.add_argument("--seed", type=int, default=None)
-        q.add_argument("--out", default=sys.stdout, help="output path (default stdout)")
+        q.add_argument("--out", default=None, help="output path (default stdout)")
         q.add_argument("--n-sweep", type=_truncations, default=None,
                        help="comma list of truncations for convergence mode")
     return p
@@ -77,16 +83,34 @@ def _integer(val):
     return out
 
 
-def _interval(val):
+def _pair(val):
     a, b = val
     return float(a), float(b)
 
 
-def _setting(args, cfg, key, attr, convert, default=None):
-    """Flag ``attr`` if given, else ``convert(cfg[key])``, else ``default``."""
-    val = getattr(args, attr, None)
-    if val is not None:
-        return val
+def _complex(val):
+    """A ``[re, im]`` pair as a complex number."""
+    return complex(*_pair(val))
+
+
+def _point(val):
+    x, y, z = val
+    return [float(x), float(y), float(z)]
+
+
+def _tolerances(val):
+    """Residual tolerances: the defaults updated from ``val``.  Values stay
+    as given (an integer is written back as one), but must be numbers."""
+    tol = {"hilbert": 1e-10, "symmetry": 1e-12, "boundary": 1e-5}
+    for name, bound in dict(val).items():
+        if not isinstance(bound, (int, float)):
+            raise TypeError(bound)
+        tol[name] = bound
+    return tol
+
+
+def _config(cfg, key, convert, default=None):
+    """``convert(cfg[key])``, or ``default`` for a missing or null key."""
     val = cfg.get(key)
     if val is None:
         return default
@@ -94,6 +118,14 @@ def _setting(args, cfg, key, attr, convert, default=None):
         return convert(val)
     except (TypeError, ValueError):
         raise UsageError(f"bad value {val!r} for config key {key!r}") from None
+
+
+def _setting(args, cfg, key, attr, convert, default=None):
+    """Flag ``attr`` if given, else ``convert(cfg[key])``, else ``default``."""
+    val = getattr(args, attr, None)
+    if val is not None:
+        return val
+    return _config(cfg, key, convert, default)
 
 
 def _cmd_validate(args, cfg, s):
@@ -166,7 +198,7 @@ def _cmd_sweep(args, cfg, s):
             lines.append(f"{lo},{hi},{diff:.17g}\n")
         return 0, "".join(lines)
 
-    interval = _setting(args, cfg, "interval", "interval", _interval)
+    interval = _setting(args, cfg, "interval", "interval", _pair)
     if interval is None:
         raise UsageError("sweep needs --interval A B")
     a, b = interval
@@ -187,12 +219,11 @@ def _cmd_sweep(args, cfg, s):
 
 def _cmd_resolvent(args, cfg, s):
     sub = s.prefix(args.n)
-    z = complex(*cfg.get("z", [0.0, 1.0]))
-    z1 = complex(*cfg.get("z1", [1.0, 1.0]))
-    z2 = complex(*cfg.get("z2", [-2.0, 0.5]))
-    source = cfg.get("source")
-    tol = {"hilbert": 1e-10, "symmetry": 1e-12, "boundary": 1e-5}
-    tol.update(cfg.get("tolerances", {}))
+    z = _config(cfg, "z", _complex, 1j)
+    z1 = _config(cfg, "z1", _complex, 1 + 1j)
+    z2 = _config(cfg, "z2", _complex, -2 + 0.5j)
+    source = _config(cfg, "source", _point)
+    tol = _config(cfg, "tolerances", _tolerances, _tolerances({}))
     hil = rsv.hilbert_identity_residual(z1, z2, sub)
     sym = rsv.symmetry_residual(z, sub)
     bnd = rsv.boundary_condition_residual(z, sub, source=source)
@@ -239,7 +270,7 @@ def main(argv=None):
         print(f"zrs: {exc}", file=sys.stderr)
         return 1
     try:
-        write_text(args.out, text)
+        write_text(sys.stdout if args.out is None else args.out, text)
     except OSError as exc:
         print(f"zrs: cannot write output: {exc}", file=sys.stderr)
         return 1

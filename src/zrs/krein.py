@@ -345,11 +345,13 @@ def gram_matrix(lam, s):
         off = np.sin(k[:, None] * d[iu]) / (FOUR_PI * d[iu])
         g[:, iu[0], iu[1]] = off
         g[:, iu[1], iu[0]] = off
-    mu = np.linalg.eigvalsh(g)[:, 0]
-    # ||G||_2 enters the round-off floor only where mu < 0
+    ev = np.linalg.eigvalsh(g)
+    mu = ev[:, 0]
+    # ||G||_2 enters the round-off floor only where mu < 0; G is symmetric,
+    # so it is the larger of |mu| and the top eigenvalue
     neg = np.flatnonzero(mu < 0)
     if neg.size:
-        floor = -1e-12 * np.maximum(1.0, np.linalg.norm(g[neg], 2, axis=(1, 2)))
+        floor = -1e-12 * np.maximum(1.0, np.maximum(-mu[neg], ev[neg, -1]))
         bad = neg[mu[neg] <= floor]
         if bad.size:
             raise NonPositiveGram(f"least Gram eigenvalue {mu[bad[0]]:g} <= 0")

@@ -34,6 +34,26 @@ def _freeze(a):
     return a
 
 
+def _floats(val):
+    return np.array(val, dtype=float)
+
+
+def _convert(val, what, convert=float):
+    """``convert(val)``; a value of the wrong type raises BadParams naming
+    ``what``."""
+    try:
+        return convert(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParams(f"bad value for {what}: {exc}") from None
+
+
+def _section(val, what):
+    """``val`` if it is a JSON object (dict), else BadParams."""
+    if not isinstance(val, dict):
+        raise BadParams(f"{what} must be a JSON object, got {type(val).__name__}")
+    return val
+
+
 @dataclass(frozen=True)
 class ScattererSet:
     """Positions x_m in R^3 and nonzero real weights w_m.
@@ -48,8 +68,8 @@ class ScattererSet:
     eps: float = DUPLICATE_EPS
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.array(self.points, dtype=float))
-        w = np.atleast_1d(np.array(self.weights, dtype=float))
+        pts = np.atleast_2d(_convert(self.points, "points", _floats))
+        w = np.atleast_1d(_convert(self.weights, "weights", _floats))
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise BadParams(f"points must be (N, 3), got {pts.shape}")
         if w.shape != (pts.shape[0],):
@@ -321,8 +341,8 @@ def generate_family(kind, params, n, strict=False):
     if n < 1:
         raise BadParams("n must be >= 1")
     if kind in ("uniform-line", "cubic-lattice-ball"):
-        d = float(params.get("spacing", 1.0))
-        w = float(params.get("weight", 1.0))
+        d = _convert(params.get("spacing", 1.0), "family parameter 'spacing'")
+        w = _convert(params.get("weight", 1.0), "family parameter 'weight'")
         if d <= 0:
             raise BadParams("spacing must be positive")
         if kind == "uniform-line":
@@ -342,11 +362,11 @@ def generate_family(kind, params, n, strict=False):
 
     if kind == "clustering":
         try:
-            p = float(params["p"])
-            q = float(params["q"])
+            p = _convert(params["p"], "family parameter 'p'")
+            q = _convert(params["q"], "family parameter 'q'")
         except KeyError as exc:
             raise BadParams(f"clustering family needs parameter {exc}") from exc
-        w0 = float(params.get("w0", 1.0))
+        w0 = _convert(params.get("w0", 1.0), "family parameter 'w0'")
         if w0 == 0:
             raise BadParams("w0 must be nonzero")
         if strict and not (q > 2 * p + 1 and q > 1):
@@ -368,16 +388,18 @@ def from_config(data):
     """Build a ScattererSet from the JSON scatterer schema.
 
     Accepts ``{"points": [[x,y,z],...], "weights": [w,...]}`` or
-    ``{"family": {"kind": ..., "params": {...}, "N": n}}``.
+    ``{"family": {"kind": ..., "params": {...}, "N": n}}``; a section or
+    value of the wrong type raises BadParams naming it.
     """
-    if "family" in data:
-        fam = data["family"]
+    if "family" in _section(data, "scatterer config"):
+        fam = _section(data["family"], "family section")
         try:
             kind = fam["kind"]
-            n = int(fam["N"])
+            n = _convert(fam["N"], "family key 'N'", int)
         except KeyError as exc:
             raise BadParams(f"family section needs key {exc}") from exc
-        return generate_family(kind, fam.get("params", {}), n,
+        params = _section(fam.get("params", {}), "family params")
+        return generate_family(kind, params, n,
                                strict=bool(fam.get("strict", False)))
     try:
         return ScattererSet(data["points"], data["weights"])

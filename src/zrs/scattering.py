@@ -93,8 +93,8 @@ class SphereFunction:
                                     * np.abs(self.values) ** 2)))
 
 
-def _apply(rep, f, coeff):
-    u = plane_wave_block(rep.lam, rep.scatterers, f.grid).u
+def _apply(u, f, coeff):
+    """f - u^T coeff <f, u>, ``u`` the plane-wave block on the grid of ``f``."""
     v = (u.conj() * f.grid.qweights) @ f.values
     out = f.values - u.T @ (coeff @ v)
     return SphereFunction(values=out, grid=f.grid)
@@ -102,12 +102,14 @@ def _apply(rep, f, coeff):
 
 def apply_smatrix(rep, f):
     """Apply S to a sphere function through quadrature inner products."""
-    return _apply(rep, f, rep.coeff)
+    u = plane_wave_block(rep.lam, rep.scatterers, f.grid).u
+    return _apply(u, f, rep.coeff)
 
 
 def apply_smatrix_adjoint(rep, f):
     """Apply S* (the coefficient matrix is conjugate-transposed)."""
-    return _apply(rep, f, rep.coeff.conj().T)
+    u = plane_wave_block(rep.lam, rep.scatterers, f.grid).u
+    return _apply(u, f, rep.coeff.conj().T)
 
 
 def kernel_correction(rep, dirs_out, dirs_in):
@@ -164,12 +166,13 @@ def unitarity_defect_quadrature(rep, grid, trials=8, seed=0):
 
     Half of the trials are drawn inside the span of the plane-wave
     columns (where the finite-rank defect lives), the rest are raw
-    nodal noise.
+    nodal noise.  The plane-wave block is built once for all trials.
     """
     if trials < 1:
         raise BadParams("trials must be >= 1")
     rng = np.random.default_rng(seed)
     u = plane_wave_block(rep.lam, rep.scatterers, grid).u
+    adjoint = rep.coeff.conj().T
     worst = 0.0
     for t in range(trials):
         if t % 2 == 0:
@@ -181,7 +184,7 @@ def unitarity_defect_quadrature(rep, grid, trials=8, seed=0):
         nf = f.norm()
         if nf == 0.0:
             continue
-        g = apply_smatrix_adjoint(rep, apply_smatrix(rep, f))
+        g = _apply(u, _apply(u, f, rep.coeff), adjoint)
         worst = max(worst, SphereFunction(g.values - f.values, grid).norm() / nf)
     return worst
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, golden headers, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import zrs
 from zrs import build_q, build_weighted, gamma_direct, unitarity_defect_reduced
+from zrs import cli
 from zrs.cli import main
 from zrs.scattering import write_defect_csv
 
@@ -164,6 +166,72 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv, key):
     err = capsys.readouterr().err
     assert err.startswith("zrs: usage error: ") and f"{key!r}" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("z", "x"),
+    ("z1", [1.0, "a"]),
+    ("z2", 5),
+    ("source", [1.0, 2.0]),
+    ("tolerances", {"hilbert": "x"}),
+    ("tolerances", [1.0]),
+])
+def test_resolvent_config_of_wrong_type_is_usage_error(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {**TWO_SCATTERERS, key: value})
+    assert main(["resolvent", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("zrs: usage error: ") and f"config key {key!r}" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_bad_scatterer_section_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "family": {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": "x"}
+    })
+    assert main(["validate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zrs: bad value for family key 'N': ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_parser_built_once_per_process(tmp_path, capsys):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["validate", "--config", cfg]) == 0
+    assert main(["validate"]) == 1
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_default_out_is_stdout_at_write_time(tmp_path, capsys):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    assert main(["validate", "--config", cfg]) == 0
+    expected = capsys.readouterr().out
+    bufs = [io.StringIO(), io.StringIO()]
+    for buf in bufs:
+        with contextlib.redirect_stdout(buf):
+            assert main(["validate", "--config", cfg]) == 0
+    assert [buf.getvalue() for buf in bufs] == [expected, expected]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", [
+    ["--grid-points", "-3", "--n", "1"],
+    ["--grid-points", "x"],
+])
+def test_usage_error_leaves_no_state_in_parser(tmp_path, capsys, bad):
+    _, cfg = _battery_config(tmp_path)
+    valid = ["sweep", "--config", cfg, "--interval", "1", "2"]
+    cli._build_parser.cache_clear()
+    assert main(valid) == 0
+    expected = capsys.readouterr().out
+    assert main([*valid, *bad]) == 1
+    assert capsys.readouterr().err.startswith("zrs: usage error: ")
+    assert main(valid) == 0
+    assert capsys.readouterr().out == expected
+    assert len(expected.splitlines()) == 33  # header and 32 default points
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -6,6 +6,7 @@ import pytest
 from zrs import (
     BadParams,
     ComplexEnergy,
+    NonPositiveGram,
     ScattererSet,
     SingularMatrix,
     TailNotContractive,
@@ -431,6 +432,42 @@ def test_gram_norm_taken_only_for_negative_mu(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     gd = gram_matrix(np.linspace(1.0, 20.0, 30), s)
     assert np.all(gd.mu > 0) and calls == []
+
+
+@pytest.mark.parametrize("s, lams", [
+    (generate_family("clustering", {"p": 2, "q": 7}, 16), np.linspace(0.7, 45, 64)),
+    (ScattererSet([[0, 0, 0], [1e-8, 0, 0]], [1.0, 1.0]), np.geomspace(1e-3, 1e3, 64)),
+])
+@pytest.mark.parametrize("shift", [0.0, 0.999, 1.001])
+def test_gram_floor_matches_svd_rule(monkeypatch, s, lams, shift):
+    """NonPositiveGram is raised exactly where the floor with ||G||_2 taken
+    by SVD raises.  ``shift`` moves the spectrum down by that many floors,
+    so that both sides of the floor are exercised."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def shifted(g):
+        floor = 1e-12 * np.maximum(1.0, np.linalg.norm(g, 2, axis=(1, 2)))
+        ev = eigvalsh(g) - shift * floor[:, None]
+        seen.append((g, ev))
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    negative = 0
+    for lam in lams:
+        try:
+            gram_matrix(lam, s)
+            raised = False
+        except NonPositiveGram:
+            raised = True
+        g, ev = seen[-1]
+        mu = ev[0, 0]
+        negative += mu < 0
+        svd_floor = -1e-12 * max(1.0, np.linalg.norm(g[0], 2))
+        assert raised == (mu < 0 and mu <= svd_floor)
+    assert negative > 0
+    if shift > 1:
+        assert negative == len(lams)
 
 
 def test_m_sampled_scalar():

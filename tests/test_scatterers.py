@@ -233,6 +233,29 @@ def test_from_config_forms():
         generate_family("hexagonal", {}, 3)
 
 
+@pytest.mark.parametrize("data, named", [
+    ([[0, 0, 0]], "scatterer config"),
+    ({"family": [1]}, "family section"),
+    ({"family": {"kind": "clustering", "params": [2, 6], "N": 4}}, "family params"),
+    ({"family": {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": "x"}},
+     "family key 'N'"),
+    ({"family": {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": 1e400}},
+     "family key 'N'"),
+    ({"family": {"kind": "clustering", "params": {"p": "x", "q": 6}, "N": 4}},
+     "family parameter 'p'"),
+    ({"family": {"kind": "clustering", "params": {"p": 2, "q": 6, "w0": [1]},
+                 "N": 4}}, "family parameter 'w0'"),
+    ({"family": {"kind": "uniform-line", "params": {"spacing": "a"}, "N": 4}},
+     "family parameter 'spacing'"),
+    ({"points": [[0, 0, "a"]], "weights": [1.0]}, "points"),
+    ({"points": [[0, 0, 0], [1, 0]], "weights": [1.0, 1.0]}, "points"),
+    ({"points": [[0, 0, 0]], "weights": ["w"]}, "weights"),
+])
+def test_from_config_bad_types_name_the_key(data, named):
+    with pytest.raises(BadParams, match=named):
+        from_config(data)
+
+
 def test_bad_weights_rejected():
     with pytest.raises(BadParams):
         ScattererSet([[0, 0, 0]], [0.0])

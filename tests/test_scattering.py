@@ -15,6 +15,7 @@ from zrs import (
     SingularMatrix,
     SphereFunction,
     apply_smatrix,
+    apply_smatrix_adjoint,
     cross_section,
     default_grid,
     default_order,
@@ -184,6 +185,47 @@ def test_reduced_vs_quadrature_oracle_small_n():
             # both are zero up to quadrature error and round-off
             assert d_red < 1e-12
             assert d_quad <= 10 * err + 1e-10
+
+
+def _quadrature_per_trial(rep, grid, trials=8, seed=0):
+    """unitarity_defect_quadrature with S and S* applied through the public
+    functions, each of which builds its own plane-wave block."""
+    rng = np.random.default_rng(seed)
+    u = plane_wave_block(rep.lam, rep.scatterers, grid).u
+    worst = 0.0
+    for t in range(trials):
+        if t % 2 == 0:
+            c = rng.standard_normal(u.shape[0]) + 1j * rng.standard_normal(u.shape[0])
+            vals = u.T @ c
+        else:
+            vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        f = SphereFunction(values=vals, grid=grid)
+        nf = f.norm()
+        if nf == 0.0:
+            continue
+        g = apply_smatrix_adjoint(rep, apply_smatrix(rep, f))
+        worst = max(worst, SphereFunction(g.values - f.values, grid).norm() / nf)
+    return worst
+
+
+def test_quadrature_builds_one_block_per_call(battery25, monkeypatch):
+    blocks = []
+
+    def counting_block(*args):
+        blocks.append(1)
+        return plane_wave_block(*args)
+
+    for s in battery25:
+        lam = 7.3
+        rep = smatrix(lam, s)
+        grid = make_grid("gauss-legendre-product", default_order(lam, s))
+        expected = _quadrature_per_trial(rep, grid)
+        monkeypatch.setattr(scattering, "plane_wave_block", counting_block)
+        blocks.clear()
+        got = unitarity_defect_quadrature(rep, grid)
+        monkeypatch.undo()
+        assert len(blocks) == 1
+        assert got.hex() == expected.hex()
 
 
 def test_quadrature_defect_identity_rep():
