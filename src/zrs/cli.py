@@ -22,7 +22,8 @@ from .errors import (
     ZrsError,
 )
 from .krein import build_q, build_weighted, gamma_direct
-from .scatterers import check_admissibility, from_config, tail_bound, write_text
+from .scatterers import (check_admissibility, from_config, integer, tail_bound,
+                         write_csv, write_text)
 from .spherical import default_order, make_grid
 
 SWEEP_CSV_HEADER = sc.DEFECT_CSV_HEADER + ",increment"
@@ -46,22 +47,12 @@ def _build_parser():
     effect when the output is written)."""
     p = _Parser(prog="zrs", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("validate", "smatrix", "sweep", "resolvent"):
+    for name, flags in _FLAGS.items():
         q = sub.add_parser(name)
         q.add_argument("--config", required=True, help="scatterer/run JSON file")
-        q.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="spectral parameter (for validate: window top b)")
-        q.add_argument("--interval", nargs=2, type=float, default=None,
-                       metavar=("A", "B"))
-        q.add_argument("--n", type=int, default=None, help="truncation")
-        q.add_argument("--n0", type=int, default=None, help="Schur split")
-        q.add_argument("--grid-order", type=int, default=None)
-        q.add_argument("--grid-points", type=int, default=None,
-                       help="lambda samples for sweeps")
-        q.add_argument("--seed", type=int, default=None)
+        for flag in flags:
+            q.add_argument(flag, **_FLAG_SPECS[flag])
         q.add_argument("--out", default=None, help="output path (default stdout)")
-        q.add_argument("--n-sweep", type=_truncations, default=None,
-                       help="comma list of truncations for convergence mode")
     return p
 
 
@@ -73,14 +64,6 @@ def _load_config(path):
         raise UsageError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
-
-
-def _integer(val):
-    """``val`` as an int: integers, integral floats and digit strings."""
-    out = int(val)
-    if out != float(val):
-        raise ValueError(val)
-    return out
 
 
 def _pair(val):
@@ -116,7 +99,7 @@ def _config(cfg, key, convert, default=None):
         return default
     try:
         return convert(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"bad value {val!r} for config key {key!r}") from None
 
 
@@ -128,9 +111,15 @@ def _setting(args, cfg, key, attr, convert, default=None):
     return _config(cfg, key, convert, default)
 
 
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    return buf.getvalue()
+
+
 def _cmd_validate(args, cfg, s):
     b = _setting(args, cfg, "b", "lam", float, 25.0)
-    n0 = _setting(args, cfg, "n0", "n0", _integer)
+    n0 = _setting(args, cfg, "n0", "n0", integer)
     report = check_admissibility(s.prefix(args.n), b, n0=n0)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     return (0 if report.passed else 2), text
@@ -149,10 +138,10 @@ def _cmd_smatrix(args, cfg, s):
     except (SingularMatrix, TailNotContractive) as exc:
         exc.args = (f"lambda={lam:g}: {exc}",)
         raise
-    order = _setting(args, cfg, "grid_order", "grid_order", _integer,
+    order = _setting(args, cfg, "grid_order", "grid_order", integer,
                      default_order(lam, sub))
     grid = make_grid("gauss-legendre-product", order)
-    seed = _setting(args, cfg, "seed", "seed", _integer, 0)
+    seed = _setting(args, cfg, "seed", "seed", integer, 0)
     d_red = sc.unitarity_defect_reduced(lam, sub)
     d_quad = sc.unitarity_defect_quadrature(rep, grid, seed=seed)
     idx = np.linspace(0, grid.size - 1, 8).astype(int)
@@ -171,8 +160,8 @@ def _truncations(val):
     ns = []
     for entry in val:
         try:
-            ns.append(_integer(entry))
-        except (TypeError, ValueError):
+            ns.append(integer(entry))
+        except (TypeError, ValueError, OverflowError):
             raise UsageError(f"bad --n-sweep entry {str(entry).strip()!r}") from None
     return ns
 
@@ -186,17 +175,17 @@ def _cmd_sweep(args, cfg, s):
             raise UsageError("N-sweep mode needs --lambda")
         if len(ns) < 2:
             raise UsageError("N-sweep needs at least two truncations")
-        lines = [NSWEEP_CSV_HEADER + "\n"]
         subs = [s.prefix(nv) for nv in ns]
         # Q of a prefix is the leading block of Q, so assemble it once
         q = build_q(lam, max(subs, key=lambda t: t.n))
         gammas = [gamma_direct(*build_weighted(t, q[:t.n, :t.n])) for t in subs]
+        rows = []
         for lo, hi, g_lo, g_hi in zip(ns, ns[1:], gammas, gammas[1:]):
             common = min(lo, hi)
             diff = float(np.linalg.norm(g_hi[:common, :common]
                                         - g_lo[:common, :common], 2))
-            lines.append(f"{lo},{hi},{diff:.17g}\n")
-        return 0, "".join(lines)
+            rows.append((lo, hi, diff))
+        return 0, _csv_text(NSWEEP_CSV_HEADER, rows)
 
     interval = _setting(args, cfg, "interval", "interval", _pair)
     if interval is None:
@@ -204,17 +193,17 @@ def _cmd_sweep(args, cfg, s):
     a, b = interval
     if not 0 < a < b < np.inf:
         raise UsageError("interval must satisfy 0 < a < b < inf")
-    points = _setting(args, cfg, "grid_points", "grid_points", _integer, 32)
+    points = _setting(args, cfg, "grid_points", "grid_points", integer, 32)
     if points < 0:
         raise UsageError(f"grid points must be non-negative, got {points}")
     lams = np.linspace(a, b, points)
-    lines = [SWEEP_CSV_HEADER + "\n"]
+    rows = []
     prev = None
-    for gammas, rows in sc.lambda_rows(sub, lams):
+    for gammas, chunk in sc.lambda_rows(sub, lams):
         steps = sc.gamma_steps(gammas, prev)
         prev = gammas[-1]
-        lines += [f"{row},{inc:.17g}\n" for row, inc in zip(rows, steps)]
-    return 0, "".join(lines)
+        rows += [(*row, inc) for row, inc in zip(chunk, steps)]
+    return 0, _csv_text(SWEEP_CSV_HEADER, rows)
 
 
 def _cmd_resolvent(args, cfg, s):
@@ -241,6 +230,28 @@ def _cmd_resolvent(args, cfg, s):
     }
     return (0 if ok else 3), json.dumps(payload, indent=2) + "\n"
 
+
+_FLAG_SPECS = {
+    "--lambda": dict(dest="lam", type=float,
+                     help="spectral parameter (for validate: window top b)"),
+    "--interval": dict(nargs=2, type=float, metavar=("A", "B")),
+    "--n": dict(type=int, help="truncation"),
+    "--n0": dict(type=int, help="Schur split"),
+    "--grid-order": dict(type=int),
+    "--grid-points": dict(type=int, help="lambda samples for sweeps"),
+    "--seed": dict(type=int),
+    "--n-sweep": dict(type=_truncations,
+                      help="comma list of truncations for convergence mode"),
+}
+
+# the flags each command reads besides --config and --out; any other flag
+# is a usage error
+_FLAGS = {
+    "validate": ("--lambda", "--n", "--n0"),
+    "smatrix": ("--lambda", "--n", "--n0", "--grid-order", "--seed"),
+    "sweep": ("--lambda", "--interval", "--n", "--grid-points", "--n-sweep"),
+    "resolvent": ("--n",),
+}
 
 # each command returns (exit code, output text); main writes the text
 _COMMANDS = {

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BadParams, FitUnstable
 from .krein import (
     FOUR_PI,
+    _c_from_q,
     as_energy,
     build_q,
     c_matrix,
@@ -28,6 +29,14 @@ from .spherical import make_grid
 # fixed, arbitrary unit vector for the local boundary-condition rays
 _RAY_DIRECTION = np.array([0.37, -0.61, 0.70106741])
 _RAY_DIRECTION = _RAY_DIRECTION / np.linalg.norm(_RAY_DIRECTION)
+
+# boundary fits: default radii in units of the minimum separation, and the
+# largest condition number of the design scaled to unit columns
+FIT_RADII = np.geomspace(1e-5, 1e-3, 6)
+FIT_COND_LIMIT = 1e10
+# free_resolvent_reproduction: radial Gauss-Legendre nodes, sphere grid order
+RADIAL_ORDER = 96
+SPHERE_ORDER = 24
 
 
 @dataclass(frozen=True)
@@ -55,14 +64,13 @@ class ResolventKernel:
         return free - np.einsum("...m,mn,...n->...", gx, self.c, gxp)
 
 
-def resolvent_kernel(z, s, n=None):
+def resolvent_kernel(z, s):
     """Build the resolvent kernel; requires Q(z) + 4 pi L invertible."""
-    sub = s.prefix(n)
     e = as_energy(z)
-    return ResolventKernel(energy=e, c=c_matrix(e, sub), scatterers=sub)
+    return ResolventKernel(energy=e, c=c_matrix(e, s), scatterers=s)
 
 
-def hilbert_identity_residual(z1, z2, s, n=None):
+def hilbert_identity_residual(z1, z2, s):
     """Residual ||C(z1) - C(z2) + (z1 - z2) C(z1) Phi C(z2)||_2.
 
     Phi is the divided difference (Q(z1) - Q(z2)) / (z1 - z2), the
@@ -70,31 +78,29 @@ def hilbert_identity_residual(z1, z2, s, n=None):
     """
     if complex(z1) == complex(z2):
         raise BadParams("z1 and z2 must differ")
-    sub = s.prefix(n)
     e1, e2 = as_energy(z1), as_energy(z2)
-    c1 = c_matrix(e1, sub)
-    c2 = c_matrix(e2, sub)
-    phi = (build_q(e1, sub) - build_q(e2, sub)) / (e1.z - e2.z)
+    q1, q2 = build_q(e1, s), build_q(e2, s)
+    c1 = _c_from_q(q1, s)
+    c2 = _c_from_q(q2, s)
+    phi = (q1 - q2) / (e1.z - e2.z)
     return float(np.linalg.norm(c1 - c2 + (e1.z - e2.z) * c1 @ phi @ c2, 2))
 
 
-def symmetry_residual(z, s, n=None):
+def symmetry_residual(z, s):
     """Residual ||C(z)^H - C(conj z)||_2 of the adjoint symmetry."""
-    sub = s.prefix(n)
     e = as_energy(z)
-    return float(np.linalg.norm(c_matrix(e, sub).conj().T
-                                - c_matrix(e.conj, sub), 2))
+    return float(np.linalg.norm(c_matrix(e, s).conj().T
+                                - c_matrix(e.conj, s), 2))
 
 
-def default_fit_radii(s, n_radii=6, lo=1e-5, hi=1e-3):
-    """Log-spaced fit radii scaled by the minimum separation."""
+def default_fit_radii(s):
+    """FIT_RADII scaled by the minimum separation."""
     eta = eta_by_index(s)
     scale = float(np.min(eta)) if eta.size else 1.0
-    return np.geomspace(lo, hi, n_radii) * scale
+    return FIT_RADII * scale
 
 
-def boundary_condition_residual(z, s, n=None, source=None, radii=None,
-                                direction=None, cond_limit=1e10):
+def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
     """Zero-range boundary-condition residuals, one per scatterer.
 
     Evaluates f = K(z; ., source) on a ray approaching each site, fits
@@ -115,18 +121,17 @@ def boundary_condition_residual(z, s, n=None, source=None, radii=None,
     ``direction`` fixes the approach ray (unit 3-vector); the default
     is an arbitrary fixed direction.
     """
-    sub = s.prefix(n)
-    kern = resolvent_kernel(z, sub)
+    kern = resolvent_kernel(z, s)
     if source is None:
-        source = np.mean(sub.points, axis=0) + np.array([0.53, 0.71, 0.83])
+        source = np.mean(s.points, axis=0) + np.array([0.53, 0.71, 0.83])
     source = np.asarray(source, dtype=float)
-    d_src = np.linalg.norm(sub.points - source, axis=1)
+    d_src = np.linalg.norm(s.points - source, axis=1)
     if np.any(d_src < 1e-9):
         raise BadParams("source must be distinct from every scatterer")
     if radii is None:
-        radii = default_fit_radii(sub)
+        radii = default_fit_radii(s)
     radii = np.asarray(radii, dtype=float)
-    eta = eta_by_index(sub)
+    eta = eta_by_index(s)
     if eta.size and np.min(radii) < 1e-6 * np.min(eta):
         raise BadParams("smallest radius below 1e-6 * eta")
     if direction is None:
@@ -142,12 +147,12 @@ def boundary_condition_residual(z, s, n=None, source=None, radii=None,
     )
     scaled = design / np.linalg.norm(design, axis=0)
     cond = np.linalg.cond(scaled)
-    if cond > cond_limit:
-        raise FitUnstable(f"fit design condition {cond:.3g} exceeds {cond_limit:g}")
+    if cond > FIT_COND_LIMIT:
+        raise FitUnstable(f"fit design condition {cond:.3g} exceeds {FIT_COND_LIMIT:g}")
     sing_sup = float(np.max(np.abs(sing_col)))
-    out = np.empty(sub.n)
-    for m in range(sub.n):
-        xs = sub.points[m] + radii[:, None] * direction
+    out = np.empty(s.n)
+    for m in range(s.n):
+        xs = s.points[m] + radii[:, None] * direction
         f = kern.evaluate(xs, source)
         coef, *_ = np.linalg.lstsq(design, f, rcond=None)
         a, b = coef[0], coef[1]
@@ -155,7 +160,7 @@ def boundary_condition_residual(z, s, n=None, source=None, radii=None,
         if content < 1e-4:
             out[m] = content
         else:
-            out[m] = (abs(a * q_self + b + FOUR_PI * sub.weights[m] * a)
+            out[m] = (abs(a * q_self + b + FOUR_PI * s.weights[m] * a)
                       / (abs(a) + abs(b)))
     return out
 
@@ -199,8 +204,7 @@ class BumpProfile:
         return -self.laplacian(pts) - complex(z) * self.value(pts)
 
 
-def free_resolvent_reproduction(z, points, bump=None, radial_order=96,
-                                sphere_order=24):
+def free_resolvent_reproduction(z, points, bump=None):
     """Residuals |(R(z)(-Delta - z) phi)(x) - phi(x)| at sample points.
 
     The integral is taken in spherical coordinates centered at each
@@ -210,8 +214,8 @@ def free_resolvent_reproduction(z, points, bump=None, radial_order=96,
     if bump is None:
         bump = BumpProfile()
     e = as_energy(z)
-    grid = make_grid("gauss-legendre-product", sphere_order)
-    xr, xw = np.polynomial.legendre.leggauss(radial_order)
+    grid = make_grid("gauss-legendre-product", SPHERE_ORDER)
+    xr, xw = np.polynomial.legendre.leggauss(RADIAL_ORDER)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     res = np.empty(points.shape[0])
     for i, x in enumerate(points):

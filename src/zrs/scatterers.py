@@ -38,6 +38,15 @@ def _floats(val):
     return np.array(val, dtype=float)
 
 
+def integer(val):
+    """``val`` as an int: integers, integral floats and digit strings.
+    Other values raise TypeError, ValueError or OverflowError (infinity)."""
+    out = int(val)
+    if out != float(val):
+        raise ValueError(val)
+    return out
+
+
 def _convert(val, what, convert=float):
     """``convert(val)``; a value of the wrong type raises BadParams naming
     ``what``."""
@@ -58,14 +67,13 @@ def _section(val, what):
 class ScattererSet:
     """Positions x_m in R^3 and nonzero real weights w_m.
 
-    Points must be pairwise distinct (separation above ``eps``); the
-    arrays, and the distance matrix computed for that check, are stored
-    read-only so instances can be shared freely.
+    Points must be pairwise distinct (separation above DUPLICATE_EPS);
+    the arrays, and the distance matrix computed for that check, are
+    stored read-only so instances can be shared freely.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    eps: float = DUPLICATE_EPS
 
     def __post_init__(self):
         pts = np.atleast_2d(_convert(self.points, "points", _floats))
@@ -82,9 +90,9 @@ class ScattererSet:
             raise BadParams("points must be finite")
         d = pairwise_distances(pts)
         dmin = np.min(d, initial=np.inf, where=_strict_lower(pts.shape[0]))
-        if dmin <= self.eps:
+        if dmin <= DUPLICATE_EPS:
             raise DuplicatePoint(
-                f"two points are within {self.eps:g} (min distance {dmin:g})"
+                f"two points are within {DUPLICATE_EPS:g} (min distance {dmin:g})"
             )
         d.flags.writeable = False
         object.__setattr__(self, "points", _freeze(pts))
@@ -116,7 +124,7 @@ class ScattererSet:
             raise BadParams(f"prefix length {n} outside 1..{self.n}")
         sub = object.__new__(ScattererSet)
         for name, val in (("points", self.points[:n]),
-                          ("weights", self.weights[:n]), ("eps", self.eps),
+                          ("weights", self.weights[:n]),
                           ("_distances", self._distances[:n, :n])):
             object.__setattr__(sub, name, val)
         return sub
@@ -173,7 +181,7 @@ def separation_profile(s):
     rows = np.min(s.distances(), axis=1, initial=np.inf,
                   where=_strict_lower(s.n))
     eta = np.minimum.accumulate(rows)[1:]
-    bad = np.flatnonzero(eta <= s.eps)
+    bad = np.flatnonzero(eta <= DUPLICATE_EPS)
     if bad.size:
         raise DuplicatePoint(f"points {bad[0] + 1} and an earlier one coincide")
     return SeparationProfile(eta=eta)
@@ -388,19 +396,23 @@ def from_config(data):
     """Build a ScattererSet from the JSON scatterer schema.
 
     Accepts ``{"points": [[x,y,z],...], "weights": [w,...]}`` or
-    ``{"family": {"kind": ..., "params": {...}, "N": n}}``; a section or
-    value of the wrong type raises BadParams naming it.
+    ``{"family": {"kind": ..., "params": {...}, "N": n, "strict": false}}``
+    (``N`` an integer, ``strict`` a JSON boolean); a section or value of the
+    wrong type raises BadParams naming it.
     """
     if "family" in _section(data, "scatterer config"):
         fam = _section(data["family"], "family section")
         try:
             kind = fam["kind"]
-            n = _convert(fam["N"], "family key 'N'", int)
+            n = _convert(fam["N"], "family key 'N'", integer)
         except KeyError as exc:
             raise BadParams(f"family section needs key {exc}") from exc
         params = _section(fam.get("params", {}), "family params")
-        return generate_family(kind, params, n,
-                               strict=bool(fam.get("strict", False)))
+        strict = fam.get("strict", False)
+        if not isinstance(strict, bool):
+            raise BadParams(f"family key 'strict' must be true or false, "
+                            f"got {strict!r}")
+        return generate_family(kind, params, n, strict=strict)
     try:
         return ScattererSet(data["points"], data["weights"])
     except KeyError as exc:
@@ -418,6 +430,11 @@ def write_text(out, text):
 
 def write_csv(out, header, rows):
     """Write a CSV to ``out`` (as :func:`write_text`): the ``header`` line,
-    then one line per row with every number in ``.17g``."""
-    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    then one line per row with every number in ``.17g``.  Each row holds
+    one number per header column; the text is built before ``out`` is
+    opened, so a failing ``rows`` iterator writes nothing."""
+    # one %-format per table prints the same digits as format(v, ".17g")
+    # and costs less per row than an f-string
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
+    lines = [header] + [fmt % tuple(row) for row in rows]
     write_text(out, "\n".join(lines) + "\n")

@@ -18,9 +18,11 @@ import numpy as np
 from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (build_q, build_weighted, check_rcond, gamma_at, gamma_schur,
                     gram_matrix, stack_chunks)
-from .scatterers import write_csv, write_text
-from .spherical import (default_grid, gram_overlap, plane_wave_block,
-                        weighted_gram_target)
+from .scatterers import write_csv
+from .spherical import (_plane_waves, default_grid, gram_overlap,
+                        plane_wave_block, weighted_gram_target)
+
+JUMP_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class SMatrixRep:
     gamma_cond: float = np.nan
 
 
-def smatrix(lam, s, n=None, split=None, tail_bound=None):
+def smatrix(lam, s, split=None, tail_bound=None):
     """Assemble the scattering-matrix representation at lambda > 0.
 
     Parameters
@@ -46,22 +48,20 @@ def smatrix(lam, s, n=None, split=None, tail_bound=None):
     lam : float
         Spectral parameter (boundary value from above).
     s : ScattererSet
-    n : int, optional
-        Truncation; uses the first ``n`` scatterers.
+        Truncate a family with ``s.prefix(n)``.
     split : int, optional
         When given, Gamma is computed through the Schur-Frobenius
         route with this head size (propagates TailNotContractive).
     """
     if lam <= 0:
         raise BadParams("lambda must be positive")
-    sub = s.prefix(n)
     if split is None:
-        gamma = gamma_at(lam, sub)
+        gamma = gamma_at(lam, s)
     else:
-        gamma, _ = gamma_schur(*build_weighted(sub, build_q(lam, sub)), split,
+        gamma, _ = gamma_schur(*build_weighted(s, build_q(lam, s)), split,
                                tail_bound=tail_bound)
     coeff = 1j * np.sqrt(lam) / (8.0 * np.pi**2) * gamma
-    return SMatrixRep(lam=float(lam), coeff=coeff, scatterers=sub,
+    return SMatrixRep(lam=float(lam), coeff=coeff, scatterers=s,
                       gamma_cond=float(np.linalg.cond(gamma)))
 
 
@@ -119,15 +119,12 @@ def kernel_correction(rep, dirs_out, dirs_in):
     (a, 3) and (b, 3); returns the (a, b) matrix
     -sum T_mm' u_m(n) conj(u_m'(n')).
     """
-    s = rep.scatterers
-    k = np.sqrt(rep.lam)
-    rootw = np.sqrt(s.abs_weights)
-    u_out = np.exp(-1j * k * (s.points @ np.atleast_2d(dirs_out).T)) / rootw[:, None]
-    u_in = np.exp(-1j * k * (s.points @ np.atleast_2d(dirs_in).T)) / rootw[:, None]
+    u_out = _plane_waves(rep.lam, rep.scatterers, dirs_out)
+    u_in = _plane_waves(rep.lam, rep.scatterers, dirs_in)
     return -(u_out.T @ rep.coeff @ u_in.conj())
 
 
-def unitarity_defect_reduced(lam, s, n=None):
+def unitarity_defect_reduced(lam, s):
     """Exact finite-matrix reduction of ||S* S - I||.
 
     With a = sqrt(lam)/(8 pi^2) and B the exact plane-wave overlap
@@ -137,9 +134,8 @@ def unitarity_defect_reduced(lam, s, n=None):
 
     whose spectral norm is returned (zero in exact arithmetic).
     """
-    sub = s.prefix(n)
-    return float(_defect_reduced(lam, gamma_at(lam, sub),
-                                 weighted_gram_target(lam, sub)))
+    return float(_defect_reduced(lam, gamma_at(lam, s),
+                                 weighted_gram_target(lam, s)))
 
 
 def _defect_reduced(lam, gamma, b):
@@ -281,7 +277,7 @@ def gamma_steps(gammas, prev=None):
     return np.linalg.norm(diffs, 2, axis=(1, 2))
 
 
-def gamma_continuity_scan(s, n, interval, points, jump_factor=10.0):
+def gamma_continuity_scan(s, n, interval, points):
     """Scan ||Gamma(lam_{k+1}) - Gamma(lam_k)||_2 on a uniform grid.
 
     Parameters
@@ -289,9 +285,9 @@ def gamma_continuity_scan(s, n, interval, points, jump_factor=10.0):
     points : int
         Number of lambda samples (>= 2); ``points = 2`` yields a single
         difference.
-    jump_factor : float
-        An increment is flagged when it exceeds ``jump_factor`` times
-        the median increment (relative jump detection on a fixed grid).
+
+    An increment is flagged when it exceeds JUMP_FACTOR times the median
+    increment (relative jump detection on a fixed grid).
 
     Inversion failures are re-raised with the offending lambda attached.
     """
@@ -308,7 +304,7 @@ def gamma_continuity_scan(s, n, interval, points, jump_factor=10.0):
         prev = gammas[-1]
     inc = np.concatenate(steps)[1:]
     med = float(np.median(inc)) if len(inc) else 0.0
-    flagged = inc > jump_factor * med if med > 0 else np.zeros(len(inc), bool)
+    flagged = inc > JUMP_FACTOR * med if med > 0 else np.zeros(len(inc), bool)
     return ContinuityScan(lambdas=lams[1:], increments=inc, flagged=flagged)
 
 
@@ -339,20 +335,18 @@ def write_cross_section_csv(pattern, out):
 
 def lambda_rows(s, lambdas):
     """Yield ``(gammas, rows)`` per chunk of ``lambdas``: the Gamma stack
-    and one DEFECT_CSV_HEADER row per lambda.  Gamma and G_N are built once
-    per lambda, and gamma_norm and gamma_cond come from one SVD (as
-    np.linalg.norm(., 2) and np.linalg.cond do)."""
+    and one DEFECT_CSV_HEADER row of numbers per lambda.  Gamma and G_N are
+    built once per lambda, and gamma_norm and gamma_cond come from one SVD
+    (as np.linalg.norm(., 2) and np.linalg.cond do)."""
     for lams, gammas, gd in _gamma_chunks(s, lambdas, gram=True):
         defect = _defect_reduced(lams, gammas, gram_overlap(gd, s))
         sv = np.linalg.svd(gammas, compute_uv=False)
-        yield gammas, [f"{lam:.17g},{d:.17g},{v[0]:.17g},"
-                       f"{v[0] / v[-1]:.17g},{mu:.17g}"
+        yield gammas, [(lam, d, v[0], v[0] / v[-1], mu)
                        for lam, d, v, mu in zip(lams, defect, sv, gd.mu)]
 
 
 def write_defect_csv(s, lambdas, out):
     """Defect-vs-lambda table: unitarity defect, Gamma norms, Gram mu."""
-    rows = [DEFECT_CSV_HEADER]
-    for _, chunk in lambda_rows(s, np.asarray(lambdas, dtype=float)):
-        rows += chunk
-    write_text(out, "\n".join(rows) + "\n")
+    write_csv(out, DEFECT_CSV_HEADER,
+              (row for _, rows in lambda_rows(s, np.asarray(lambdas, dtype=float))
+               for row in rows))

@@ -102,12 +102,19 @@ class PlaneWaveBlock:
     scatterers: object
 
 
+def _plane_waves(lam, s, dirs):
+    """U[m, k] = e^{-i sqrt(lam) x_m . n_k} / sqrt|w_m| at the unit vectors
+    ``dirs`` (one, or an (a, 3) array)."""
+    k = np.sqrt(lam)
+    return (np.exp(-1j * k * (s.points @ np.atleast_2d(dirs).T))
+            / np.sqrt(s.abs_weights)[:, None])
+
+
 def plane_wave_block(lam, s, grid):
     if lam <= 0:
         raise BadParams("lambda must be positive")
-    k = np.sqrt(lam)
-    u = np.exp(-1j * k * (s.points @ grid.nodes.T)) / np.sqrt(s.abs_weights)[:, None]
-    return PlaneWaveBlock(u=u, lam=float(lam), grid=grid, scatterers=s)
+    return PlaneWaveBlock(u=_plane_waves(lam, s, grid.nodes), lam=float(lam),
+                          grid=grid, scatterers=s)
 
 
 def overlap_matrix(block):

@@ -5,9 +5,14 @@ inside the regime where the a-priori norm bound p_L(z) dominates the
 measured norm; see test_krein.py::test_norm_bound_battery.
 """
 
+import os
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zrs
 from zrs import ScattererSet
 
 BOX_HALF = 0.55
@@ -54,3 +59,13 @@ def two_scatterers():
 @pytest.fixture
 def single_scatterer():
     return ScattererSet([[0.0, 0.0, 0.0]], [1.0])
+
+
+def run_child(argv, cwd):
+    """Run ``argv`` in a fresh interpreter that imports this ``zrs``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(zrs.__file__).resolve().parents[1]),
+                      env.get("PYTHONPATH")]))
+    return subprocess.run(argv, capture_output=True, text=True, cwd=cwd,
+                          env=env, timeout=60)

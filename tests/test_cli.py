@@ -1,23 +1,21 @@
 """Command-line interface: exit codes, golden headers, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import zrs
 from zrs import build_q, build_weighted, gamma_direct, unitarity_defect_reduced
 from zrs import cli
 from zrs.cli import main
 from zrs.scattering import write_defect_csv
 
-from conftest import make_config
+from conftest import make_config, run_child
 
 TWO_SCATTERERS = {
     "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
@@ -194,6 +192,86 @@ def test_bad_scatterer_section_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("zrs: bad value for family key 'N': ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("N", 2.5, "bad value for family key 'N': 2.5"),
+    ("strict", "no", "family key 'strict' must be true or false, got 'no'"),
+], ids=["N", "strict"])
+def test_family_value_of_wrong_kind_exit_1(tmp_path, capsys, key, value, message):
+    family = {"kind": "clustering", "params": {"p": 2, "q": 3}, "N": 8, key: value}
+    cfg = write_config(tmp_path, {"family": family})
+    assert main(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr() == ("", f"zrs: {message}\n")
+
+
+def test_family_integral_n_and_boolean_strict(tmp_path, capsys):
+    family = {"kind": "clustering", "params": {"p": 2, "q": 3}, "N": 8}
+
+    def validate(**extra):
+        cfg = write_config(tmp_path, {"family": dict(family, **extra)})
+        return main(["validate", "--config", cfg]), capsys.readouterr()
+
+    plain = validate()
+    assert plain[0] == 2
+    assert validate(N=8.0) == plain
+    assert validate(strict=False) == plain
+    rc, (out, err) = validate(strict=True)
+    assert rc == 1 and out == "" and "violate q > 2p+1" in err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["sweep", "--interval", "1", "2"], "grid_points", "Infinity"),
+    (["smatrix", "--lambda", "4"], "seed", "-Infinity"),
+    (["sweep", "--lambda", "4"], "n_sweep", "[1, Infinity]"),
+], ids=["grid_points", "seed", "n_sweep"])
+def test_infinite_integer_in_config_is_usage_error(tmp_path, capsys, argv, key, value):
+    # json reads Infinity as a float, which int() rejects with OverflowError
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(f'{{"points": [[0, 0, 0]], "weights": [1], "{key}": {value}}}')
+    assert main([*argv, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zrs: usage error: bad ") and len(err.splitlines()) == 1
+
+
+# the flags each command reads besides --config and --out
+FLAGS_READ = {
+    "validate": {"--lambda", "--n", "--n0"},
+    "smatrix": {"--lambda", "--n", "--n0", "--grid-order", "--seed"},
+    "sweep": {"--lambda", "--interval", "--n", "--grid-points", "--n-sweep"},
+    "resolvent": {"--n"},
+}
+FLAG_VALUES = {"--lambda": ["4"], "--interval": ["1", "2"], "--n": ["1"],
+               "--n0": ["1"], "--grid-order": ["4"], "--grid-points": ["4"],
+               "--seed": ["3"], "--n-sweep": ["1,2"]}
+UNREAD = [(command, flag) for command, flags in FLAGS_READ.items()
+          for flag in FLAG_VALUES if flag not in flags]
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    sub, = (a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    declared = {name: [a for a in parser._actions if a.dest != "help"]
+                for name, parser in sub.choices.items()}
+    for name, actions in declared.items():
+        flags = {a.option_strings[0] for a in actions} - {"--config", "--out"}
+        assert flags == FLAGS_READ[name]
+    assert sum(map(len, declared.values())) == 22
+    assert len(UNREAD) == 18
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys,
+                                                       command, flag):
+    cfg = write_config(tmp_path, {**TWO_SCATTERERS, "lambda": 4.0,
+                                  "interval": [1, 2], "grid_points": 2})
+    assert main([command, "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", cfg, flag, *FLAG_VALUES[flag]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"zrs: usage error: unrecognized arguments: "
+                   f"{' '.join([flag, *FLAG_VALUES[flag]])}\n")
 
 
 def test_parser_built_once_per_process(tmp_path, capsys):
@@ -373,22 +451,12 @@ def _entry_point_argv():
     return [sys.executable, "-c", code]
 
 
-def _run_child(argv, cwd):
-    """Run ``argv`` in a fresh interpreter that imports this ``zrs``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(zrs.__file__).resolve().parents[1]),
-                      env.get("PYTHONPATH")]))
-    return subprocess.run(argv, capture_output=True, text=True, cwd=cwd,
-                          env=env, timeout=60)
-
-
 def test_installed_entry_point(tmp_path):
     cfg = write_config(tmp_path, TWO_SCATTERERS)
     entry_point = _entry_point_argv()
 
     def run_zrs(*args):
-        return _run_child([*entry_point, *args], tmp_path)
+        return run_child([*entry_point, *args], tmp_path)
 
     proc = run_zrs("validate", "--config", cfg)
     assert proc.returncode == 0, proc.stderr
@@ -400,7 +468,7 @@ def test_installed_entry_point(tmp_path):
 
 def test_python_dash_m(tmp_path):
     cfg = write_config(tmp_path, TWO_SCATTERERS)
-    proc = _run_child([sys.executable, "-m", "zrs", "validate", "--config", cfg],
-                      tmp_path)
+    proc = run_child([sys.executable, "-m", "zrs", "validate", "--config", cfg],
+                     tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "pass"

@@ -17,7 +17,8 @@ from zrs import (
     resolvent_kernel,
     symmetry_residual,
 )
-from zrs.krein import FOUR_PI, as_energy, build_q
+from zrs import krein, resolvent
+from zrs.krein import FOUR_PI, as_energy, build_q, c_matrix
 from zrs.resolvent import default_fit_radii, write_kernel_slice_csv
 
 from conftest import make_config
@@ -95,6 +96,24 @@ def test_hilbert_identity_scalar_closed_form():
     res = abs(c(z1) - c(z2) + (z1 - z2) * c(z1) * phi * c(z2))
     assert res < 1e-18
     assert hilbert_identity_residual(z1, z2, s) == pytest.approx(res, abs=1e-14)
+
+
+def test_hilbert_residual_builds_each_q_once(monkeypatch):
+    s = make_config(1010, 10)
+    e1, e2 = as_energy(1 + 1j), as_energy(-2 + 0.5j)
+    c1, c2 = c_matrix(e1, s), c_matrix(e2, s)
+    phi = (build_q(e1, s) - build_q(e2, s)) / (e1.z - e2.z)
+    expect = float(np.linalg.norm(c1 - c2 + (e1.z - e2.z) * c1 @ phi @ c2, 2))
+    calls = []
+
+    def counting_build_q(z, sub):
+        calls.append(z)
+        return build_q(z, sub)
+
+    for module in (krein, resolvent):
+        monkeypatch.setattr(module, "build_q", counting_build_q)
+    assert hilbert_identity_residual(1 + 1j, -2 + 0.5j, s) == expect
+    assert calls == [e1, e2]
 
 
 def test_hilbert_residual_continuity_in_gap():

@@ -1,7 +1,6 @@
 """Scatterer configurations, separation profiles, admissibility."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from zrs import (
     separation_profile,
     tail_bound,
 )
-from zrs.scatterers import pairwise_distances
+from zrs import scatterers
+from zrs.scatterers import DUPLICATE_EPS, pairwise_distances
 
 from conftest import make_config
 
@@ -79,15 +79,15 @@ def _profile_loop(d, eps):
 def test_profile_equals_loop_definition(battery25):
     for s in battery25 + [generate_family("clustering", {"p": 2, "q": 6}, 60)]:
         assert separation_profile(s).eta.tobytes() == \
-            _profile_loop(s.distances(), s.eps).tobytes()
+            _profile_loop(s.distances(), DUPLICATE_EPS).tobytes()
 
 
-def test_profile_duplicate_index_equals_loop_definition():
+def test_profile_duplicate_index_equals_loop_definition(monkeypatch):
     s = ScattererSet([[0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 0, 1e-6]], [1] * 4)
-    tight = SimpleNamespace(n=s.n, eps=1e-3, distances=s.distances)
-    assert _profile_loop(s.distances(), tight.eps) == 3
+    monkeypatch.setattr(scatterers, "DUPLICATE_EPS", 1e-3)
+    assert _profile_loop(s.distances(), scatterers.DUPLICATE_EPS) == 3
     with pytest.raises(DuplicatePoint, match="points 3 and"):
-        separation_profile(tight)
+        separation_profile(s)
 
 
 def test_distances_cached_read_only_and_equal_to_norm(battery25):
