@@ -22,9 +22,9 @@ from .errors import (
     ZrsError,
 )
 from .krein import build_q, build_weighted, gamma_direct
-from .scatterers import (check_admissibility, from_config, integer, tail_bound,
-                         write_csv, write_text)
-from .spherical import default_order, make_grid
+from .scatterers import (check_admissibility, from_config, integer, number,
+                         tail_bound, write_csv, write_text)
+from .spherical import default_order, make_grid, weighted_gram_target
 
 SWEEP_CSV_HEADER = sc.DEFECT_CSV_HEADER + ",increment"
 NSWEEP_CSV_HEADER = "n_low,n_high,gamma_diff"
@@ -68,7 +68,7 @@ def _load_config(path):
 
 def _pair(val):
     a, b = val
-    return float(a), float(b)
+    return number(a), number(b)
 
 
 def _complex(val):
@@ -78,15 +78,16 @@ def _complex(val):
 
 def _point(val):
     x, y, z = val
-    return [float(x), float(y), float(z)]
+    return [number(x), number(y), number(z)]
 
 
 def _tolerances(val):
     """Residual tolerances: the defaults updated from ``val``.  Values stay
-    as given (an integer is written back as one), but must be numbers."""
+    as given (an integer is written back as one), but must be numbers
+    (not booleans)."""
     tol = {"hilbert": 1e-10, "symmetry": 1e-12, "boundary": 1e-5}
     for name, bound in dict(val).items():
-        if not isinstance(bound, (int, float)):
+        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise TypeError(bound)
         tol[name] = bound
     return tol
@@ -118,7 +119,7 @@ def _csv_text(header, rows):
 
 
 def _cmd_validate(args, cfg, s):
-    b = _setting(args, cfg, "b", "lam", float, 25.0)
+    b = _setting(args, cfg, "b", "lam", number, 25.0)
     n0 = _setting(args, cfg, "n0", "n0", integer)
     report = check_admissibility(s.prefix(args.n), b, n0=n0)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -126,7 +127,7 @@ def _cmd_validate(args, cfg, s):
 
 
 def _cmd_smatrix(args, cfg, s):
-    lam = _setting(args, cfg, "lambda", "lam", float)
+    lam = _setting(args, cfg, "lambda", "lam", number)
     if lam is None:
         raise UsageError("smatrix needs --lambda")
     sub = s.prefix(args.n)
@@ -142,7 +143,11 @@ def _cmd_smatrix(args, cfg, s):
                      default_order(lam, sub))
     grid = make_grid("gauss-legendre-product", order)
     seed = _setting(args, cfg, "seed", "seed", integer, 0)
-    d_red = sc.unitarity_defect_reduced(lam, sub)
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
+    # the Gamma of rep, so the defect measures the Gamma the kernel rows use
+    d_red = float(sc._defect_reduced(lam, rep.gamma,
+                                     weighted_gram_target(lam, sub)))
     d_quad = sc.unitarity_defect_quadrature(rep, grid, seed=seed)
     idx = np.linspace(0, grid.size - 1, 8).astype(int)
     dirs = grid.nodes[idx]
@@ -170,7 +175,7 @@ def _cmd_sweep(args, cfg, s):
     sub = s.prefix(args.n)
     ns = _setting(args, cfg, "n_sweep", "n_sweep", _truncations)
     if ns:
-        lam = _setting(args, cfg, "lambda", "lam", float)
+        lam = _setting(args, cfg, "lambda", "lam", number)
         if lam is None:
             raise UsageError("N-sweep mode needs --lambda")
         if len(ns) < 2:

@@ -34,20 +34,39 @@ def _freeze(a):
     return a
 
 
+def _no_bool(val):
+    """``val``, which must not be or (in nested lists) hold a boolean:
+    ``float(True)`` and ``int(True)`` succeed, but a JSON ``true`` is no
+    number.  Raises TypeError."""
+    if isinstance(val, bool):
+        raise TypeError(f"expected a number, got {val!r}")
+    if isinstance(val, (list, tuple)):
+        for v in val:
+            _no_bool(v)
+    return val
+
+
 def _floats(val):
-    return np.array(val, dtype=float)
+    return np.array(_no_bool(val), dtype=float)
+
+
+def number(val):
+    """``val`` as a float, as ``float`` converts it; a boolean raises
+    TypeError."""
+    return float(_no_bool(val))
 
 
 def integer(val):
     """``val`` as an int: integers, integral floats and digit strings.
-    Other values raise TypeError, ValueError or OverflowError (infinity)."""
-    out = int(val)
+    Other values (booleans included) raise TypeError, ValueError or
+    OverflowError (infinity)."""
+    out = int(_no_bool(val))
     if out != float(val):
         raise ValueError(val)
     return out
 
 
-def _convert(val, what, convert=float):
+def _convert(val, what, convert=number):
     """``convert(val)``; a value of the wrong type raises BadParams naming
     ``what``."""
     try:

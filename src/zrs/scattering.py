@@ -11,6 +11,7 @@ the brute-force quadrature oracle before being trusted (the sign of
 the kernel prefactor is fixed so that S is unitary; see the tests).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,21 @@ class SMatrixRep:
 
     ``coeff`` is the dimensionless matrix T = i sqrt(lam)/(8 pi^2) Gamma;
     the plane-wave weight factors 1/sqrt|w| are applied at evaluation
-    time.  ``gamma_cond`` records the 2-norm condition number of Gamma.
+    time.  ``gamma`` is the Gamma that ``coeff`` was formed from (None for
+    a representation built from ``coeff`` alone); its 2-norm condition
+    number ``gamma_cond`` takes an SVD on first read and is kept.
     """
 
     lam: float
     coeff: np.ndarray
     scatterers: object
-    gamma_cond: float = np.nan
+    gamma: np.ndarray = None
+
+    @functools.cached_property
+    def gamma_cond(self):
+        if self.gamma is None:
+            return np.nan
+        return float(np.linalg.cond(self.gamma))
 
 
 def smatrix(lam, s, split=None, tail_bound=None):
@@ -61,8 +70,7 @@ def smatrix(lam, s, split=None, tail_bound=None):
         gamma, _ = gamma_schur(*build_weighted(s, build_q(lam, s)), split,
                                tail_bound=tail_bound)
     coeff = 1j * np.sqrt(lam) / (8.0 * np.pi**2) * gamma
-    return SMatrixRep(lam=float(lam), coeff=coeff, scatterers=s,
-                      gamma_cond=float(np.linalg.cond(gamma)))
+    return SMatrixRep(lam=float(lam), coeff=coeff, scatterers=s, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -93,23 +101,27 @@ class SphereFunction:
                                     * np.abs(self.values) ** 2)))
 
 
-def _apply(u, f, coeff):
-    """f - u^T coeff <f, u>, ``u`` the plane-wave block on the grid of ``f``."""
-    v = (u.conj() * f.grid.qweights) @ f.values
-    out = f.values - u.T @ (coeff @ v)
+def _blocks(rep, grid):
+    """The plane-wave block u on ``grid`` and its quadrature-weighted
+    conjugate, which forms the inner products <f, u_m>."""
+    u = plane_wave_block(rep.lam, rep.scatterers, grid).u
+    return u, u.conj() * grid.qweights
+
+
+def _apply(u, uw, f, coeff):
+    """f - u^T coeff <f, u>, with ``u, uw = _blocks(rep, f.grid)``."""
+    out = f.values - u.T @ (coeff @ (uw @ f.values))
     return SphereFunction(values=out, grid=f.grid)
 
 
 def apply_smatrix(rep, f):
     """Apply S to a sphere function through quadrature inner products."""
-    u = plane_wave_block(rep.lam, rep.scatterers, f.grid).u
-    return _apply(u, f, rep.coeff)
+    return _apply(*_blocks(rep, f.grid), f, rep.coeff)
 
 
 def apply_smatrix_adjoint(rep, f):
     """Apply S* (the coefficient matrix is conjugate-transposed)."""
-    u = plane_wave_block(rep.lam, rep.scatterers, f.grid).u
-    return _apply(u, f, rep.coeff.conj().T)
+    return _apply(*_blocks(rep, f.grid), f, rep.coeff.conj().T)
 
 
 def kernel_correction(rep, dirs_out, dirs_in):
@@ -132,17 +144,19 @@ def unitarity_defect_reduced(lam, s):
 
         ia (Gamma^H - Gamma) + a^2 Gamma^H B Gamma,
 
-    whose spectral norm is returned (zero in exact arithmetic).
+    whose spectral norm is returned (zero in exact arithmetic).  The
+    matrix is Hermitian, so the norm is its largest eigenvalue modulus
+    (see :func:`_defect_reduced`).
     """
     return float(_defect_reduced(lam, gamma_at(lam, s),
                                  weighted_gram_target(lam, s)))
 
 
-def _defect_reduced(lam, gamma, b):
-    """Spectral norm of the S*S - I coefficient matrix; a 1-D ``lam`` goes
-    with (K, N, N) stacks ``gamma`` and ``b``.  ia and a^2 are formed per
-    lambda in scalar arithmetic, which rounds a^2 differently from numpy's
-    array power."""
+def _defect_matrix(lam, gamma, b):
+    """The S*S - I coefficient matrix ia (Gamma^H - Gamma) + a^2 Gamma^H B
+    Gamma; a 1-D ``lam`` goes with (K, N, N) stacks ``gamma`` and ``b``.
+    ia and a^2 are formed per lambda in scalar arithmetic, which rounds
+    a^2 differently from numpy's array power."""
     shape = np.shape(lam) + (1, 1)
     a = [np.sqrt(v) / (8.0 * np.pi**2) for v in np.ravel(lam)]
     ia = np.reshape([1j * v for v in a], shape)
@@ -154,7 +168,22 @@ def _defect_reduced(lam, gamma, b):
     m = a2 * gh
     del gh
     defect += m @ b @ gamma
-    return np.linalg.norm(defect, 2, axis=(-2, -1))
+    return defect
+
+
+def _defect_reduced(lam, gamma, b):
+    """Spectral norm of the S*S - I coefficient matrix (per lambda for a
+    1-D ``lam``).
+
+    The matrix is Hermitian by construction, and the 2-norm of a Hermitian
+    matrix is max |eigenvalue| (Golub & Van Loan, Matrix Computations,
+    4th ed., 8.1), which ``eigvalsh`` gives at about half the cost of an
+    SVD.  ``eigvalsh`` reads the lower triangle only, so the round-off
+    asymmetry of the computed matrix is dropped rather than symmetrized;
+    the result differs from the SVD norm by at most that asymmetry plus
+    round-off."""
+    ev = np.linalg.eigvalsh(_defect_matrix(lam, gamma, b))
+    return np.maximum(-ev[..., 0], ev[..., -1])
 
 
 def unitarity_defect_quadrature(rep, grid, trials=8, seed=0):
@@ -162,12 +191,13 @@ def unitarity_defect_quadrature(rep, grid, trials=8, seed=0):
 
     Half of the trials are drawn inside the span of the plane-wave
     columns (where the finite-rank defect lives), the rest are raw
-    nodal noise.  The plane-wave block is built once for all trials.
+    nodal noise.  The plane-wave block and its weighted conjugate are
+    built once for all trials.
     """
     if trials < 1:
         raise BadParams("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    u = plane_wave_block(rep.lam, rep.scatterers, grid).u
+    u, uw = _blocks(rep, grid)
     adjoint = rep.coeff.conj().T
     worst = 0.0
     for t in range(trials):
@@ -180,7 +210,7 @@ def unitarity_defect_quadrature(rep, grid, trials=8, seed=0):
         nf = f.norm()
         if nf == 0.0:
             continue
-        g = _apply(u, _apply(u, f, rep.coeff), adjoint)
+        g = _apply(u, uw, _apply(u, uw, f, rep.coeff), adjoint)
         worst = max(worst, SphereFunction(g.values - f.values, grid).norm() / nf)
     return worst
 
@@ -336,8 +366,10 @@ def write_cross_section_csv(pattern, out):
 def lambda_rows(s, lambdas):
     """Yield ``(gammas, rows)`` per chunk of ``lambdas``: the Gamma stack
     and one DEFECT_CSV_HEADER row of numbers per lambda.  Gamma and G_N are
-    built once per lambda, and gamma_norm and gamma_cond come from one SVD
-    (as np.linalg.norm(., 2) and np.linalg.cond do)."""
+    built once per lambda.  Each chunk takes one batched SVD, of Gamma,
+    for gamma_norm and gamma_cond (as np.linalg.norm(., 2) and
+    np.linalg.cond do), and two batched ``eigvalsh``: the Hermitian
+    defect matrix (:func:`_defect_reduced`) and G_N (its mu)."""
     for lams, gammas, gd in _gamma_chunks(s, lambdas, gram=True):
         defect = _defect_reduced(lams, gammas, gram_overlap(gd, s))
         sv = np.linalg.svd(gammas, compute_uv=False)

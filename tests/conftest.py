@@ -7,6 +7,7 @@ measured norm; see test_krein.py::test_norm_bound_battery.
 
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,3 +70,20 @@ def run_child(argv, cwd):
                       env.get("PYTHONPATH")]))
     return subprocess.run(argv, capture_output=True, text=True, cwd=cwd,
                           env=env, timeout=60)
+
+
+def count_linalg_calls(monkeypatch, *names):
+    """Count calls of the named ``numpy.linalg`` functions, also those made
+    inside numpy (``norm(., 2)`` and ``cond`` call ``svd`` through the
+    implementation module); returns the name -> count dict."""
+    impl = sys.modules[np.linalg.norm.__wrapped__.__module__]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(impl, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(impl, name, counting)
+    return calls

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from zrs import build_q, build_weighted, gamma_direct, unitarity_defect_reduced
-from zrs import cli
+from zrs import cli, scattering
 from zrs.cli import main
 from zrs.scattering import write_defect_csv
 
-from conftest import make_config, run_child
+from conftest import count_linalg_calls, make_config, run_child
 
 TWO_SCATTERERS = {
     "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
@@ -145,6 +145,8 @@ def test_sweep_n_mode(tmp_path):
     ["validate", "--lambda", "inf"],
     ["sweep", "--interval", "1", "2", "--grid-points", "-3"],
     ["sweep", "--lambda", "4", "--n-sweep", "2,x"],
+    ["smatrix", "--lambda", "4", "--seed", "-1"],
+    ["smatrix", "--lambda", "4", "--seed=-1"],
 ])
 def test_non_finite_or_huge_lambda_exit_1(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, TWO_SCATTERERS)
@@ -232,6 +234,96 @@ def test_infinite_integer_in_config_is_usage_error(tmp_path, capsys, argv, key, 
     assert main([*argv, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("zrs: usage error: bad ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, source):
+    extra = {"seed": -1} if source == "config" else {}
+    cfg = write_config(tmp_path, {**TWO_SCATTERERS, **extra})
+    argv = ["smatrix", "--config", cfg, "--lambda", "4"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "zrs: usage error: seed must be non-negative, got -1\n")
+
+
+# (command argv, config entries, what the one-line message names); JSON
+# true is no number even though float(True) and int(True) succeed
+FAMILY = {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": 4}
+BOOLEAN_NUMBERS = {
+    "b": (["validate"], {"b": True}, "config key 'b'"),
+    "lambda": (["smatrix"], {"lambda": True}, "config key 'lambda'"),
+    "n0": (["validate"], {"n0": True}, "config key 'n0'"),
+    "grid_order": (["smatrix", "--lambda", "4"], {"grid_order": True},
+                   "config key 'grid_order'"),
+    "seed": (["smatrix", "--lambda", "4"], {"seed": False}, "config key 'seed'"),
+    "grid_points": (["sweep", "--interval", "1", "2"], {"grid_points": True},
+                    "config key 'grid_points'"),
+    "interval": (["sweep"], {"interval": [True, 2]}, "config key 'interval'"),
+    "n_sweep": (["sweep", "--lambda", "4"], {"n_sweep": True},
+                "config key 'n_sweep'"),
+    "n_sweep-entry": (["sweep", "--lambda", "4"], {"n_sweep": [True, 2]},
+                      "bad --n-sweep entry 'True'"),
+    "z": (["resolvent"], {"z": [True, 0]}, "config key 'z'"),
+    "z1": (["resolvent"], {"z1": [1, True]}, "config key 'z1'"),
+    "z2": (["resolvent"], {"z2": [False, 1]}, "config key 'z2'"),
+    "source": (["resolvent"], {"source": [0, True, 0]}, "config key 'source'"),
+    "tolerances": (["resolvent"], {"tolerances": {"hilbert": True}},
+                   "config key 'tolerances'"),
+    "family-N": (["validate"], {"family": dict(FAMILY, N=True)},
+                 "family key 'N'"),
+    "family-params": (["validate"],
+                      {"family": dict(FAMILY, params={"p": True, "q": 6})},
+                      "family parameter 'p'"),
+    "points": (["validate"], {"points": [[0, 0, 0], [1, 0, True]]}, "points"),
+    "weights": (["validate"], {"weights": [2.0, True]}, "weights"),
+}
+
+
+@pytest.mark.parametrize("argv, entries, names", list(BOOLEAN_NUMBERS.values()),
+                         ids=list(BOOLEAN_NUMBERS))
+def test_boolean_config_number_exit_1(tmp_path, capsys, argv, entries, names):
+    data = {**TWO_SCATTERERS, **entries}
+    if "family" in data:
+        del data["points"], data["weights"]
+    cfg = write_config(tmp_path, data)
+    assert main([*argv, "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("zrs: ") and names in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_smatrix_command_builds_gamma_once_and_takes_one_svd(tmp_path, capsys,
+                                                              monkeypatch):
+    s, cfg = _battery_config(tmp_path)
+    builds = []
+    real = scattering.gamma_at
+
+    def counting_gamma_at(*args):
+        builds.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(scattering, "gamma_at", counting_gamma_at)
+    calls = count_linalg_calls(monkeypatch, "svd")
+    assert main(["smatrix", "--config", cfg, "--lambda", "4"]) == 0
+    # the SVD is the header's gamma_cond
+    assert len(builds) == 1 and calls["svd"] == 1
+    header = capsys.readouterr().out.splitlines()[0]
+    assert f"defect_reduced={unitarity_defect_reduced(4.0, s):.17g} " in header
+
+
+def test_smatrix_schur_header_measures_the_schur_gamma(tmp_path, capsys):
+    s, cfg = _battery_config(tmp_path)
+    heavy = type(s)(s.points, s.weights * np.array([1, 1, 1e4, 1e4, 1e4]))
+    cfg = write_config(tmp_path, heavy.to_dict(), "heavy.json")
+    assert main(["smatrix", "--config", cfg, "--lambda", "4", "--n0", "2"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    rep = scattering.smatrix(4.0, heavy, split=2)
+    d_red = scattering._defect_reduced(
+        4.0, rep.gamma, scattering.weighted_gram_target(4.0, heavy))
+    assert f"defect_reduced={d_red:.17g} " in header
+    assert f"gamma_cond={rep.gamma_cond:.17g}" in header
 
 
 # the flags each command reads besides --config and --out

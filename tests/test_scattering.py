@@ -44,8 +44,9 @@ from zrs.scattering import (
     write_defect_csv,
     write_kernel_csv,
 )
+from zrs.spherical import gram_overlap, weighted_gram_target
 
-from conftest import make_config
+from conftest import count_linalg_calls, make_config
 
 FOUR_PI = 4 * np.pi
 
@@ -232,6 +233,102 @@ def test_quadrature_builds_one_block_per_call(battery25, monkeypatch):
         monkeypatch.undo()
         assert len(blocks) == 1
         assert got.hex() == expected.hex()
+
+
+def _apply_weighting_per_call(rep, f, coeff):
+    """f - u^T coeff <f, u> with the plane-wave block and its weighted
+    conjugate formed at this application."""
+    u = plane_wave_block(rep.lam, rep.scatterers, f.grid).u
+    v = (u.conj() * f.grid.qweights) @ f.values
+    return SphereFunction(values=f.values - u.T @ (coeff @ v), grid=f.grid)
+
+
+def test_quadrature_equals_per_application_weighting(battery25):
+    # the weighted conjugate block is formed once per call; the defect must
+    # keep the bits of forming it at each of the 16 applications
+    for s in battery25:
+        for lam in (0.9, 40.0):
+            rep = smatrix(lam, s)
+            grid = make_grid("gauss-legendre-product", default_order(lam, s))
+            rng = np.random.default_rng(0)
+            n = s.n
+            worst = 0.0
+            for t in range(8):
+                if t % 2 == 0:
+                    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    vals = plane_wave_block(lam, s, grid).u.T @ c
+                else:
+                    vals = (rng.standard_normal(grid.size)
+                            + 1j * rng.standard_normal(grid.size))
+                f = SphereFunction(values=vals, grid=grid)
+                g = _apply_weighting_per_call(
+                    rep, _apply_weighting_per_call(rep, f, rep.coeff),
+                    rep.coeff.conj().T)
+                worst = max(worst,
+                            SphereFunction(g.values - vals, grid).norm() / f.norm())
+            assert unitarity_defect_quadrature(rep, grid).hex() == worst.hex()
+
+
+def _lower_hermitian(d):
+    """The Hermitian matrices eigvalsh reads from the lower triangles of
+    ``d``: the strict lower triangle, its mirror and the real diagonal."""
+    low = np.tril(d, -1)
+    h = low + np.swapaxes(low.conj(), -1, -2)
+    idx = np.arange(d.shape[-1])
+    h[..., idx, idx] = d[..., idx, idx].real
+    return h
+
+
+def _assert_defect_within_bound(defect, d):
+    """|max|eig(H_L)| - ||D||_2| <= ||D - H_L||_F + 16 N eps ||D||_2: the
+    distance of ``d`` from H_L moves the 2-norm by at most its 2-norm (<= its
+    Frobenius norm), and the backward-stable eigvalsh and SVD each add an
+    O(N eps ||D||_2) round-off (Golub & Van Loan, 8.4 and 8.6)."""
+    svd_norm = np.linalg.norm(d, 2, axis=(-2, -1))
+    asym = np.linalg.norm(d - _lower_hermitian(d), axis=(-2, -1))
+    bound = asym + 16 * d.shape[-1] * np.finfo(float).eps * svd_norm
+    assert np.all(np.abs(defect - svd_norm) <= bound)
+
+
+def test_hermitian_defect_norm_matches_svd_norm_battery(battery25):
+    for s in battery25:
+        for lam in (0.9, 7.3, 40.0):
+            d = scattering._defect_matrix(lam, gamma_at(lam, s),
+                                          weighted_gram_target(lam, s))
+            _assert_defect_within_bound(unitarity_defect_reduced(lam, s), d)
+
+
+def test_hermitian_defect_norm_matches_svd_norm_stacks():
+    s = _lattice20()
+    lams = np.linspace(0.7, 45.0, 57)
+    chunks = 0
+    for gammas, rows in lambda_rows(s, lams):
+        chunk_lams = np.array([row[0] for row in rows])
+        d = scattering._defect_matrix(
+            chunk_lams, gammas, gram_overlap(gram_matrix(chunk_lams, s), s))
+        _assert_defect_within_bound(np.array([row[1] for row in rows]), d)
+        chunks += 1
+    assert chunks == 2
+
+
+def test_lambda_rows_chunk_takes_one_svd_and_two_eigvalsh(monkeypatch):
+    s = make_config(1005, 5)
+    calls = count_linalg_calls(monkeypatch, "svd", "eigvalsh")
+    chunks = list(lambda_rows(s, np.linspace(0.7, 12.0, 9)))
+    assert len(chunks) == 1
+    # the Gamma SVD for gamma_norm/gamma_cond; eigvalsh of the defect and G_N
+    assert calls == {"svd": 1, "eigvalsh": 2}
+
+
+def test_smatrix_takes_the_gamma_svd_on_first_gamma_cond_read(monkeypatch):
+    s = make_config(1005, 5)
+    expect = np.linalg.cond(gamma_at(4.0, s))
+    calls = count_linalg_calls(monkeypatch, "svd")
+    rep = smatrix(4.0, s)
+    assert calls["svd"] == 0
+    assert rep.gamma_cond == expect
+    assert rep.gamma_cond == expect
+    assert calls["svd"] == 1
 
 
 def test_quadrature_defect_identity_rep():
