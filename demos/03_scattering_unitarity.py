@@ -43,7 +43,7 @@ rep = smatrix(lam, s)
 grid = default_grid(lam, s)
 print(f"lambda = {lam}, grid: {grid.kind} order {grid.order} ({grid.size} nodes)")
 print(f"cond(Gamma) = {rep.gamma_cond:.3f}")
-print(f"reduced defect ||S*S - I||      = {unitarity_defect_reduced(lam, s):.2e}")
+print(f"reduced defect ||S*S - I||      = {unitarity_defect_reduced(rep):.2e}")
 print(f"quadrature defect (random f)    = "
       f"{unitarity_defect_quadrature(rep, grid, trials=8):.2e}")
 print(f"plane-wave overlap error (grid) = "

@@ -24,7 +24,7 @@ from .errors import (
 from .krein import build_q, build_weighted, gamma_direct
 from .scatterers import (check_admissibility, from_config, integer, number,
                          tail_bound, write_csv, write_text)
-from .spherical import default_order, make_grid, weighted_gram_target
+from .spherical import default_grid, make_grid
 
 SWEEP_CSV_HEADER = sc.DEFECT_CSV_HEADER + ",increment"
 NSWEEP_CSV_HEADER = "n_low,n_high,gamma_diff"
@@ -131,6 +131,14 @@ def _cmd_smatrix(args, cfg, s):
     if lam is None:
         raise UsageError("smatrix needs --lambda")
     sub = s.prefix(args.n)
+    # settings are checked before Gamma is built, so a bad one is a usage
+    # error whatever the numerics would do; the default grid needs a lambda
+    # that smatrix has accepted
+    order = _setting(args, cfg, "grid_order", "grid_order", integer)
+    grid = None if order is None else make_grid("gauss-legendre-product", order)
+    seed = _setting(args, cfg, "seed", "seed", integer, 0)
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     tb = None
     if args.n0 is not None:
         tb = tail_bound(sub, args.n0, lam)
@@ -139,15 +147,9 @@ def _cmd_smatrix(args, cfg, s):
     except (SingularMatrix, TailNotContractive) as exc:
         exc.args = (f"lambda={lam:g}: {exc}",)
         raise
-    order = _setting(args, cfg, "grid_order", "grid_order", integer,
-                     default_order(lam, sub))
-    grid = make_grid("gauss-legendre-product", order)
-    seed = _setting(args, cfg, "seed", "seed", integer, 0)
-    if seed < 0:
-        raise UsageError(f"seed must be non-negative, got {seed}")
-    # the Gamma of rep, so the defect measures the Gamma the kernel rows use
-    d_red = float(sc._defect_reduced(lam, rep.gamma,
-                                     weighted_gram_target(lam, sub)))
+    if grid is None:
+        grid = default_grid(lam, sub)
+    d_red = sc.unitarity_defect_reduced(rep)
     d_quad = sc.unitarity_defect_quadrature(rep, grid, seed=seed)
     idx = np.linspace(0, grid.size - 1, 8).astype(int)
     dirs = grid.nodes[idx]

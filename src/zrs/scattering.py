@@ -136,20 +136,21 @@ def kernel_correction(rep, dirs_out, dirs_in):
     return -(u_out.T @ rep.coeff @ u_in.conj())
 
 
-def unitarity_defect_reduced(lam, s):
-    """Exact finite-matrix reduction of ||S* S - I||.
+def unitarity_defect_reduced(rep):
+    """Exact finite-matrix reduction of ||S* S - I|| for ``rep``.
 
     With a = sqrt(lam)/(8 pi^2) and B the exact plane-wave overlap
     matrix, the coefficient matrix of S*S - I is
 
         ia (Gamma^H - Gamma) + a^2 Gamma^H B Gamma,
 
-    whose spectral norm is returned (zero in exact arithmetic).  The
-    matrix is Hermitian, so the norm is its largest eigenvalue modulus
-    (see :func:`_defect_reduced`).
+    whose spectral norm is returned (zero in exact arithmetic), measured
+    on ``rep.gamma`` (the Schur-route Gamma for ``smatrix(...,
+    split=n0)``), so ``rep`` must come from :func:`smatrix`.  The matrix is Hermitian, so the norm is its largest
+    eigenvalue modulus (see :func:`_defect_reduced`).
     """
-    return float(_defect_reduced(lam, gamma_at(lam, s),
-                                 weighted_gram_target(lam, s)))
+    b = weighted_gram_target(rep.lam, rep.scatterers)
+    return float(_defect_reduced(rep.lam, rep.gamma, b))
 
 
 def _defect_matrix(lam, gamma, b):

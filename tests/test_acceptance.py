@@ -60,7 +60,7 @@ def test_criterion_1_unitarity(configs):
     for s in configs:
         for lam in LAMBDAS_8:
             rep = smatrix(lam, s)
-            d_red = unitarity_defect_reduced(lam, s)
+            d_red = unitarity_defect_reduced(rep)
             worst_ratio = max(worst_ratio, d_red / rep.gamma_cond)
             grid = make_grid("gauss-legendre-product", default_order(lam, s))
             d_quad = unitarity_defect_quadrature(rep, grid, trials=4, seed=7)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zrs import build_q, build_weighted, gamma_direct, unitarity_defect_reduced
+from zrs import (build_q, build_weighted, gamma_direct, smatrix,
+                 unitarity_defect_reduced)
 from zrs import cli, scattering
 from zrs.cli import main
 from zrs.scattering import write_defect_csv
@@ -236,16 +237,40 @@ def test_infinite_integer_in_config_is_usage_error(tmp_path, capsys, argv, key, 
     assert err.startswith("zrs: usage error: bad ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+# --n0 1 on this set exits 3 (TailNotContractive) when the settings are valid
+TAIL_NOT_CONTRACTIVE = {
+    "points": [[0, 0, 0], [0.4, 0, 0], [0, 0.5, 0]],
+    "weights": [1.0, 1e-3, 2e-3],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "flag_n0"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, source):
+    data = TAIL_NOT_CONTRACTIVE if source == "flag_n0" else TWO_SCATTERERS
     extra = {"seed": -1} if source == "config" else {}
-    cfg = write_config(tmp_path, {**TWO_SCATTERERS, **extra})
+    cfg = write_config(tmp_path, {**data, **extra})
     argv = ["smatrix", "--config", cfg, "--lambda", "4"]
-    if source == "flag":
+    if source == "flag_n0":
+        argv += ["--n0", "1"]
+        assert main([*argv, "--seed", "0"]) == 3
+        capsys.readouterr()
+    if source != "config":
         argv += ["--seed", "-1"]
     assert main(argv) == 1
     assert capsys.readouterr() == (
         "", "zrs: usage error: seed must be non-negative, got -1\n")
+
+
+@pytest.mark.parametrize("bad", [["--seed", "-1"], ["--grid-order", "0"]])
+def test_smatrix_rejects_settings_before_building_gamma(tmp_path, capsys,
+                                                        monkeypatch, bad):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    builds = []
+    monkeypatch.setattr(scattering, "gamma_at", lambda *a: builds.append(1))
+    assert main(["smatrix", "--config", cfg, "--lambda", "4", *bad]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("zrs: ") and len(err.splitlines()) == 1
+    assert builds == []
 
 
 # (command argv, config entries, what the one-line message names); JSON
@@ -310,7 +335,7 @@ def test_smatrix_command_builds_gamma_once_and_takes_one_svd(tmp_path, capsys,
     # the SVD is the header's gamma_cond
     assert len(builds) == 1 and calls["svd"] == 1
     header = capsys.readouterr().out.splitlines()[0]
-    assert f"defect_reduced={unitarity_defect_reduced(4.0, s):.17g} " in header
+    assert f"defect_reduced={unitarity_defect_reduced(smatrix(4.0, s)):.17g} " in header
 
 
 def test_smatrix_schur_header_measures_the_schur_gamma(tmp_path, capsys):
@@ -319,10 +344,8 @@ def test_smatrix_schur_header_measures_the_schur_gamma(tmp_path, capsys):
     cfg = write_config(tmp_path, heavy.to_dict(), "heavy.json")
     assert main(["smatrix", "--config", cfg, "--lambda", "4", "--n0", "2"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
-    rep = scattering.smatrix(4.0, heavy, split=2)
-    d_red = scattering._defect_reduced(
-        4.0, rep.gamma, scattering.weighted_gram_target(4.0, heavy))
-    assert f"defect_reduced={d_red:.17g} " in header
+    rep = smatrix(4.0, heavy, split=2)
+    assert f"defect_reduced={unitarity_defect_reduced(rep):.17g} " in header
     assert f"gamma_cond={rep.gamma_cond:.17g}" in header
 
 
@@ -451,7 +474,7 @@ def test_sweep_rows_match_defect_csv_and_gamma(tmp_path):
     for lam, row in zip(lams, rows):
         vals = [float(v) for v in row.split(",")]
         gamma = gamma_direct(*build_weighted(s, build_q(lam, s)))
-        assert vals[1] == unitarity_defect_reduced(lam, s)
+        assert vals[1] == unitarity_defect_reduced(smatrix(lam, s))
         assert vals[2] == np.linalg.norm(gamma, 2)
         assert vals[3] == np.linalg.cond(gamma)
         if prev is not None:

@@ -163,9 +163,9 @@ def test_grid_mismatch():
 
 def test_reduced_defect_examples():
     s = ScattererSet([[0, 0, 0]], [1.0])
-    assert unitarity_defect_reduced(16 * np.pi**2, s) < 1e-12
+    assert unitarity_defect_reduced(smatrix(16 * np.pi**2, s)) < 1e-12
     s5 = make_config(19, 5)
-    assert unitarity_defect_reduced(2.0, s5) < 1e-10
+    assert unitarity_defect_reduced(smatrix(2.0, s5)) < 1e-10
 
 
 def test_reduced_defect_sensitivity():
@@ -186,7 +186,7 @@ def test_reduced_vs_quadrature_oracle_small_n():
             rep = smatrix(lam, s)
             grid = make_grid("gauss-legendre-product",
                              default_order(lam, s) + 8)
-            d_red = unitarity_defect_reduced(lam, s)
+            d_red = unitarity_defect_reduced(rep)
             d_quad = unitarity_defect_quadrature(rep, grid, trials=8)
             err = overlap_error(plane_wave_block(lam, s, grid))
             # both are zero up to quadrature error and round-off
@@ -295,7 +295,7 @@ def test_hermitian_defect_norm_matches_svd_norm_battery(battery25):
         for lam in (0.9, 7.3, 40.0):
             d = scattering._defect_matrix(lam, gamma_at(lam, s),
                                           weighted_gram_target(lam, s))
-            _assert_defect_within_bound(unitarity_defect_reduced(lam, s), d)
+            _assert_defect_within_bound(unitarity_defect_reduced(smatrix(lam, s)), d)
 
 
 def test_hermitian_defect_norm_matches_svd_norm_stacks():
@@ -345,7 +345,7 @@ def test_unitarity_mixed_signs_battery(battery25):
     for s in battery25:
         if s.n < 2 or np.all(s.signs == s.signs[0]):
             continue
-        assert unitarity_defect_reduced(11.0, s) < 1e-10
+        assert unitarity_defect_reduced(smatrix(11.0, s)) < 1e-10
 
 
 def test_rank_bound():
@@ -462,7 +462,7 @@ def test_lambda_rows_and_scan_equal_per_point_across_stacks():
     steps = np.concatenate(steps)
     gammas = [gamma_at(lam, s) for lam in lams]
     for lam, g, row in zip(lams, gammas, rows):
-        expect = [lam, unitarity_defect_reduced(lam, s), np.linalg.norm(g, 2),
+        expect = [lam, unitarity_defect_reduced(smatrix(lam, s)), np.linalg.norm(g, 2),
                   np.linalg.cond(g), gram_matrix(lam, s).mu]
         assert np.array(row).tobytes() == np.array(expect).tobytes()
     per_point = np.array([np.linalg.norm(b - a, 2) for a, b in zip(gammas, gammas[1:])])

@@ -1,29 +1,31 @@
 """Compare what two zrs checkouts print on the benchmark's job lists.
 
-    python3 tools/compare_outputs.py PARENT CHANGE [--workload W] [--seed S] [--cycles C]
+    python3 tools/compare_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are checkout directories, each holding ``src/zrs``.
-The jobs are the warm-up and cycles ``0 .. C-1`` of the job lists in
-``perfbench/workloads.py`` of the checkout holding this script, which is
-read and not modified; ``--workload all`` (the default) runs all four
-workloads and the demos of each side.  Each side runs every job in one
-child process started with ``PYTHONPATH=<side>/src``:
+The jobs are the warm-up and cycles 0 and 1 of every workload's job
+list at seed 1, taken from ``perfbench/workloads.py`` of the checkout
+holding this script (read and not modified), and the demos of each
+side.  Each side runs every job in one child process started with
+``PYTHONPATH=<side>/src``:
 
-- a CLI job calls ``zrs.cli.main`` in-process with ``--out`` set;
-- a continuity-scan job calls ``gamma_continuity_scan`` and keeps its
-  result as a ``lambda,increment,flagged`` CSV;
+- a benchmark job runs through the benchmark's own job runner,
+  ``perfbench/worker.py``'s ``Runner`` (``zrs.cli.main`` in-process
+  with ``--out`` set, or the continuity scan, whose result is kept as a
+  ``lambda,increment,flagged`` CSV);
 - a demo runs its script from a fresh working directory and keeps the
   files it writes under ``demo_output/``.
 
-For each job the tool compares the exit code, stdout, stderr and the
-output bytes.  For a CSV that differs it names each differing column,
-and each differing ``key=value`` of a ``#`` comment line, with its
-largest absolute and relative difference.  It exits 0 when every output
-is byte-identical and 1 otherwise.
+For each job the tool compares the exit code, the error raised (if
+any), stdout, stderr and the output bytes.  For a CSV that differs it
+names each differing column, and each differing ``key=value`` of a ``#``
+comment line, with its largest absolute and relative difference.  It
+exits 0 when every output is byte-identical and 1 otherwise.
 """
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -39,13 +41,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads as wl  # noqa: E402
 
 WORKLOADS = tuple(sorted(wl.WORKLOADS))
+SEED = 1
+CYCLES = 2
 
 
 # -- job lists (parent process) ------------------------------------------
 
 def _jobs(workloads, seed, cycles, configs_dir):
-    """The job records of ``workloads`` (names from perfbench), with their
-    configs written under ``configs_dir``."""
+    """The jobs of ``workloads`` (names from perfbench) as JSON records,
+    with their configs written under ``configs_dir``."""
     jobs = []
     for name in workloads:
         lists = [("warmup", wl.make_warmup(name, seed))]
@@ -54,9 +58,9 @@ def _jobs(workloads, seed, cycles, configs_dir):
         for tag, (cycle_jobs, configs) in lists:
             wl.write_configs(configs, directory)
             for i, job in enumerate(cycle_jobs):
-                jobs.append({"name": f"{name}/{tag}/{i:03d}", "kind": job.kind,
-                             "config": str(directory / job.config),
-                             "argv": list(job.argv), "params": job.params})
+                job = dataclasses.replace(job, config=str(directory / job.config))
+                jobs.append({"name": f"{name}/{tag}/{i:03d}",
+                             **dataclasses.asdict(job)})
     return jobs
 
 
@@ -67,64 +71,67 @@ def _demo_jobs(side):
 
 # -- one side (child process) --------------------------------------------
 
-def _run_job(job, tmpdir):
-    """Exit code, stdout, stderr and output files of one job."""
-    import zrs.cli
-    import zrs.scattering
-
-    out_path = tmpdir / "out.txt"
-    if out_path.exists():
-        out_path.unlink()
-    run_dir = tmpdir / job["name"].replace("/", "_")
+def _run_demo(script, run_dir):
     stdout, stderr = io.StringIO(), io.StringIO()
-    outputs = {}
-    code = 0
+    code = error = None
+    run_dir.mkdir(parents=True)
     cwd = os.getcwd()
+    os.chdir(run_dir)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            if job["kind"] == "demo":
-                run_dir.mkdir(parents=True)
-                os.chdir(run_dir)
-                try:
-                    runpy.run_path(job["script"], run_name="__main__")
-                except SystemExit as exc:
-                    code = exc.code
-            elif job["kind"] == "scan":
-                p = job["params"]
-                with open(job["config"], encoding="utf-8") as fh:
-                    s = zrs.from_config(json.load(fh))
-                scan = zrs.scattering.gamma_continuity_scan(
-                    s, None, tuple(p["interval"]), p["grid_points"])
-                outputs["result"] = "lambda,increment,flagged\n" + "".join(
-                    f"{lam:.17g},{inc:.17g},{int(flag)}\n" for lam, inc, flag
-                    in zip(scan.lambdas, scan.increments, scan.flagged))
-            else:
-                argv = job["argv"]
-                code = zrs.cli.main([argv[0], "--config", job["config"], *argv[1:],
-                                     "--out", str(out_path)])
+            runpy.run_path(script, run_name="__main__")
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
     except Exception as exc:  # a raised error is an outcome to compare
-        code = f"raised {type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
     finally:
         os.chdir(cwd)
-    if out_path.exists():
-        outputs["out"] = out_path.read_bytes().decode("utf-8", "replace")
-    for path in sorted(run_dir.glob("demo_output/*")):
-        outputs[path.name] = path.read_bytes().decode("utf-8", "replace")
-    return {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
-            "outputs": outputs}
+    outputs = {path.name: path.read_bytes().decode("utf-8", "replace")
+               for path in sorted(run_dir.glob("demo_output/*"))}
+    return {"code": code, "error": error, "stdout": stdout.getvalue(),
+            "stderr": stderr.getvalue(), "outputs": outputs}
+
+
+def _run_job(runner, record):
+    """Exit code, error, stdout, stderr and output of one benchmark job,
+    run by the benchmark's ``Runner``."""
+    fields = {k: v for k, v in record.items() if k != "name"}
+    job = wl.Job(**{**fields, "argv": tuple(fields["argv"])})
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        out, _, _ = runner.run(job)
+    outputs = {}
+    if out.text is not None:
+        outputs["out"] = out.text
+    if out.value is not None:
+        scan = out.value
+        outputs["result"] = "lambda,increment,flagged\n" + "".join(
+            f"{lam:.17g},{inc:.17g},{int(flag)}\n" for lam, inc, flag
+            in zip(scan.lambdas, scan.increments, scan.flagged))
+    return {"code": out.rc, "error": out.error, "stdout": stdout.getvalue(),
+            "stderr": out.stderr, "outputs": outputs}
 
 
 def run_side(side, jobs_path, result_path):
     """Run the jobs in ``jobs_path`` with the zrs of checkout ``side`` and
     write their outcomes to ``result_path`` (JSON)."""
     import zrs
+    import worker
 
     src = (Path(side) / "src").resolve()
     if src not in Path(zrs.__file__).resolve().parents:
         raise SystemExit(f"imported zrs from {zrs.__file__}, not from {src}")
     jobs = json.loads(Path(jobs_path).read_text())
+    results = {}
     with tempfile.TemporaryDirectory() as tmpdir:
-        results = {job["name"]: _run_job(job, Path(tmpdir)) for job in jobs}
+        runner = worker.Runner(tmpdir)
+        for job in jobs:
+            if job["kind"] == "demo":
+                run_dir = Path(tmpdir) / job["name"].replace("/", "_")
+                results[job["name"]] = _run_demo(job["script"], run_dir)
+            else:
+                results[job["name"]] = _run_job(runner, job)
     Path(result_path).write_text(json.dumps(results))
 
 
@@ -224,6 +231,7 @@ def compare(parent, change):
             ndiff += 1
             continue
         fields = {"code": (json.dumps(a["code"]), json.dumps(b["code"])),
+                  "error": (json.dumps(a["error"]), json.dumps(b["error"])),
                   "stdout": (a["stdout"], b["stdout"]),
                   "stderr": (a["stderr"], b["stderr"])}
         for out in sorted(a["outputs"].keys() | b["outputs"].keys()):
@@ -241,20 +249,12 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", choices=(*WORKLOADS, "all"), default="all")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--cycles", type=int, default=2)
     args = ap.parse_args(argv)
-    with_demos = args.workload == "all"
-    names = WORKLOADS if with_demos else (args.workload,)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        jobs = _jobs(names, args.seed, args.cycles, workdir / "configs")
-        results = []
-        for tag, side in (("parent", args.parent), ("change", args.change)):
-            side = side.resolve()
-            side_jobs = jobs + (_demo_jobs(side) if with_demos else [])
-            results.append(_spawn(side, side_jobs, workdir, tag))
+        jobs = _jobs(WORKLOADS, SEED, CYCLES, workdir / "configs")
+        results = [_spawn(side.resolve(), jobs + _demo_jobs(side.resolve()), workdir, tag)
+                   for tag, side in (("parent", args.parent), ("change", args.change))]
     lines, ndiff, nfields = compare(*results)
     print("\n".join(lines + [f"{len(results[0])} jobs, {nfields} fields compared, "
                              f"{ndiff} differ"]))
