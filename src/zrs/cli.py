@@ -15,6 +15,7 @@ import numpy as np
 from . import resolvent as rsv
 from . import scattering as sc
 from .errors import (
+    BadParams,
     FitUnstable,
     NonPositiveGram,
     SingularMatrix,
@@ -135,7 +136,7 @@ def _cmd_smatrix(args, cfg, s):
     # error whatever the numerics would do; the default grid needs a lambda
     # that smatrix has accepted
     order = _setting(args, cfg, "grid_order", "grid_order", integer)
-    grid = None if order is None else make_grid("gauss-legendre-product", order)
+    grid = None if order is None else make_grid(order)
     seed = _setting(args, cfg, "seed", "seed", integer, 0)
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
@@ -182,6 +183,8 @@ def _cmd_sweep(args, cfg, s):
             raise UsageError("N-sweep mode needs --lambda")
         if len(ns) < 2:
             raise UsageError("N-sweep needs at least two truncations")
+        if lam <= 0:
+            raise BadParams("lambda must be positive")
         subs = [s.prefix(nv) for nv in ns]
         # Q of a prefix is the leading block of Q, so assemble it once
         q = build_q(lam, max(subs, key=lambda t: t.n))

@@ -19,7 +19,7 @@ class ZeroDistance(ZrsError):
 
 class BadOrder(ZrsError):
     """Quadrature grid request is invalid: order not a positive integer or
-    above the cap, or an unknown grid kind."""
+    above the cap."""
 
 
 class GridMismatch(ZrsError):

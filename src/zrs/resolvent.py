@@ -150,19 +150,14 @@ def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
     if cond > FIT_COND_LIMIT:
         raise FitUnstable(f"fit design condition {cond:.3g} exceeds {FIT_COND_LIMIT:g}")
     sing_sup = float(np.max(np.abs(sing_col)))
-    out = np.empty(s.n)
-    for m in range(s.n):
-        xs = s.points[m] + radii[:, None] * direction
-        f = kern.evaluate(xs, source)
-        coef, *_ = np.linalg.lstsq(design, f, rcond=None)
-        a, b = coef[0], coef[1]
-        content = abs(a) * sing_sup / (abs(a) * sing_sup + abs(b))
-        if content < 1e-4:
-            out[m] = content
-        else:
-            out[m] = (abs(a * q_self + b + FOUR_PI * s.weights[m] * a)
-                      / (abs(a) + abs(b)))
-    return out
+    # all sites' rays in one evaluation, all fits in one (R, N) solve
+    xs = s.points[:, None, :] + radii[:, None] * direction
+    coef, *_ = np.linalg.lstsq(design, kern.evaluate(xs, source).T, rcond=None)
+    a, b = coef[0], coef[1]
+    content = np.abs(a) * sing_sup / (np.abs(a) * sing_sup + np.abs(b))
+    strength = (np.abs(a * q_self + b + FOUR_PI * s.weights * a)
+                / (np.abs(a) + np.abs(b)))
+    return np.where(content < 1e-4, content, strength)
 
 
 @dataclass(frozen=True)
@@ -214,7 +209,7 @@ def free_resolvent_reproduction(z, points, bump=None):
     if bump is None:
         bump = BumpProfile()
     e = as_energy(z)
-    grid = make_grid("gauss-legendre-product", SPHERE_ORDER)
+    grid = make_grid(SPHERE_ORDER)
     xr, xw = np.polynomial.legendre.leggauss(RADIAL_ORDER)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     res = np.empty(points.shape[0])

@@ -20,8 +20,8 @@ from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (build_q, build_weighted, check_rcond, gamma_at, gamma_schur,
                     gram_matrix, stack_chunks)
 from .scatterers import write_csv
-from .spherical import (_plane_waves, default_grid, gram_overlap,
-                        plane_wave_block, weighted_gram_target)
+from .spherical import (_plane_waves, default_grid, direction_angles,
+                        gram_overlap, plane_wave_block, weighted_gram_target)
 
 JUMP_FACTOR = 10.0
 
@@ -346,20 +346,17 @@ CROSS_SECTION_CSV_HEADER = "theta,phi,value"
 
 def write_kernel_csv(rep, dirs_out, dirs_in, out):
     """CSV of the S - delta kernel at all (out, in) direction pairs."""
-
-    def ang(v):
-        return (np.arccos(np.clip(v[2], -1, 1)),
-                np.mod(np.arctan2(v[1], v[0]), 2 * np.pi))
-
     vals = kernel_correction(rep, dirs_out, dirs_in)
+    ang_out = zip(*direction_angles(dirs_out))
+    ang_in = list(zip(*direction_angles(dirs_in)))
     write_csv(out, KERNEL_CSV_HEADER,
-              ((*ang(no), *ang(ni), v.real, v.imag)
-               for no, row in zip(np.atleast_2d(dirs_out), vals)
-               for ni, v in zip(np.atleast_2d(dirs_in), row)))
+              ((*a_out, *a_in, v.real, v.imag)
+               for a_out, row in zip(ang_out, vals)
+               for a_in, v in zip(ang_in, row)))
 
 
 def write_cross_section_csv(pattern, out):
-    theta, phi = pattern.grid.thetas_phis()
+    theta, phi = direction_angles(pattern.grid.nodes)
     write_csv(out, CROSS_SECTION_CSV_HEADER,
               zip(theta, phi, pattern.values.real))
 

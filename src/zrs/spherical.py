@@ -6,6 +6,7 @@ integrates spherical harmonics exactly up to degree 2n - 1.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,27 +23,33 @@ MAX_PRODUCT_ORDER = 1024
 class SphereGrid:
     """Quadrature nodes (unit vectors) and positive weights summing to 4 pi."""
 
+    kind: ClassVar[str] = "gauss-legendre-product"
     nodes: np.ndarray
     qweights: np.ndarray
-    kind: str
     order: int
 
     @property
     def size(self):
         return self.nodes.shape[0]
 
-    def thetas_phis(self):
-        theta = np.arccos(np.clip(self.nodes[:, 2], -1.0, 1.0))
-        phi = np.mod(np.arctan2(self.nodes[:, 1], self.nodes[:, 0]), 2 * np.pi)
-        return theta, phi
-
     def integrate(self, values):
         return np.sum(self.qweights * np.asarray(values), axis=-1)
 
     def to_csv(self, out):
         """Write (theta, phi, weight) rows; ``out`` is a path or file object."""
-        theta, phi = self.thetas_phis()
+        theta, phi = direction_angles(self.nodes)
         write_csv(out, "theta,phi,weight", zip(theta, phi, self.qweights))
+
+
+def direction_angles(dirs):
+    """Polar angle theta and azimuth phi in [0, 2 pi) of the unit vectors
+    ``dirs`` (one, or an (a, 3) array), as arrays."""
+    # a C-ordered copy: numpy's SIMD arccos/arctan2 skip negative strides,
+    # and their fallback can differ in the last bit
+    dirs = np.ascontiguousarray(np.atleast_2d(dirs), dtype=float)
+    theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
+    phi = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi)
+    return theta, phi
 
 
 def _product_grid(order):
@@ -62,25 +69,21 @@ def _product_grid(order):
     return nodes, qw
 
 
-def make_grid(kind, order):
-    """Build a quadrature grid on the unit sphere.
+def make_grid(order):
+    """Build the Gauss-Legendre product grid on the unit sphere.
 
-    ``gauss-legendre-product`` uses ``order`` Gauss-Legendre nodes in
-    cos(theta) times 2*order uniform phi nodes; exact for spherical
-    harmonics up to degree 2*order - 1.  It is the only kind; any other
-    ``kind`` raises BadOrder.
+    It takes ``order`` Gauss-Legendre nodes in cos(theta) times 2*order
+    uniform phi nodes and is exact for spherical harmonics up to degree
+    2*order - 1.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise BadOrder(f"order must be a positive integer, got {order!r}")
-    if kind != "gauss-legendre-product":
-        raise BadOrder(f"unknown grid kind {kind!r}; expected "
-                       "'gauss-legendre-product'")
     if order > MAX_PRODUCT_ORDER:
         raise BadOrder(f"grid order {order:.3g} exceeds {MAX_PRODUCT_ORDER}")
     nodes, qw = _product_grid(int(order))
     nodes.flags.writeable = False
     qw.flags.writeable = False
-    return SphereGrid(nodes=nodes, qweights=qw, kind=kind, order=int(order))
+    return SphereGrid(nodes=nodes, qweights=qw, order=int(order))
 
 
 def default_order(lam, s):
@@ -89,7 +92,7 @@ def default_order(lam, s):
 
 
 def default_grid(lam, s):
-    return make_grid("gauss-legendre-product", default_order(lam, s))
+    return make_grid(default_order(lam, s))
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def test_criterion_1_unitarity(configs):
             rep = smatrix(lam, s)
             d_red = unitarity_defect_reduced(rep)
             worst_ratio = max(worst_ratio, d_red / rep.gamma_cond)
-            grid = make_grid("gauss-legendre-product", default_order(lam, s))
+            grid = make_grid(default_order(lam, s))
             d_quad = unitarity_defect_quadrature(rep, grid, trials=4, seed=7)
             err = overlap_error(plane_wave_block(lam, s, grid))
             a = np.sqrt(lam) / (8 * np.pi**2)

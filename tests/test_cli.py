@@ -142,6 +142,8 @@ def test_sweep_n_mode(tmp_path):
     ["smatrix", "--lambda", "1e300"],
     ["sweep", "--interval", "1", "inf", "--grid-points", "4"],
     ["sweep", "--lambda", "nan", "--n-sweep", "1,2"],
+    ["sweep", "--lambda", "-1", "--n-sweep", "1,2"],
+    ["sweep", "--lambda", "0", "--n-sweep", "1,2"],
     ["validate", "--lambda", "nan"],
     ["validate", "--lambda", "inf"],
     ["sweep", "--interval", "1", "2", "--grid-points", "-3"],
@@ -154,6 +156,19 @@ def test_non_finite_or_huge_lambda_exit_1(tmp_path, capsys, argv):
     assert main([*argv, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("zrs: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--lambda", "-1"],
+    ["sweep", "--lambda", "-1", "--n-sweep", "1,2"],
+    ["sweep", "--lambda", "0", "--n-sweep", "1,2"],
+])
+def test_non_positive_lambda_same_error_for_smatrix_and_n_sweep(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    assert main([*argv, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "zrs: lambda must be positive\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, key", [

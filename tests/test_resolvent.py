@@ -21,7 +21,7 @@ from zrs import krein, resolvent
 from zrs.krein import FOUR_PI, as_energy, build_q, c_matrix
 from zrs.resolvent import default_fit_radii, write_kernel_slice_csv
 
-from conftest import make_config
+from conftest import battery, make_config
 
 
 def test_c_scalar_formula():
@@ -170,6 +170,55 @@ def test_boundary_condition_unperturbed_limit():
     s = ScattererSet([[0, 0, 0]], [1e12])
     res = boundary_condition_residual(1j, s, source=[0.5, 0.4, 0.8])
     assert res[0] < 1e-5  # kernel is essentially regular, a ~ 0
+
+
+def _residuals_per_site(z, s, source, direction):
+    """Reference for boundary_condition_residual: one kernel evaluation,
+    one least-squares fit and one branch per site.  Returns the residuals
+    and the condition number of the unit-column design."""
+    kern = resolvent_kernel(z, s)
+    e = kern.energy
+    radii = default_fit_radii(s)
+    sing_col = np.exp(1j * e.sqrt_z * radii) / (FOUR_PI * radii)
+    design = np.stack([sing_col, np.ones_like(radii, complex),
+                       radii.astype(complex)], 1)
+    sing_sup = float(np.max(np.abs(sing_col)))
+    q_self = 1j * e.sqrt_z / FOUR_PI
+    out = np.empty(s.n)
+    for m in range(s.n):
+        f = kern.evaluate(s.points[m] + radii[:, None] * direction, source)
+        coef, *_ = np.linalg.lstsq(design, f, rcond=None)
+        a, b = coef[0], coef[1]
+        content = abs(a) * sing_sup / (abs(a) * sing_sup + abs(b))
+        if content < 1e-4:
+            out[m] = content
+        else:
+            out[m] = (abs(a * q_self + b + FOUR_PI * s.weights[m] * a)
+                      / (abs(a) + abs(b)))
+    scaled = design / np.linalg.norm(design, axis=0)
+    return out, np.linalg.cond(scaled)
+
+
+def test_boundary_fits_in_one_solve_match_per_site_fits():
+    # the batched fit may differ from the per-site one by round-off only
+    ray = resolvent._RAY_DIRECTION
+    cases = [(s, None, ray) for s in battery()]
+    cases += [
+        (ScattererSet([[0, 0, 0]], [1.0]), [0.5, 0.4, 0.8], ray),
+        (ScattererSet([[0, 0, 0.5], [0, 0, -0.5]], [2.0, 2.0]),
+         [1.0, 0.0, 0.0], np.array([1.0, 0.0, 0.0])),
+        (ScattererSet([[0, 0, 0]], [1e12]), [0.5, 0.4, 0.8], ray),
+        (ScattererSet([[0, 0, 0], [0.6, 0.1, -0.2]], [1e12, -0.7]),
+         [0.5, 0.4, 0.8], ray),
+    ]
+    for s, source, direction in cases:
+        src = (np.mean(s.points, axis=0) + np.array([0.53, 0.71, 0.83])
+               if source is None else np.asarray(source, dtype=float))
+        ref, cond = _residuals_per_site(1j, s, src, direction)
+        res = boundary_condition_residual(1j, s, source=source,
+                                          direction=direction)
+        assert res.shape == (s.n,)
+        assert np.max(np.abs(res - ref)) <= 16 * cond * np.finfo(float).eps
 
 
 def test_fit_unstable():

@@ -44,7 +44,7 @@ from zrs.scattering import (
     write_defect_csv,
     write_kernel_csv,
 )
-from zrs.spherical import gram_overlap, weighted_gram_target
+from zrs.spherical import direction_angles, gram_overlap, weighted_gram_target
 
 from conftest import count_linalg_calls, make_config
 
@@ -108,7 +108,7 @@ def test_apply_identity_cases():
     assert np.allclose(apply_smatrix(zero_rep, f).values, f.values)
     # f orthogonal to every conj(u): a high azimuthal harmonic (below the
     # phi-grid aliasing limit 2*order) survives S untouched
-    theta, phi = grid.thetas_phis()
+    _, phi = direction_angles(grid.nodes)
     m_high = grid.order + 1
     g = SphereFunction(values=np.exp(1j * m_high * phi), grid=grid)
     assert np.allclose(apply_smatrix(rep, g).values, g.values, atol=1e-12)
@@ -150,8 +150,8 @@ def test_apply_rank_one_oracle():
 def test_grid_mismatch():
     s = make_config(4, 2)
     rep = smatrix(3.0, s)
-    g1 = make_grid("gauss-legendre-product", 8)
-    g2 = make_grid("gauss-legendre-product", 9)
+    g1 = make_grid(8)
+    g2 = make_grid(9)
     f1 = SphereFunction(values=np.ones(g1.size, complex), grid=g1)
     f2 = SphereFunction(values=np.ones(g2.size, complex), grid=g2)
     with pytest.raises(GridMismatch):
@@ -184,8 +184,7 @@ def test_reduced_vs_quadrature_oracle_small_n():
         s = make_config(seed, n)
         for lam in (0.9, 6.0):
             rep = smatrix(lam, s)
-            grid = make_grid("gauss-legendre-product",
-                             default_order(lam, s) + 8)
+            grid = make_grid(default_order(lam, s) + 8)
             d_red = unitarity_defect_reduced(rep)
             d_quad = unitarity_defect_quadrature(rep, grid, trials=8)
             err = overlap_error(plane_wave_block(lam, s, grid))
@@ -225,7 +224,7 @@ def test_quadrature_builds_one_block_per_call(battery25, monkeypatch):
     for s in battery25:
         lam = 7.3
         rep = smatrix(lam, s)
-        grid = make_grid("gauss-legendre-product", default_order(lam, s))
+        grid = make_grid(default_order(lam, s))
         expected = _quadrature_per_trial(rep, grid)
         monkeypatch.setattr(scattering, "plane_wave_block", counting_block)
         blocks.clear()
@@ -249,7 +248,7 @@ def test_quadrature_equals_per_application_weighting(battery25):
     for s in battery25:
         for lam in (0.9, 40.0):
             rep = smatrix(lam, s)
-            grid = make_grid("gauss-legendre-product", default_order(lam, s))
+            grid = make_grid(default_order(lam, s))
             rng = np.random.default_rng(0)
             n = s.n
             worst = 0.0
@@ -353,7 +352,7 @@ def test_rank_bound():
     s = make_config(6, 3)
     lam = 4.0
     rep = smatrix(lam, s)
-    grid = make_grid("gauss-legendre-product", 8)
+    grid = make_grid(8)
     u = plane_wave_block(lam, s, grid).u
     corr = -u.T @ rep.coeff @ (u.conj() * grid.qweights)
     sv = np.linalg.svd(corr, compute_uv=False)
@@ -427,6 +426,37 @@ def test_continuity_scan():
     s2 = make_config(8, 2)
     scan2 = gamma_continuity_scan(s2, 2, (0.5, 25.0), 64)
     assert not np.any(np.isnan(scan2.increments))
+
+
+def test_kernel_csv_matches_per_pair_angle_formula():
+    # write_kernel_csv takes each direction's angles once; its text must be
+    # the bytes of the formula applied to both directions of every pair
+    def ang(v):
+        return (np.arccos(np.clip(v[2], -1, 1)),
+                np.mod(np.arctan2(v[1], v[0]), 2 * np.pi))
+
+    rng = np.random.default_rng(11)
+    dirs = rng.standard_normal((6, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    above_one = np.nextafter(1.0, 2.0)
+    special = np.array([
+        [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],       # poles
+        [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0],     # -x axis, phi = pi
+        [-0.0, -0.0, -1.0], [-0.0, 1.0, -0.0],   # negative zeros
+        [0.0, 0.0, above_one], [0.0, -0.0, -above_one],  # clipped |z|
+    ])
+    dirs_out = np.vstack([dirs, special])
+    dirs_in = dirs_out[::-1]  # a reversed view: negative strides
+    rep = smatrix(2.5, make_config(4, 3))
+    buf = io.StringIO()
+    write_kernel_csv(rep, dirs_out, dirs_in, buf)
+    vals = kernel_correction(rep, dirs_out, dirs_in)
+    rows = ["theta,phi,theta_p,phi_p,re_s,im_s"]
+    for no, row in zip(dirs_out, vals):
+        for ni, v in zip(dirs_in, row):
+            rows.append(",".join(format(x, ".17g")
+                                 for x in (*ang(no), *ang(ni), v.real, v.imag)))
+    assert buf.getvalue() == "\n".join(rows) + "\n"
 
 
 def test_csv_emitters_golden_headers():

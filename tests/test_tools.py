@@ -1,5 +1,6 @@
 """tools/compare_outputs.py: the byte-identity check between two checkouts."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -25,19 +26,31 @@ def test_compare_names_each_differing_column_and_header_key():
     parent = {"sweep": _result("a,b,c\n1,2,3\n4,5,6\n"),
               "smatrix": _result("# lambda=4 defect_reduced=1e-17 gamma_cond=2\n"
                                  "x,y\n1,2\n"),
-              "error": _result("", code=1, stderr="zrs: usage error: x\n")}
+              "error": _result("", code=1, stderr="zrs: usage error: x\n"),
+              "resolvent": _result(json.dumps(
+                  {"hilbert_residual": 1e-15, "boundary_residuals": [1e-8, 2e-8, 3e-8],
+                   "tolerances": {"boundary": 1e-5}, "pass": True}, indent=2))}
     change = {"sweep": _result("a,b,c\n1,2.5,3\n4,5,7\n"),
               "smatrix": _result("# lambda=4 defect_reduced=3e-17 gamma_cond=2\n"
                                  "x,y\n1,2\n"),
-              "error": _result("", code=3, stderr="zrs: numerical failure: y\n")}
+              "error": _result("", code=3, stderr="zrs: numerical failure: y\n"),
+              "resolvent": _result(json.dumps(
+                  {"hilbert_residual": 1e-15, "boundary_residuals": [1.5e-8, 2e-8, 2e-8],
+                   "tolerances": {"boundary": 2e-5}, "pass": False}, indent=2))}
     lines, ndiff, nfields = compare_outputs.compare(parent, change)
-    assert (ndiff, nfields) == (4, 15)
+    assert (ndiff, nfields) == (5, 20)
     assert lines == [
         "DIFF error code",
         "    first difference at line 1: '1' -> '3'",
         "DIFF error stderr",
         "    first difference at line 1: 'zrs: usage error: x' -> "
         "'zrs: numerical failure: y'",
+        "DIFF resolvent out",
+        "    key boundary_residuals: 2 values differ, max abs diff 1e-08, "
+        "max rel diff 0.333",
+        "    key tolerances.boundary: 1 values differ, max abs diff 1e-05, "
+        "max rel diff 0.5",
+        "    key pass: 1 values differ, max abs diff inf, max rel diff inf",
         "DIFF smatrix out",
         "    column #defect_reduced: 1 values differ, max abs diff 2e-17, "
         "max rel diff 0.667",

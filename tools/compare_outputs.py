@@ -19,8 +19,11 @@ side.  Each side runs every job in one child process started with
 For each job the tool compares the exit code, the error raised (if
 any), stdout, stderr and the output bytes.  For a CSV that differs it
 names each differing column, and each differing ``key=value`` of a ``#``
-comment line, with its largest absolute and relative difference.  It
-exits 0 when every output is byte-identical and 1 otherwise.
+comment line, with its largest absolute and relative difference.  For a
+JSON object or list that differs it names each differing key path (the
+entries of a list share their list's path) the same way; a differing
+non-numeric value counts as an infinite difference.  It exits 0 when
+every output is byte-identical and 1 otherwise.
 """
 
 import argparse
@@ -166,20 +169,31 @@ def _diff(a, b):
     return d, d / max(abs(a), abs(b))
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _tally():
+    """A map ``name -> (differing values, max abs diff, max rel diff)`` and
+    the function that adds one pair of values to it (a pair that is not a
+    number counts as infinitely apart)."""
+    cols = {}
+
+    def add(name, x, y):
+        d, r = _diff(x, y) if _is_number(x) else (math.inf, math.inf)
+        if d or r:
+            n, dmax, rmax = cols.get(name, (0, 0.0, 0.0))
+            cols[name] = (n + 1, max(dmax, d), max(rmax, r))
+    return cols, add
+
+
 def _csv_diffs(a, b):
     """``[(column, differing values, max abs diff, max rel diff)]`` of two
     CSV texts, or None when they do not share one layout of numbers."""
     la, lb = a.splitlines(), b.splitlines()
     if len(la) != len(lb) or not la:
         return None
-    cols = {}
-
-    def add(name, x, y):
-        d, r = _diff(x, y)
-        if d or r:
-            n, dmax, rmax = cols.get(name, (0, 0.0, 0.0))
-            cols[name] = (n + 1, max(dmax, d), max(rmax, r))
-
+    cols, add = _tally()
     header = None
     for ra, rb in zip(la, lb):
         if ra.startswith("#") and rb.startswith("#"):
@@ -207,12 +221,46 @@ def _csv_diffs(a, b):
     return [(name, *v) for name, v in cols.items()]
 
 
+def _json_diffs(a, b):
+    """``[(key path, differing values, max abs diff, max rel diff)]`` of two
+    JSON texts, or None when they are not both a JSON object or list of
+    one structure."""
+    try:
+        ja, jb = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    if not (isinstance(ja, (dict, list)) and isinstance(jb, (dict, list))):
+        return None
+    paths, add = _tally()
+
+    def walk(path, x, y):
+        """False when ``x`` and ``y`` differ in structure."""
+        if isinstance(x, dict) and isinstance(y, dict):
+            return x.keys() == y.keys() and all(
+                walk(f"{path}.{k}" if path else k, x[k], y[k]) for k in x)
+        if isinstance(x, list) and isinstance(y, list):
+            return len(x) == len(y) and all(walk(path, u, v) for u, v in zip(x, y))
+        if isinstance(x, (dict, list)) or isinstance(y, (dict, list)):
+            return False
+        if _is_number(x) and _is_number(y):
+            add(path, float(x), float(y))
+        elif x != y or type(x) is not type(y):
+            add(path, None, None)
+        return True
+
+    return [(p, *v) for p, v in paths.items()] if walk("", ja, jb) else None
+
+
 def _describe(a, b):
     """Lines saying how text ``b`` differs from text ``a``."""
     cols = _csv_diffs(a, b) if a and b else None
-    if cols is not None:
+    if cols:
         return [f"column {name}: {n} values differ, max abs diff {d:.3g}, "
                 f"max rel diff {r:.3g}" for name, n, d, r in cols]
+    keys = _json_diffs(a, b) if a and b else None
+    if keys:
+        return [f"key {path}: {n} values differ, max abs diff {d:.3g}, "
+                f"max rel diff {r:.3g}" for path, n, d, r in keys]
     la, lb = a.splitlines(), b.splitlines()
     i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
 
