@@ -14,6 +14,7 @@ import numpy as np
 
 from . import resolvent as rsv
 from . import scattering as sc
+from ._blas import serial_blas
 from .errors import (
     BadParams,
     FitUnstable,
@@ -185,16 +186,19 @@ def _cmd_sweep(args, cfg, s):
             raise UsageError("N-sweep needs at least two truncations")
         if lam <= 0:
             raise BadParams("lambda must be positive")
-        subs = [s.prefix(nv) for nv in ns]
-        # Q of a prefix is the leading block of Q, so assemble it once
-        q = build_q(lam, max(subs, key=lambda t: t.n))
-        gammas = [gamma_direct(*build_weighted(t, q[:t.n, :t.n])) for t in subs]
+        top = max((s.prefix(nv) for nv in ns), key=lambda t: t.n)
+        # Q, Qt and J of a prefix are the leading blocks of those of the
+        # largest truncation, so assemble them once; invert each level once
+        qt, j = build_weighted(top, build_q(lam, top))
+        gammas = {nv: gamma_direct(qt[:nv, :nv], j[:nv]) for nv in dict.fromkeys(ns)}
+        pairs = list(zip(ns, ns[1:]))
         rows = []
-        for lo, hi, g_lo, g_hi in zip(ns, ns[1:], gammas, gammas[1:]):
-            common = min(lo, hi)
-            diff = float(np.linalg.norm(g_hi[:common, :common]
-                                        - g_lo[:common, :common], 2))
-            rows.append((lo, hi, diff))
+        with serial_blas(max(map(min, pairs))):
+            for lo, hi in pairs:
+                common = min(lo, hi)
+                diff = float(np.linalg.norm(gammas[hi][:common, :common]
+                                            - gammas[lo][:common, :common], 2))
+                rows.append((lo, hi, diff))
         return 0, _csv_text(NSWEEP_CSV_HEADER, rows)
 
     interval = _setting(args, cfg, "interval", "interval", _pair)
@@ -209,10 +213,11 @@ def _cmd_sweep(args, cfg, s):
     lams = np.linspace(a, b, points)
     rows = []
     prev = None
-    for gammas, chunk in sc.lambda_rows(sub, lams):
-        steps = sc.gamma_steps(gammas, prev)
-        prev = gammas[-1]
-        rows += [(*row, inc) for row, inc in zip(chunk, steps)]
+    with serial_blas(sub.n):
+        for gammas, chunk in sc.lambda_rows(sub, lams):
+            steps = sc.gamma_steps(gammas, prev)
+            prev = gammas[-1]
+            rows += [(*row, inc) for row, inc in zip(chunk, steps)]
     return 0, _csv_text(SWEEP_CSV_HEADER, rows)
 
 

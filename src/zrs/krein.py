@@ -29,7 +29,7 @@ from .errors import (
     TailNotContractive,
     ZeroDistance,
 )
-from .scatterers import site_bounds
+from .scatterers import _convert, integer, site_bounds
 
 FOUR_PI = 4.0 * np.pi
 
@@ -364,14 +364,17 @@ def m_sampled(s, n, interval, grid=64):
     """Sampled sup of ||G_N(lambda)^{-1}||_2 over a log-spaced lambda grid.
 
     A lower estimate of the true supremum M_N([a, b]); the grid default
-    is 64 points.
+    is 64 points, and ``grid`` must be a positive integer.
     """
     a, b = interval
     if not 0 < a < b < np.inf:
         raise BadParams("interval must satisfy 0 < a < b < inf")
+    grid = _convert(grid, "grid", integer)
+    if grid < 1:
+        raise BadParams(f"grid must be at least 1, got {grid}")
     sub = s.prefix(n)
     worst = 0.0
-    for lams in stack_chunks(np.geomspace(a, b, int(grid)), sub.n):
+    for lams in stack_chunks(np.geomspace(a, b, grid), sub.n):
         ginv = np.linalg.inv(gram_matrix(lams, sub).g)
         worst = max(worst, float(np.linalg.norm(ginv, 2, axis=(1, 2)).max()))
     return worst

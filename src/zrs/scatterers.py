@@ -22,12 +22,6 @@ DUPLICATE_EPS = 1e-12
 _FAMILY_KINDS = ("uniform-line", "cubic-lattice-ball", "clustering")
 
 
-def _strict_lower(n):
-    """Mask of the strict lower triangle; the distance matrix is exactly
-    symmetric, so it selects each pair once."""
-    return np.tri(n, k=-1, dtype=bool)
-
-
 def _freeze(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -87,8 +81,9 @@ class ScattererSet:
     """Positions x_m in R^3 and nonzero real weights w_m.
 
     Points must be pairwise distinct (separation above DUPLICATE_EPS);
-    the arrays, and the distance matrix computed for that check, are
-    stored read-only so instances can be shared freely.
+    the arrays, and the distance matrix and per-point minimum distances
+    to the earlier points computed for that check, are stored read-only
+    so instances can be shared freely.
     """
 
     points: np.ndarray
@@ -108,15 +103,22 @@ class ScattererSet:
         if not np.all(np.isfinite(pts)):
             raise BadParams("points must be finite")
         d = pairwise_distances(pts)
-        dmin = np.min(d, initial=np.inf, where=_strict_lower(pts.shape[0]))
+        # row m of the strict lower triangle holds the distances from point
+        # m to the earlier points; the distance matrix is exactly symmetric,
+        # so the mask selects each pair once
+        rows = np.min(d, axis=1, initial=np.inf,
+                      where=np.tri(pts.shape[0], k=-1, dtype=bool))
+        dmin = np.min(rows)
         if dmin <= DUPLICATE_EPS:
             raise DuplicatePoint(
                 f"two points are within {DUPLICATE_EPS:g} (min distance {dmin:g})"
             )
         d.flags.writeable = False
+        rows.flags.writeable = False
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "_distances", d)
+        object.__setattr__(self, "_row_minima", rows)
 
     @property
     def n(self):
@@ -144,7 +146,8 @@ class ScattererSet:
         sub = object.__new__(ScattererSet)
         for name, val in (("points", self.points[:n]),
                           ("weights", self.weights[:n]),
-                          ("_distances", self._distances[:n, :n])):
+                          ("_distances", self._distances[:n, :n]),
+                          ("_row_minima", self._row_minima[:n])):
             object.__setattr__(sub, name, val)
         return sub
 
@@ -194,12 +197,9 @@ def separation_profile(s):
     SeparationProfile
         ``eta`` of length N - 1; empty for a single scatterer.
     """
-    # row m of the strict lower triangle holds the distances from point m
-    # to the earlier points; min is exact, so the order of the minima
-    # does not matter
-    rows = np.min(s.distances(), axis=1, initial=np.inf,
-                  where=_strict_lower(s.n))
-    eta = np.minimum.accumulate(rows)[1:]
+    # the per-point minima over earlier points, kept by ScattererSet; min
+    # is exact, so the order of the minima does not matter
+    eta = np.minimum.accumulate(s._row_minima)[1:]
     bad = np.flatnonzero(eta <= DUPLICATE_EPS)
     if bad.size:
         raise DuplicatePoint(f"points {bad[0] + 1} and an earlier one coincide")

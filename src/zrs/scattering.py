@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import serial_blas
 from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (build_q, build_weighted, check_rcond, gamma_at, gamma_schur,
                     gram_matrix, stack_chunks)
@@ -330,9 +331,10 @@ def gamma_continuity_scan(s, n, interval, points):
     sub = s.prefix(n)
     lams = np.linspace(a, b, int(points))
     steps, prev = [], None
-    for _, gammas, _ in _gamma_chunks(sub, lams):
-        steps.append(gamma_steps(gammas, prev))
-        prev = gammas[-1]
+    with serial_blas(sub.n):
+        for _, gammas, _ in _gamma_chunks(sub, lams):
+            steps.append(gamma_steps(gammas, prev))
+            prev = gammas[-1]
     inc = np.concatenate(steps)[1:]
     med = float(np.median(inc)) if len(inc) else 0.0
     flagged = inc > JUMP_FACTOR * med if med > 0 else np.zeros(len(inc), bool)
@@ -377,6 +379,7 @@ def lambda_rows(s, lambdas):
 
 def write_defect_csv(s, lambdas, out):
     """Defect-vs-lambda table: unitarity defect, Gamma norms, Gram mu."""
-    write_csv(out, DEFECT_CSV_HEADER,
-              (row for _, rows in lambda_rows(s, np.asarray(lambdas, dtype=float))
-               for row in rows))
+    with serial_blas(s.n):
+        write_csv(out, DEFECT_CSV_HEADER,
+                  (row for _, rows in lambda_rows(s, np.asarray(lambdas, dtype=float))
+                   for row in rows))

@@ -477,6 +477,14 @@ def test_m_sampled_scalar():
     assert np.isclose(m_sampled(s, 1, (1.0, 4.0), grid=1), FOUR_PI)
 
 
+@pytest.mark.parametrize("grid", [0, -3, 2.7, True])
+def test_m_sampled_grid_must_be_a_positive_integer(grid):
+    s = ScattererSet([[0, 0, 0]], [1.0])
+    with pytest.raises(BadParams, match="grid"):
+        m_sampled(s, 1, (1.0, 4.0), grid=grid)
+    assert m_sampled(s, 1, (1.0, 4.0), grid=2.0) == m_sampled(s, 1, (1.0, 4.0), grid=2)
+
+
 def test_m_sampled_two_points_eigen_oracle():
     s = ScattererSet([[0, 0, 0], [1, 0, 0]], [1.0, 1.0])
     interval = (np.pi**2 - 0.1, np.pi**2 + 0.1)

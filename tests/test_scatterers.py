@@ -104,6 +104,10 @@ def test_distances_cached_read_only_and_equal_to_norm(battery25):
             assert np.array_equal(sub.weights, s.weights[:n])
             assert sub.distances().tobytes() == pairwise_distances(pts[:n]).tobytes()
             assert not sub.distances().flags.writeable
+            # the minimum distance from each point to the earlier ones
+            minima = [np.inf] + [np.min(sub.distances()[m, :m]) for m in range(1, n)]
+            assert sub._row_minima.tolist() == minima
+            assert not sub._row_minima.flags.writeable
 
 
 def test_duplicate_point_rejected():

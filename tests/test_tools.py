@@ -8,13 +8,27 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import compare_outputs  # noqa: E402
+import worker  # noqa: E402
 
 
 def test_self_compare_of_one_warmup_reports_no_difference(tmp_path):
     jobs = compare_outputs._jobs(("smatrix-quadrature",), 1, 0, tmp_path / "configs")
-    results = [compare_outputs._spawn(ROOT, jobs, tmp_path, tag) for tag in ("a", "b")]
-    assert len(results[0]) == 3
-    assert compare_outputs.compare(*results) == ([], 0, 14)
+    sides = [compare_outputs._spawn(ROOT, jobs, tmp_path, tag) for tag in ("a", "b")]
+    assert len(sides[0]["jobs"]) == 3
+    assert compare_outputs.compare(*(side["jobs"] for side in sides)) == ([], 0, 14)
+    # the children inherit this process's environment, so its thread count
+    assert sides[0]["blas_threads"] == sides[1]["blas_threads"] == worker.blas_threads()
+    assert compare_outputs.summary(*sides, 14, 0) == (
+        f"3 jobs, 14 fields compared, 0 differ "
+        f"(BLAS threads in effect: {worker.blas_threads()})")
+
+
+def test_summary_names_the_thread_count_of_each_side():
+    parent = {"blas_threads": 1, "jobs": {"a": None, "b": None}}
+    change = {"blas_threads": 2, "jobs": {"a": None, "b": None}}
+    assert compare_outputs.summary(parent, change, 9, 1) == (
+        "2 jobs, 9 fields compared, 1 differ "
+        "(BLAS threads in effect: parent 1, change 2)")
 
 
 def _result(out, code=0, stderr=""):

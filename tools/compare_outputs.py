@@ -16,6 +16,11 @@ side.  Each side runs every job in one child process started with
 - a demo runs its script from a fresh working directory and keeps the
   files it writes under ``demo_output/``.
 
+Each side also reports the OpenBLAS thread count in effect when its
+jobs start (from ``perfbench/worker.py``; set it for both sides with
+``OPENBLAS_NUM_THREADS``), and the summary line names it, since outputs
+computed with more than one thread may differ in the last bits.
+
 For each job the tool compares the exit code, the error raised (if
 any), stdout, stderr and the output bytes.  For a CSV that differs it
 names each differing column, and each differing ``key=value`` of a ``#``
@@ -118,7 +123,8 @@ def _run_job(runner, record):
 
 def run_side(side, jobs_path, result_path):
     """Run the jobs in ``jobs_path`` with the zrs of checkout ``side`` and
-    write their outcomes to ``result_path`` (JSON)."""
+    write the BLAS thread count in effect and the jobs' outcomes to
+    ``result_path`` (JSON)."""
     import zrs
     import worker
 
@@ -126,6 +132,7 @@ def run_side(side, jobs_path, result_path):
     if src not in Path(zrs.__file__).resolve().parents:
         raise SystemExit(f"imported zrs from {zrs.__file__}, not from {src}")
     jobs = json.loads(Path(jobs_path).read_text())
+    threads = worker.blas_threads()
     results = {}
     with tempfile.TemporaryDirectory() as tmpdir:
         runner = worker.Runner(tmpdir)
@@ -135,10 +142,12 @@ def run_side(side, jobs_path, result_path):
                 results[job["name"]] = _run_demo(job["script"], run_dir)
             else:
                 results[job["name"]] = _run_job(runner, job)
-    Path(result_path).write_text(json.dumps(results))
+    Path(result_path).write_text(json.dumps({"blas_threads": threads, "jobs": results}))
 
 
 def _spawn(side, jobs, workdir, tag):
+    """Run ``jobs`` on checkout ``side`` in a child process; returns
+    ``{"blas_threads": count or None, "jobs": {name: outcome}}``."""
     jobs_path, result_path = workdir / f"jobs-{tag}.json", workdir / f"result-{tag}.json"
     jobs_path.write_text(json.dumps(jobs))
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
@@ -301,12 +310,20 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         jobs = _jobs(WORKLOADS, SEED, CYCLES, workdir / "configs")
-        results = [_spawn(side.resolve(), jobs + _demo_jobs(side.resolve()), workdir, tag)
-                   for tag, side in (("parent", args.parent), ("change", args.change))]
-    lines, ndiff, nfields = compare(*results)
-    print("\n".join(lines + [f"{len(results[0])} jobs, {nfields} fields compared, "
-                             f"{ndiff} differ"]))
+        sides = [_spawn(side.resolve(), jobs + _demo_jobs(side.resolve()), workdir, tag)
+                 for tag, side in (("parent", args.parent), ("change", args.change))]
+    lines, ndiff, nfields = compare(*(side["jobs"] for side in sides))
+    print("\n".join(lines + [summary(*sides, nfields, ndiff)]))
     return 1 if ndiff else 0
+
+
+def summary(parent, change, nfields, ndiff):
+    """The last report line: job, field and difference counts, and the
+    BLAS thread count each side ran with."""
+    p, c = parent["blas_threads"], change["blas_threads"]
+    counts = f"{p}" if p == c else f"parent {p}, change {c}"
+    return (f"{len(parent['jobs'])} jobs, {nfields} fields compared, {ndiff} differ "
+            f"(BLAS threads in effect: {counts})")
 
 
 if __name__ == "__main__":
