@@ -28,7 +28,6 @@ from .scatterers import (check_admissibility, from_config, integer, number,
                          tail_bound, write_csv, write_text)
 from .spherical import default_grid, make_grid
 
-SWEEP_CSV_HEADER = sc.DEFECT_CSV_HEADER + ",increment"
 NSWEEP_CSV_HEADER = "n_low,n_high,gamma_diff"
 
 
@@ -114,12 +113,6 @@ def _setting(args, cfg, key, attr, convert, default=None):
     return _config(cfg, key, convert, default)
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    write_csv(buf, header, rows)
-    return buf.getvalue()
-
-
 def _cmd_validate(args, cfg, s):
     b = _setting(args, cfg, "b", "lam", number, 25.0)
     n0 = _setting(args, cfg, "n0", "n0", integer)
@@ -186,7 +179,7 @@ def _cmd_sweep(args, cfg, s):
             raise UsageError("N-sweep needs at least two truncations")
         if lam <= 0:
             raise BadParams("lambda must be positive")
-        top = max((s.prefix(nv) for nv in ns), key=lambda t: t.n)
+        top = max((sub.prefix(nv) for nv in ns), key=lambda t: t.n)
         # Q, Qt and J of a prefix are the leading blocks of those of the
         # largest truncation, so assemble them once; invert each level once
         qt, j = build_weighted(top, build_q(lam, top))
@@ -199,7 +192,9 @@ def _cmd_sweep(args, cfg, s):
                 diff = float(np.linalg.norm(gammas[hi][:common, :common]
                                             - gammas[lo][:common, :common], 2))
                 rows.append((lo, hi, diff))
-        return 0, _csv_text(NSWEEP_CSV_HEADER, rows)
+        buf = io.StringIO()
+        write_csv(buf, NSWEEP_CSV_HEADER, rows)
+        return 0, buf.getvalue()
 
     interval = _setting(args, cfg, "interval", "interval", _pair)
     if interval is None:
@@ -210,15 +205,9 @@ def _cmd_sweep(args, cfg, s):
     points = _setting(args, cfg, "grid_points", "grid_points", integer, 32)
     if points < 0:
         raise UsageError(f"grid points must be non-negative, got {points}")
-    lams = np.linspace(a, b, points)
-    rows = []
-    prev = None
-    with serial_blas(sub.n):
-        for gammas, chunk in sc.lambda_rows(sub, lams):
-            steps = sc.gamma_steps(gammas, prev)
-            prev = gammas[-1]
-            rows += [(*row, inc) for row, inc in zip(chunk, steps)]
-    return 0, _csv_text(SWEEP_CSV_HEADER, rows)
+    buf = io.StringIO()
+    sc.write_defect_csv(sub, np.linspace(a, b, points), buf)
+    return 0, buf.getvalue()
 
 
 def _cmd_resolvent(args, cfg, s):

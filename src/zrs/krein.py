@@ -198,10 +198,15 @@ def gamma_direct(qtilde, j):
     return _checked_inv(a, "J + Qtilde")
 
 
+def _gamma_from_q(q, s):
+    """Gamma = (J + Qt)^{-1} from an already built Q (or stack of Q)."""
+    return gamma_direct(*build_weighted(s, q))
+
+
 def gamma_at(z, s):
     """Gamma = (J + Qt)^{-1} of ``s`` at a spectral point ``z``, or the
     (K, N, N) stack of Gamma at each point of a 1-D ``z``."""
-    return gamma_direct(*build_weighted(s, build_q(z, s)))
+    return _gamma_from_q(build_q(z, s), s)
 
 
 @dataclass(frozen=True)
@@ -321,31 +326,20 @@ class GramData:
     lam: float
 
 
-def gram_matrix(lam, s):
-    """Gram matrix of the plane-wave columns on the unit sphere.
+def _gram_from_q(lam, q):
+    """GramData of G_N = Im Q(lambda + i0) from an already built Q (one
+    matrix, or the stack of a 1-D ``lam``).
 
-    G_mm = sqrt(lambda)/(4 pi) on the diagonal and
-    sin(sqrt(lambda) r)/(4 pi r) off it; equals Im Q(lambda + i0)
-    entrywise.  Raises NonPositiveGram when the least eigenvalue is
-    not positive beyond round-off.  A 1-D ``lam`` gives the stacked
-    GramData; its first failing point raises.
+    Raises BadParams for a lambda that is not positive and finite, and
+    NonPositiveGram when the least eigenvalue is not positive beyond
+    round-off; a stack raises for its first failing point.
     """
-    stacked = np.ndim(lam) == 1
-    for v in (lam if stacked else [lam]):
+    for v in np.atleast_1d(lam):
         if not 0 < v < np.inf:
             raise BadParams(f"lambda must be positive and finite, got {v}")
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    k = np.sqrt(lams)
-    n = s.n
-    g = np.empty((len(lams), n, n))
-    g[...] = (k / FOUR_PI)[:, None, None]
-    if n > 1:
-        d = s.distances()
-        iu = np.triu_indices(n, 1)
-        off = np.sin(k[:, None] * d[iu]) / (FOUR_PI * d[iu])
-        g[:, iu[0], iu[1]] = off
-        g[:, iu[1], iu[0]] = off
-    ev = np.linalg.eigvalsh(g)
+    stacked = np.ndim(lam) == 1
+    g = q.imag
+    ev = np.linalg.eigvalsh(g if stacked else g[None])
     mu = ev[:, 0]
     # ||G||_2 enters the round-off floor only where mu < 0; G is symmetric,
     # so it is the larger of |mu| and the top eigenvalue
@@ -356,8 +350,19 @@ def gram_matrix(lam, s):
         if bad.size:
             raise NonPositiveGram(f"least Gram eigenvalue {mu[bad[0]]:g} <= 0")
     if stacked:
-        return GramData(g=g, mu=mu, lam=lams)
-    return GramData(g=g[0], mu=float(mu[0]), lam=float(lam))
+        return GramData(g=g, mu=mu, lam=np.asarray(lam, dtype=float))
+    return GramData(g=g, mu=float(mu[0]), lam=float(lam))
+
+
+def gram_matrix(lam, s):
+    """Gram matrix G_N(lambda) of the plane-wave columns on the unit
+    sphere, read off the boundary value as Im Q(lambda + i0): entries
+    sqrt(lambda)/(4 pi) on the diagonal and sin(sqrt(lambda) r)/(4 pi r)
+    off it.  Raises NonPositiveGram when the least eigenvalue is not
+    positive beyond round-off.  A 1-D ``lam`` gives the stacked GramData;
+    its first failing point raises.
+    """
+    return _gram_from_q(lam, build_q(lam, s))
 
 
 def m_sampled(s, n, interval, grid=64):

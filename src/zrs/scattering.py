@@ -18,9 +18,9 @@ import numpy as np
 
 from ._blas import serial_blas
 from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
-from .krein import (build_q, build_weighted, check_rcond, gamma_at, gamma_schur,
-                    gram_matrix, stack_chunks)
-from .scatterers import write_csv
+from .krein import (_gamma_from_q, _gram_from_q, build_q, build_weighted,
+                    check_rcond, gamma_at, gamma_schur, stack_chunks)
+from .scatterers import _convert, integer, write_csv
 from .spherical import (_plane_waves, default_grid, direction_angles,
                         gram_overlap, plane_wave_block, weighted_gram_target)
 
@@ -272,41 +272,40 @@ class ContinuityScan:
 
 def _gamma_chunks(s, lambdas, gram=False):
     """Gamma (and with ``gram`` also G_N) along ``lambdas``, one stack per
-    chunk of :func:`krein.stack_chunks`.
+    chunk of :func:`krein.stack_chunks`; each stack's Q is built once and
+    gives both, G_N as Im Q.
 
-    Yields ``(lams, gammas, gd)``, ``gd`` the stacked GramData or None.  A
-    chunk that fails is replayed one lambda at a time, so the first failing
-    lambda decides the error and, at one lambda, a Gamma failure comes
-    before a G_N failure, as in a per-lambda loop.
+    Yields ``(lams, gammas, gd, steps)``: ``gd`` the stacked GramData or
+    None, ``steps`` the increments ||Gamma_k - Gamma_{k-1}||_2, nan at the
+    first lambda of the walk.  A chunk that fails is replayed one lambda
+    at a time, so the first failing lambda decides the error and, at one
+    lambda, a Gamma failure comes before a G_N failure, as in a per-lambda
+    loop.
     """
+    prev = None
     for lams in stack_chunks(lambdas, s.n):
         try:
-            gammas = gamma_at(lams, s)
-            gd = gram_matrix(lams, s) if gram else None
+            q = build_q(lams, s)
+            gammas = _gamma_from_q(q, s)
+            gd = _gram_from_q(lams, q) if gram else None
         except ZrsError:
             for lam in lams:
+                q = build_q(lam, s)
                 try:
-                    gamma_at(lam, s)
+                    _gamma_from_q(q, s)
                 except SingularMatrix as exc:
                     raise SingularMatrix(
                         f"Gamma inversion failed at lambda={lam:g}: {exc}",
                         rcond=exc.rcond) from exc
                 if gram:
-                    gram_matrix(lam, s)
+                    _gram_from_q(lam, q)
             raise
-        yield lams, gammas, gd
-
-
-def gamma_steps(gammas, prev=None):
-    """||Gamma_k - Gamma_{k-1}||_2 along a (K, N, N) stack.
-
-    ``prev`` is the Gamma just before the stack; without it the first
-    entry is nan.
-    """
-    if prev is None:
-        return np.concatenate([[np.nan], gamma_steps(gammas[1:], gammas[0])])
-    diffs = np.diff(gammas, axis=0, prepend=prev[None])
-    return np.linalg.norm(diffs, 2, axis=(1, 2))
+        walked = gammas if prev is None else np.concatenate([prev[None], gammas])
+        steps = np.linalg.norm(np.diff(walked, axis=0), 2, axis=(1, 2))
+        if prev is None:
+            steps = np.concatenate([[np.nan], steps])
+        prev = gammas[-1]
+        yield lams, gammas, gd, steps
 
 
 def gamma_continuity_scan(s, n, interval, points):
@@ -326,23 +325,20 @@ def gamma_continuity_scan(s, n, interval, points):
     a, b = interval
     if not 0 < a < b < np.inf:
         raise BadParams("interval must satisfy 0 < a < b < inf")
+    points = _convert(points, "points", integer)
     if points < 2:
         raise BadParams("need at least two lambda samples")
     sub = s.prefix(n)
-    lams = np.linspace(a, b, int(points))
-    steps, prev = [], None
+    lams = np.linspace(a, b, points)
     with serial_blas(sub.n):
-        for _, gammas, _ in _gamma_chunks(sub, lams):
-            steps.append(gamma_steps(gammas, prev))
-            prev = gammas[-1]
-    inc = np.concatenate(steps)[1:]
+        inc = np.concatenate([steps for *_, steps in _gamma_chunks(sub, lams)])[1:]
     med = float(np.median(inc)) if len(inc) else 0.0
     flagged = inc > JUMP_FACTOR * med if med > 0 else np.zeros(len(inc), bool)
     return ContinuityScan(lambdas=lams[1:], increments=inc, flagged=flagged)
 
 
 KERNEL_CSV_HEADER = "theta,phi,theta_p,phi_p,re_s,im_s"
-DEFECT_CSV_HEADER = "lambda,defect_reduced,gamma_norm,gamma_cond,mu"
+DEFECT_CSV_HEADER = "lambda,defect_reduced,gamma_norm,gamma_cond,mu,increment"
 CROSS_SECTION_CSV_HEADER = "theta,phi,value"
 
 
@@ -364,22 +360,22 @@ def write_cross_section_csv(pattern, out):
 
 
 def lambda_rows(s, lambdas):
-    """Yield ``(gammas, rows)`` per chunk of ``lambdas``: the Gamma stack
-    and one DEFECT_CSV_HEADER row of numbers per lambda.  Gamma and G_N are
-    built once per lambda.  Each chunk takes one batched SVD, of Gamma,
-    for gamma_norm and gamma_cond (as np.linalg.norm(., 2) and
-    np.linalg.cond do), and two batched ``eigvalsh``: the Hermitian
-    defect matrix (:func:`_defect_reduced`) and G_N (its mu)."""
-    for lams, gammas, gd in _gamma_chunks(s, lambdas, gram=True):
+    """Yield one DEFECT_CSV_HEADER row of numbers per lambda.  Q is built
+    once per lambda and gives Gamma and G_N.  Each chunk takes two batched
+    SVDs, of Gamma for gamma_norm and gamma_cond (as np.linalg.norm(., 2)
+    and np.linalg.cond do) and of the Gamma differences for the increment,
+    and two batched ``eigvalsh``: the Hermitian defect matrix
+    (:func:`_defect_reduced`) and G_N (its mu)."""
+    for lams, gammas, gd, steps in _gamma_chunks(s, lambdas, gram=True):
         defect = _defect_reduced(lams, gammas, gram_overlap(gd, s))
         sv = np.linalg.svd(gammas, compute_uv=False)
-        yield gammas, [(lam, d, v[0], v[0] / v[-1], mu)
-                       for lam, d, v, mu in zip(lams, defect, sv, gd.mu)]
+        yield from ((lam, d, v[0], v[0] / v[-1], mu, inc)
+                    for lam, d, v, mu, inc in zip(lams, defect, sv, gd.mu, steps))
 
 
 def write_defect_csv(s, lambdas, out):
-    """Defect-vs-lambda table: unitarity defect, Gamma norms, Gram mu."""
+    """Defect-vs-lambda table: unitarity defect, Gamma norms, Gram mu and
+    the Gamma increment from the previous lambda (nan at the first)."""
     with serial_blas(s.n):
         write_csv(out, DEFECT_CSV_HEADER,
-                  (row for _, rows in lambda_rows(s, np.asarray(lambdas, dtype=float))
-                   for row in rows))
+                  lambda_rows(s, np.asarray(lambdas, dtype=float)))

@@ -47,6 +47,27 @@ def battery():
     ]
 
 
+def explicit_gram(lams, s):
+    """The (K, N, N) stack of G_N at each of ``lams``, assembled from its
+    entries sqrt(lam)/(4 pi) and sin(sqrt(lam) r)/(4 pi r) apart from Q:
+    the reference for G_N = Im Q(lam + i0)."""
+    k = np.sqrt(np.asarray(lams, dtype=float))[:, None, None]
+    d = s.distances()
+    with np.errstate(invalid="ignore"):  # 0/0 on the diagonal, replaced
+        off = np.sin(k * d) / (4.0 * np.pi * d)
+    return np.where(np.eye(s.n, dtype=bool), k / (4.0 * np.pi), off)
+
+
+def explicit_gram_cases(battery):
+    """(config, lambdas) pairs on which Im Q is held to ``explicit_gram``:
+    the battery at three lambdas, and two sweeps that span more than one
+    lambda stack."""
+    stacked = [zrs.generate_family("cubic-lattice-ball", {"spacing": 1.0}, 20),
+               zrs.generate_family("clustering", {"p": 2, "q": 7}, 16)]
+    return ([(s, np.array([0.9, 7.3, 40.0])) for s in battery]
+            + [(s, np.linspace(0.7, 45.0, 97)) for s in stacked])
+
+
 @pytest.fixture(scope="session")
 def battery25():
     return battery()

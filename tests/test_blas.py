@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from zrs import SingularMatrix, _blas, generate_family, scattering
+from zrs import SingularMatrix, _blas, build_q, generate_family, scattering
 from zrs._blas import SERIAL_BLAS_MAX_N, serial_blas
 from zrs.cli import main
 
@@ -76,24 +76,26 @@ def test_sweep_runs_serially_and_restores_the_count(tmp_path, monkeypatch, get_t
 def test_singular_matrix_mid_sweep_restores_the_count(tmp_path, monkeypatch,
                                                       get_threads):
     lams = np.linspace(1.0, 9.0, 40)
-    real = scattering.gamma_at
+    s = generate_family("cubic-lattice-ball", {}, 20)
+    real = scattering._gamma_from_q
+    # the Q diagonal i sqrt(lam)/(4 pi) names the lambda of a Q
+    bad = build_q(lams[30], s)[0, 0]
     calls = []
 
-    def gamma_at_singular_late(z, sub):
+    def gamma_singular_late(q, sub):
         calls.append(get_threads())
-        if np.isin(z, lams[30]).any():
+        if np.isin(q[..., 0, 0], bad).any():
             raise SingularMatrix("J + Qtilde is numerically singular (rcond 0.00e+00)",
                                  rcond=0.0)
-        return real(z, sub)
+        return real(q, sub)
 
-    monkeypatch.setattr(scattering, "gamma_at", gamma_at_singular_late)
+    monkeypatch.setattr(scattering, "_gamma_from_q", gamma_singular_late)
     # N = 20 takes 40 lambdas per stack, so lambda 30 fails in mid-stack and
     # the stack is replayed one lambda at a time before the error leaves
     assert main(["sweep", "--config", _lattice(tmp_path, 20), "--interval", "1", "9",
                  "--grid-points", "40", "--out", str(tmp_path / "s.csv")]) == 3
     assert len(calls) > 1 and set(calls) == {1}
     assert get_threads() == 2
-    s = generate_family("cubic-lattice-ball", {}, 20)
     with pytest.raises(SingularMatrix):
         scattering.gamma_continuity_scan(s, None, (1.0, 9.0), 40)
     assert get_threads() == 2

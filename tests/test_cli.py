@@ -148,6 +148,7 @@ def test_sweep_n_mode(tmp_path):
     ["validate", "--lambda", "inf"],
     ["sweep", "--interval", "1", "2", "--grid-points", "-3"],
     ["sweep", "--lambda", "4", "--n-sweep", "2,x"],
+    ["sweep", "--lambda", "4", "--n", "1", "--n-sweep", "1,2"],
     ["smatrix", "--lambda", "4", "--seed", "-1"],
     ["smatrix", "--lambda", "4", "--seed=-1"],
 ])
@@ -484,7 +485,7 @@ def test_sweep_rows_match_defect_csv_and_gamma(tmp_path):
     lams = np.linspace(0.7, 12, 9)
     buf = io.StringIO()
     write_defect_csv(s, lams, buf)
-    assert [r.rsplit(",", 1)[0] for r in rows] == buf.getvalue().splitlines()[1:]
+    assert rows == buf.getvalue().splitlines()[1:]
     prev = None
     for lam, row in zip(lams, rows):
         vals = [float(v) for v in row.split(",")]
@@ -495,6 +496,17 @@ def test_sweep_rows_match_defect_csv_and_gamma(tmp_path):
         if prev is not None:
             assert vals[5] == np.linalg.norm(gamma - prev, 2)
         prev = gamma
+
+
+def test_n_sweep_levels_come_from_the_truncation(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"family": FAMILY | {"N": 10}})
+    sweep = ["sweep", "--config", cfg, "--lambda", "4", "--n-sweep", "2,5"]
+    assert main(sweep) == 0
+    expected = capsys.readouterr().out
+    assert main([*sweep, "--n", "5"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main([*sweep, "--n", "3"]) == 1
+    assert capsys.readouterr() == ("", "zrs: prefix length 5 outside 1..3\n")
 
 
 def test_n_sweep_matches_per_prefix_gamma(tmp_path):

@@ -30,7 +30,7 @@ from zrs import (
 )
 from zrs.krein import STACK_ENTRIES, _checked_inv, check_rcond
 
-from conftest import make_config
+from conftest import explicit_gram, explicit_gram_cases, make_config
 
 FOUR_PI = 4 * np.pi
 
@@ -408,7 +408,30 @@ def test_gram_is_boundary_imaginary_part(battery25):
         for lam in (3.0, 17.0):
             g = gram_matrix(lam, s).g
             q = build_q(lam, s)
-            assert np.max(np.abs(np.imag(q) - g)) < 1e-14
+            assert np.array_equal(np.imag(q), g)
+
+
+def test_gram_matches_explicit_entries(battery25):
+    """Each entry of Im Q is within 2 eps of sqrt(lam)/(4 pi) or
+    sin(sqrt(lam) r)/(4 pi r): the two differ only in how sin(kr) is
+    rounded (through e^{ikr} or directly)."""
+    eps = np.finfo(float).eps
+    for s, lams in explicit_gram_cases(battery25):
+        ref = explicit_gram(lams, s)
+        g = gram_matrix(lams, s).g
+        assert np.all(np.abs(g - ref) <= 2 * eps * np.abs(ref))
+
+
+def test_gram_mu_moves_within_round_off_of_explicit_gram(battery25):
+    """|mu(Im Q) - mu(explicit G_N)| <= 4 N eps ||G_N||_2 (Weyl's bound for
+    a perturbation of <= 2 eps per entry, plus the eigvalsh round-off)."""
+    eps = np.finfo(float).eps
+    for s, lams in explicit_gram_cases(battery25):
+        ref = explicit_gram(lams, s)
+        ev = np.linalg.eigvalsh(ref)
+        norm = np.maximum(-ev[:, 0], ev[:, -1])
+        mu = gram_matrix(lams, s).mu
+        assert np.all(np.abs(mu - ev[:, 0]) <= 4 * s.n * eps * norm)
 
 
 def test_gram_mu_equals_inverse_norm():

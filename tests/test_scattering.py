@@ -10,12 +10,14 @@ import pytest
 
 from zrs import (
     BadParams,
+    GramData,
     GridMismatch,
     ScattererSet,
     SingularMatrix,
     SphereFunction,
     apply_smatrix,
     apply_smatrix_adjoint,
+    build_q,
     cross_section,
     default_grid,
     default_order,
@@ -36,9 +38,8 @@ from zrs import (
 )
 from zrs import scattering
 from zrs.cli import main
-from zrs.krein import STACK_ENTRIES
+from zrs.krein import STACK_ENTRIES, stack_chunks
 from zrs.scattering import (
-    gamma_steps,
     lambda_rows,
     write_cross_section_csv,
     write_defect_csv,
@@ -46,7 +47,8 @@ from zrs.scattering import (
 )
 from zrs.spherical import direction_angles, gram_overlap, weighted_gram_target
 
-from conftest import count_linalg_calls, make_config
+from conftest import (count_linalg_calls, explicit_gram, explicit_gram_cases,
+                      make_config)
 
 FOUR_PI = 4 * np.pi
 
@@ -300,23 +302,40 @@ def test_hermitian_defect_norm_matches_svd_norm_battery(battery25):
 def test_hermitian_defect_norm_matches_svd_norm_stacks():
     s = _lattice20()
     lams = np.linspace(0.7, 45.0, 57)
-    chunks = 0
-    for gammas, rows in lambda_rows(s, lams):
-        chunk_lams = np.array([row[0] for row in rows])
-        d = scattering._defect_matrix(
-            chunk_lams, gammas, gram_overlap(gram_matrix(chunk_lams, s), s))
-        _assert_defect_within_bound(np.array([row[1] for row in rows]), d)
-        chunks += 1
-    assert chunks == 2
+    defect = np.array([row[1] for row in lambda_rows(s, lams)])
+    chunks = list(stack_chunks(lams, s.n))
+    d = np.concatenate([scattering._defect_matrix(
+        c, gamma_at(c, s), gram_overlap(gram_matrix(c, s), s)) for c in chunks])
+    _assert_defect_within_bound(defect, d)
+    assert len(chunks) == 2
 
 
-def test_lambda_rows_chunk_takes_one_svd_and_two_eigvalsh(monkeypatch):
+def test_defect_moves_within_round_off_of_explicit_gram(battery25):
+    """The defect column, on B from G_N = Im Q, stays within
+    4 N eps (a ||Gamma||_2 + a^2 ||Gamma||_2^2 ||B||_2) of the defect on B
+    from the explicit sin(sqrt(lam) r)/(4 pi r) entries."""
+    eps = np.finfo(float).eps
+    for s, lams in explicit_gram_cases(battery25):
+        defect = np.array([row[1] for row in lambda_rows(s, lams)])
+        gammas = gamma_at(lams, s)
+        b = gram_overlap(GramData(g=explicit_gram(lams, s), mu=None, lam=lams), s)
+        ref = scattering._defect_reduced(lams, gammas, b)
+        a = np.sqrt(lams) / (8 * np.pi**2)
+        gn = np.linalg.norm(gammas, 2, axis=(1, 2))
+        bn = np.linalg.norm(b, 2, axis=(1, 2))
+        bound = 4 * s.n * eps * (a * gn + a**2 * gn**2 * bn)
+        assert np.all(np.abs(defect - ref) <= bound)
+
+
+def test_lambda_rows_chunk_takes_two_svds_and_two_eigvalsh(monkeypatch):
     s = make_config(1005, 5)
     calls = count_linalg_calls(monkeypatch, "svd", "eigvalsh")
-    chunks = list(lambda_rows(s, np.linspace(0.7, 12.0, 9)))
-    assert len(chunks) == 1
-    # the Gamma SVD for gamma_norm/gamma_cond; eigvalsh of the defect and G_N
-    assert calls == {"svd": 1, "eigvalsh": 2}
+    lams = np.linspace(0.7, 12.0, 9)
+    assert len(list(stack_chunks(lams, s.n))) == 1
+    assert len(list(lambda_rows(s, lams))) == 9
+    # the SVDs of Gamma (gamma_norm/gamma_cond) and of the Gamma differences
+    # (increment); eigvalsh of the defect and G_N
+    assert calls == {"svd": 2, "eigvalsh": 2}
 
 
 def test_smatrix_takes_the_gamma_svd_on_first_gamma_cond_read(monkeypatch):
@@ -471,7 +490,7 @@ def test_csv_emitters_golden_headers():
     buf3 = io.StringIO()
     write_defect_csv(s, np.linspace(1, 4, 5), buf3)
     lines = buf3.getvalue().splitlines()
-    assert lines[0] == "lambda,defect_reduced,gamma_norm,gamma_cond,mu"
+    assert lines[0] == "lambda,defect_reduced,gamma_norm,gamma_cond,mu,increment"
     assert len(lines) == 6
     assert all(float(r.split(",")[1]) < 1e-12 for r in lines[1:])
 
@@ -484,19 +503,13 @@ def _lattice20():
 def test_lambda_rows_and_scan_equal_per_point_across_stacks():
     s = _lattice20()
     lams = np.linspace(0.7, 45.0, 97)
-    rows, steps, prev = [], [], None
-    for gammas, chunk in lambda_rows(s, lams):
-        rows += chunk
-        steps.append(gamma_steps(gammas, prev))
-        prev = gammas[-1]
-    steps = np.concatenate(steps)
+    rows = list(lambda_rows(s, lams))
     gammas = [gamma_at(lam, s) for lam in lams]
-    for lam, g, row in zip(lams, gammas, rows):
-        expect = [lam, unitarity_defect_reduced(smatrix(lam, s)), np.linalg.norm(g, 2),
-                  np.linalg.cond(g), gram_matrix(lam, s).mu]
-        assert np.array(row).tobytes() == np.array(expect).tobytes()
     per_point = np.array([np.linalg.norm(b - a, 2) for a, b in zip(gammas, gammas[1:])])
-    assert np.isnan(steps[0]) and steps[1:].tobytes() == per_point.tobytes()
+    for lam, g, row, inc in zip(lams, gammas, rows, [np.nan, *per_point]):
+        expect = [lam, unitarity_defect_reduced(smatrix(lam, s)), np.linalg.norm(g, 2),
+                  np.linalg.cond(g), gram_matrix(lam, s).mu, inc]
+        assert np.array(row).tobytes() == np.array(expect).tobytes()
     scan = gamma_continuity_scan(s, None, (0.7, 45.0), 97)
     assert scan.increments.tobytes() == per_point.tobytes()
 
@@ -510,19 +523,28 @@ def test_first_failing_lambda_decides_the_error():
         write_defect_csv(s, [1.0, np.nan, -1.0], io.StringIO())
 
 
+@pytest.mark.parametrize("points", [2.7, True])
+def test_scan_points_must_be_an_integer(points, two_scatterers):
+    with pytest.raises(BadParams, match="points"):
+        gamma_continuity_scan(two_scatterers, None, (1.0, 4.0), points)
+    scan = gamma_continuity_scan(two_scatterers, None, (1.0, 4.0), 3.0)
+    assert len(scan.increments) == 2
+
+
 def test_scan_names_first_singular_lambda(monkeypatch):
     s = _lattice20()
     lams = np.linspace(1.0, 40.0, 100)
-    bad = lams[[70, 90]]
-    real = scattering.gamma_at
+    # the Q diagonal i sqrt(lam)/(4 pi) names the lambda of a Q
+    bad = build_q(lams[[70, 90]], s)[:, 0, 0]
+    real = scattering._gamma_from_q
 
-    def gamma_at_singular_on_bad(z, sub):
-        if np.isin(z, bad).any():
+    def gamma_singular_on_bad(q, sub):
+        if np.isin(q[..., 0, 0], bad).any():
             raise SingularMatrix("J + Qtilde is numerically singular (rcond 0.00e+00)",
                                  rcond=0.0)
-        return real(z, sub)
+        return real(q, sub)
 
-    monkeypatch.setattr(scattering, "gamma_at", gamma_at_singular_on_bad)
+    monkeypatch.setattr(scattering, "_gamma_from_q", gamma_singular_on_bad)
     msg = re.escape(f"Gamma inversion failed at lambda={lams[70]:g}: J + Qtilde")
     with pytest.raises(SingularMatrix, match=msg) as err:
         gamma_continuity_scan(s, None, (1.0, 40.0), 100)

@@ -72,3 +72,19 @@ def test_compare_names_each_differing_column_and_header_key():
         "    column b: 1 values differ, max abs diff 0.5, max rel diff 0.2",
         "    column c: 1 values differ, max abs diff 1, max rel diff 0.143",
     ]
+
+
+def test_totals_aggregate_each_differing_column_and_key_over_jobs():
+    sweep = "lambda,mu\n1,0.5\n2,0.25\n"
+    parent = {"a": _result(sweep), "b": _result(sweep), "c": _result(sweep),
+              "d": _result('{"x": 1.0, "y": [2.0]}'),
+              "e": _result("", code=1, stderr="zrs: x\n")}
+    change = {"a": _result("lambda,mu\n1,0.5\n2,0.5\n"),
+              "b": _result("lambda,mu\n1,0.75\n2,0.25\n"), "c": _result(sweep),
+              "d": _result('{"x": 1.0, "y": [3.0]}'),
+              "e": _result("", code=3, stderr="zrs: y\n")}
+    assert compare_outputs.totals(parent, change) == [
+        "TOTAL column mu: differs in 2 jobs, max abs diff 0.25, max rel diff 0.5",
+        "TOTAL key y: differs in 1 jobs, max abs diff 1, max rel diff 0.333",
+    ]
+    assert compare_outputs.totals(parent, parent) == []

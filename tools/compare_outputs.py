@@ -27,8 +27,11 @@ names each differing column, and each differing ``key=value`` of a ``#``
 comment line, with its largest absolute and relative difference.  For a
 JSON object or list that differs it names each differing key path (the
 entries of a list share their list's path) the same way; a differing
-non-numeric value counts as an infinite difference.  It exits 0 when
-every output is byte-identical and 1 otherwise.
+non-numeric value counts as an infinite difference.  The report ends
+with one ``TOTAL`` line per column, header key or key path that differs
+anywhere: the number of jobs it differs in and its largest absolute and
+relative difference over all of them.  It exits 0 when every output is
+byte-identical and 1 otherwise.
 """
 
 import argparse
@@ -260,22 +263,40 @@ def _json_diffs(a, b):
     return [(p, *v) for p, v in paths.items()] if walk("", ja, jb) else None
 
 
+def _named_diffs(a, b):
+    """``[(label, differing values, max abs diff, max rel diff)]`` of two
+    CSV texts (label ``column NAME``) or JSON texts (``key PATH``), or
+    None when they are neither or do not differ in a named value."""
+    for kind, diffs in (("column", _csv_diffs), ("key", _json_diffs)):
+        found = diffs(a, b) if a and b else None
+        if found:
+            return [(f"{kind} {name}", *v) for name, *v in found]
+    return None
+
+
 def _describe(a, b):
     """Lines saying how text ``b`` differs from text ``a``."""
-    cols = _csv_diffs(a, b) if a and b else None
-    if cols:
-        return [f"column {name}: {n} values differ, max abs diff {d:.3g}, "
-                f"max rel diff {r:.3g}" for name, n, d, r in cols]
-    keys = _json_diffs(a, b) if a and b else None
-    if keys:
-        return [f"key {path}: {n} values differ, max abs diff {d:.3g}, "
-                f"max rel diff {r:.3g}" for path, n, d, r in keys]
+    named = _named_diffs(a, b)
+    if named:
+        return [f"{label}: {n} values differ, max abs diff {d:.3g}, "
+                f"max rel diff {r:.3g}" for label, n, d, r in named]
     la, lb = a.splitlines(), b.splitlines()
     i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
 
     def show(lines):
         return repr(lines[i][:120]) if i < len(lines) else "(end)"
     return [f"first difference at line {i + 1}: {show(la)} -> {show(lb)}"]
+
+
+def _fields(a, b):
+    """``{field: (parent text, change text)}`` of one job's two outcomes."""
+    fields = {"code": (json.dumps(a["code"]), json.dumps(b["code"])),
+              "error": (json.dumps(a["error"]), json.dumps(b["error"])),
+              "stdout": (a["stdout"], b["stdout"]),
+              "stderr": (a["stderr"], b["stderr"])}
+    for out in sorted(a["outputs"].keys() | b["outputs"].keys()):
+        fields[out] = (a["outputs"].get(out, ""), b["outputs"].get(out, ""))
+    return fields
 
 
 def compare(parent, change):
@@ -287,19 +308,29 @@ def compare(parent, change):
             lines.append(f"DIFF {name}: ran on one side only")
             ndiff += 1
             continue
-        fields = {"code": (json.dumps(a["code"]), json.dumps(b["code"])),
-                  "error": (json.dumps(a["error"]), json.dumps(b["error"])),
-                  "stdout": (a["stdout"], b["stdout"]),
-                  "stderr": (a["stderr"], b["stderr"])}
-        for out in sorted(a["outputs"].keys() | b["outputs"].keys()):
-            fields[out] = (a["outputs"].get(out, ""), b["outputs"].get(out, ""))
-        for field, (x, y) in fields.items():
+        for field, (x, y) in _fields(a, b).items():
             nfields += 1
             if x != y:
                 ndiff += 1
                 lines.append(f"DIFF {name} {field}")
                 lines += ["    " + d for d in _describe(x, y)]
     return lines, ndiff, nfields
+
+
+def totals(parent, change):
+    """One ``TOTAL`` line per column, header key or JSON key path that
+    differs in any job run on both sides: the number of such jobs and the
+    largest absolute and relative difference over all of them."""
+    found = {}
+    for name in parent.keys() & change.keys():
+        for x, y in _fields(parent[name], change[name]).values():
+            if x == y:
+                continue
+            for label, _, d, r in _named_diffs(x, y) or ():
+                jobs, dmax, rmax = found.get(label, (set(), 0.0, 0.0))
+                found[label] = (jobs | {name}, max(dmax, d), max(rmax, r))
+    return [f"TOTAL {label}: differs in {len(jobs)} jobs, max abs diff {d:.3g}, "
+            f"max rel diff {r:.3g}" for label, (jobs, d, r) in sorted(found.items())]
 
 
 def main(argv=None):
@@ -312,8 +343,9 @@ def main(argv=None):
         jobs = _jobs(WORKLOADS, SEED, CYCLES, workdir / "configs")
         sides = [_spawn(side.resolve(), jobs + _demo_jobs(side.resolve()), workdir, tag)
                  for tag, side in (("parent", args.parent), ("change", args.change))]
-    lines, ndiff, nfields = compare(*(side["jobs"] for side in sides))
-    print("\n".join(lines + [summary(*sides, nfields, ndiff)]))
+    results = [side["jobs"] for side in sides]
+    lines, ndiff, nfields = compare(*results)
+    print("\n".join(lines + totals(*results) + [summary(*sides, nfields, ndiff)]))
     return 1 if ndiff else 0
 
 
