@@ -36,6 +36,7 @@ from .krein import (
     free_green,
     gamma_at,
     gamma_direct,
+    gamma_levels,
     gamma_schur,
     gram_matrix,
     green_at_distance,

@@ -23,7 +23,7 @@ from .errors import (
     TailNotContractive,
     ZrsError,
 )
-from .krein import build_q, build_weighted, gamma_direct
+from .krein import build_q, build_weighted, gamma_levels
 from .scatterers import (check_admissibility, from_config, integer, number,
                          tail_bound, write_csv, write_text)
 from .spherical import default_grid, make_grid
@@ -181,9 +181,9 @@ def _cmd_sweep(args, cfg, s):
             raise BadParams("lambda must be positive")
         top = max((sub.prefix(nv) for nv in ns), key=lambda t: t.n)
         # Q, Qt and J of a prefix are the leading blocks of those of the
-        # largest truncation, so assemble them once; invert each level once
-        qt, j = build_weighted(top, build_q(lam, top))
-        gammas = {nv: gamma_direct(qt[:nv, :nv], j[:nv]) for nv in dict.fromkeys(ns)}
+        # largest truncation, so assemble them once and border each level's
+        # Gamma up from the one below it
+        gammas = gamma_levels(*build_weighted(top, build_q(lam, top)), ns)
         pairs = list(zip(ns, ns[1:]))
         rows = []
         with serial_blas(max(map(min, pairs))):

@@ -11,6 +11,8 @@ Schur-Frobenius block inversion with its tail bounds.
 spectral points and return (K, N, N) stacks; ``build_weighted``,
 ``gamma_direct`` and ``check_rcond`` work on one matrix or a stack.
 Callers walk long spectral grids in chunks from :func:`stack_chunks`.
+:func:`gamma_levels` gives Gamma of nested leading blocks (the levels of
+an N-sweep), each larger one bordered up from the one below it.
 
 The square root branch is fixed with Im sqrt(z) >= 0, so boundary
 values on the positive axis are taken from above (sqrt(lambda) >= 0).
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import serial_blas
 from .errors import (
     BadParams,
     NonPositiveGram,
@@ -165,23 +168,30 @@ def _frobenius(a):
     return np.sqrt(sq)
 
 
+def _certified(a, x):
+    """Whether the computed inverse ``x`` certifies ``a`` (one matrix or
+    each member of a stack) regular: ||A||_F ||X||_F <= RCOND_LIMIT^{-1/2}.
+
+    Since sigma_max(A) <= ||A||_F and ||A^{-1}||_2 <= ||A^{-1}||_F,
+    rcond_2(A) >= 1 / (||A||_F ||X||_F) for X = inv(A); the seven orders
+    of margin absorb the rounding error of X.
+    """
+    return _frobenius(a) * _frobenius(x) <= RCOND_LIMIT ** -0.5
+
+
 def _checked_inv(a, label, exc=SingularMatrix):
     """Inverse of ``a`` (one matrix or a stack), raising ``exc`` exactly
     where :func:`check_rcond` does.
 
-    Since sigma_max(A) <= ||A||_F and ||A^{-1}||_2 <= ||A^{-1}||_F,
-    rcond_2(A) >= 1 / (||A||_F ||X||_F) for X = inv(A).  A member whose
-    product stays below RCOND_LIMIT^{-1/2} is certified regular without
-    an SVD; the seven orders of margin absorb the rounding error of X.
-    The other members go through the SVD check in stack order.
+    A member that :func:`_certified` accepts is regular without an SVD;
+    the other members go through the SVD check in stack order.
     """
     try:
         x = np.linalg.inv(a)
     except np.linalg.LinAlgError as err:
         check_rcond(a, label, exc)
         raise exc(f"{label} is singular ({err})") from err
-    cert = _frobenius(a) * _frobenius(x)
-    doubtful = np.flatnonzero(~(cert <= RCOND_LIMIT ** -0.5))
+    doubtful = np.flatnonzero(~_certified(a, x))
     if doubtful.size:
         check_rcond(a[doubtful] if a.ndim == 3 else a, label, exc)
     return x
@@ -207,6 +217,86 @@ def gamma_at(z, s):
     """Gamma = (J + Qt)^{-1} of ``s`` at a spectral point ``z``, or the
     (K, N, N) stack of Gamma at each point of a 1-D ``z``."""
     return _gamma_from_q(build_q(z, s), s)
+
+
+def _border(a, gamma_lo, hi):
+    """Inverse of the leading order-``hi`` block of ``a`` from the inverse
+    ``gamma_lo`` of its leading order-lo block, or None when the tail
+    Schur complement is exactly singular or the result fails
+    :func:`_certified`.
+
+    The bordering (block inverse) update through the tail Schur complement
+    S (block LU; Golub & Van Loan, Matrix Computations, 4th ed.):
+
+        P = A[lo:hi, :lo],  X = Gamma_lo P^T,  S = A[lo:hi, lo:hi] - P X,
+        Y = X S^{-1},  Gamma_hi = [[Gamma_lo + Y X^T, -Y], [-Y^T, S^{-1}]].
+
+    ``a`` is complex symmetric, so Gamma_lo and S are too, which makes the
+    lower blocks transposes of the upper ones.  The matrices are of order
+    at most max(lo, hi - lo) and run on one BLAS thread up to
+    SERIAL_BLAS_MAX_N.  The blocks are written into Gamma_hi in place,
+    since every large temporary costs fresh pages on each call.
+    """
+    lo = gamma_lo.shape[0]
+    gamma = np.empty((hi, hi), dtype=complex)
+    with serial_blas(max(lo, hi - lo)):
+        p = a[lo:hi, :lo]
+        x = gamma_lo @ p.T
+        s = p @ x
+        np.subtract(a[lo:hi, lo:hi], s, out=s)
+        try:
+            gamma[lo:, lo:] = np.linalg.inv(s)
+        except np.linalg.LinAlgError:
+            return None
+        # with X negated in place, y = -Y and y (-X)^T = Y X^T
+        y = np.negative(x, out=x) @ gamma[lo:, lo:]
+        gamma[:lo, lo:] = y
+        gamma[lo:, :lo] = y.T
+        np.matmul(y, x.T, out=gamma[:lo, :lo])
+    gamma[:lo, :lo] += gamma_lo
+    return gamma if _certified(a[:hi, :hi], gamma) else None
+
+
+def gamma_levels(qtilde, j, levels):
+    """Gamma = (J + Qt)^{-1} of the leading blocks of orders ``levels``, as
+    ``{level: Gamma}`` for the distinct levels.
+
+    The smallest level is inverted by :func:`gamma_direct`; each larger one
+    is bordered up from the next smaller level by :func:`_border`.  A
+    level goes through :func:`gamma_direct` instead when the bordering
+    fails or the level below it was not certified by :func:`_certified`
+    (it passed the SVD check only), so every level is certified regular
+    or checked as :func:`gamma_direct` checks it.  When a level raises,
+    the levels are inverted again by :func:`gamma_direct` in the order
+    given, so the first singular level in that order decides the error,
+    as in a per-level loop.
+    """
+    n = qtilde.shape[0]
+    if not all(1 <= v <= n for v in levels):
+        raise BadParams(f"levels {list(levels)} outside 1..{n}")
+
+    def direct(v):
+        with serial_blas(v):
+            return gamma_direct(qtilde[:v, :v], j[:v])
+
+    a = qtilde.copy()
+    a[np.diag_indices(n)] += j
+    gammas = {}
+    lo = None
+    try:
+        for hi in sorted(set(levels)):
+            gamma = _border(a, gammas[lo], hi) if lo is not None else None
+            if gamma is None:
+                gamma = direct(hi)
+                lo = hi if _certified(a[:hi, :hi], gamma) else None
+            else:
+                lo = hi
+            gammas[hi] = gamma
+    except SingularMatrix:
+        for v in dict.fromkeys(levels):
+            direct(v)
+        raise
+    return gammas
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ import numpy as np
 from ._blas import serial_blas
 from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (_gamma_from_q, _gram_from_q, build_q, build_weighted,
-                    check_rcond, gamma_at, gamma_schur, stack_chunks)
+                    check_rcond, gamma_schur, stack_chunks)
 from .scatterers import _convert, integer, write_csv
 from .spherical import (_plane_waves, default_grid, direction_angles,
-                        gram_overlap, plane_wave_block, weighted_gram_target)
+                        gram_overlap, plane_wave_block)
 
 JUMP_FACTOR = 10.0
 
@@ -33,8 +33,9 @@ class SMatrixRep:
 
     ``coeff`` is the dimensionless matrix T = i sqrt(lam)/(8 pi^2) Gamma;
     the plane-wave weight factors 1/sqrt|w| are applied at evaluation
-    time.  ``gamma`` is the Gamma that ``coeff`` was formed from (None for
-    a representation built from ``coeff`` alone); its 2-norm condition
+    time.  ``gamma`` is the Gamma that ``coeff`` was formed from and ``q``
+    the Q(lambda + i0) that Gamma was built from (None for a
+    representation built from ``coeff`` alone); the 2-norm condition
     number ``gamma_cond`` takes an SVD on first read and is kept.
     """
 
@@ -42,6 +43,7 @@ class SMatrixRep:
     coeff: np.ndarray
     scatterers: object
     gamma: np.ndarray = None
+    q: np.ndarray = None
 
     @functools.cached_property
     def gamma_cond(self):
@@ -65,13 +67,15 @@ def smatrix(lam, s, split=None, tail_bound=None):
     """
     if lam <= 0:
         raise BadParams("lambda must be positive")
+    q = build_q(lam, s)
     if split is None:
-        gamma = gamma_at(lam, s)
+        gamma = _gamma_from_q(q, s)
     else:
-        gamma, _ = gamma_schur(*build_weighted(s, build_q(lam, s)), split,
+        gamma, _ = gamma_schur(*build_weighted(s, q), split,
                                tail_bound=tail_bound)
     coeff = 1j * np.sqrt(lam) / (8.0 * np.pi**2) * gamma
-    return SMatrixRep(lam=float(lam), coeff=coeff, scatterers=s, gamma=gamma)
+    return SMatrixRep(lam=float(lam), coeff=coeff, scatterers=s, gamma=gamma,
+                      q=q)
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,15 @@ def unitarity_defect_reduced(rep):
     split=n0)``), so ``rep`` must come from :func:`smatrix`.  The matrix is Hermitian, so the norm is its largest
     eigenvalue modulus (see :func:`_defect_reduced`).
     """
-    b = weighted_gram_target(rep.lam, rep.scatterers)
-    return float(_defect_reduced(rep.lam, rep.gamma, b))
+    return float(_defect_reduced(rep.lam, rep.gamma, _overlap(rep)))
+
+
+def _overlap(rep):
+    """The exact plane-wave overlap B of ``rep``, with G_N read off as Im Q
+    of the Q that its Gamma was built from (built anew for a ``rep``
+    without one)."""
+    q = build_q(rep.lam, rep.scatterers) if rep.q is None else rep.q
+    return gram_overlap(_gram_from_q(rep.lam, q), rep.scatterers)
 
 
 def _defect_matrix(lam, gamma, b):
@@ -222,7 +233,7 @@ def smatrix_minus_identity_norm(rep):
 
     Equals ||B^{1/2} T B^{1/2}||_2 with B the exact plane-wave overlap.
     """
-    b = weighted_gram_target(rep.lam, rep.scatterers)
+    b = _overlap(rep)
     vals, vecs = np.linalg.eigh(b)
     root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     return float(np.linalg.norm(root @ rep.coeff @ root, 2))

@@ -83,6 +83,15 @@ def single_scatterer():
     return ScattererSet([[0.0, 0.0, 0.0]], [1.0])
 
 
+def bordering_bound(a, gamma):
+    """Round-off bound 4 n eps kappa_F(A) ||Gamma||_2, with kappa_F =
+    ||A||_F ||Gamma||_F, on the distance between the Gamma that
+    ``zrs.krein.gamma_levels`` borders up to order n and the direct inverse
+    ``gamma`` of the order-n leading block ``a`` of J + Qt."""
+    kappa = np.linalg.norm(a, "fro") * np.linalg.norm(gamma, "fro")
+    return 4 * a.shape[0] * np.finfo(float).eps * kappa * np.linalg.norm(gamma, 2)
+
+
 def run_child(argv, cwd):
     """Run ``argv`` in a fresh interpreter that imports this ``zrs``."""
     env = dict(os.environ)

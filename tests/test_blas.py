@@ -152,13 +152,18 @@ def test_region_is_a_no_op_without_openblas(monkeypatch):
 
 
 def test_sweep_output_does_not_depend_on_blas_threads(tmp_path, monkeypatch):
-    cfg = _lattice(tmp_path, 100)
-    outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-        proc = run_child([sys.executable, "-m", "zrs", "sweep", "--config", cfg,
-                          "--interval", "0.7", "45", "--grid-points", "8"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert len(outs[0].splitlines()) == 9
-    assert outs[0] == outs[1]
+    runs = [
+        (_lattice(tmp_path, 100), ["--interval", "0.7", "45", "--grid-points", "8"], 8),
+        # every bordering step of 25 -> ... -> 400 is of order <= 200
+        (_lattice(tmp_path, 400), ["--lambda", "5", "--n-sweep", "25,50,100,200,400"], 4),
+    ]
+    for cfg, mode, rows in runs:
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            proc = run_child([sys.executable, "-m", "zrs", "sweep", "--config", cfg,
+                              *mode], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert len(outs[0].splitlines()) == rows + 1
+        assert outs[0] == outs[1]

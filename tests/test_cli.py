@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zrs import (build_q, build_weighted, gamma_direct, smatrix,
-                 unitarity_defect_reduced)
-from zrs import cli, scattering
+from zrs import (NonPositiveGram, SingularMatrix, build_q, build_weighted,
+                 gamma_direct, smatrix, unitarity_defect_reduced)
+from zrs import cli, krein, scattering
 from zrs.cli import main
 from zrs.scattering import write_defect_csv
 
-from conftest import count_linalg_calls, make_config, run_child
+from conftest import bordering_bound, count_linalg_calls, make_config, run_child
 
 TWO_SCATTERERS = {
     "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
@@ -282,7 +282,7 @@ def test_smatrix_rejects_settings_before_building_gamma(tmp_path, capsys,
                                                         monkeypatch, bad):
     cfg = write_config(tmp_path, TWO_SCATTERERS)
     builds = []
-    monkeypatch.setattr(scattering, "gamma_at", lambda *a: builds.append(1))
+    monkeypatch.setattr(scattering, "_gamma_from_q", lambda *a: builds.append(1))
     assert main(["smatrix", "--config", cfg, "--lambda", "4", *bad]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("zrs: ") and len(err.splitlines()) == 1
@@ -339,13 +339,13 @@ def test_smatrix_command_builds_gamma_once_and_takes_one_svd(tmp_path, capsys,
                                                               monkeypatch):
     s, cfg = _battery_config(tmp_path)
     builds = []
-    real = scattering.gamma_at
+    real = scattering._gamma_from_q
 
-    def counting_gamma_at(*args):
+    def counting_gamma_from_q(*args):
         builds.append(1)
         return real(*args)
 
-    monkeypatch.setattr(scattering, "gamma_at", counting_gamma_at)
+    monkeypatch.setattr(scattering, "_gamma_from_q", counting_gamma_from_q)
     calls = count_linalg_calls(monkeypatch, "svd")
     assert main(["smatrix", "--config", cfg, "--lambda", "4"]) == 0
     # the SVD is the header's gamma_cond
@@ -354,10 +354,55 @@ def test_smatrix_command_builds_gamma_once_and_takes_one_svd(tmp_path, capsys,
     assert f"defect_reduced={unitarity_defect_reduced(smatrix(4.0, s)):.17g} " in header
 
 
-def test_smatrix_schur_header_measures_the_schur_gamma(tmp_path, capsys):
-    s, cfg = _battery_config(tmp_path)
+def _heavy_tail_config(tmp_path):
+    """The battery's first N = 5 set with a heavy three-site tail, whose
+    Schur route at split 2 succeeds."""
+    s, _ = _battery_config(tmp_path)
     heavy = type(s)(s.points, s.weights * np.array([1, 1, 1e4, 1e4, 1e4]))
-    cfg = write_config(tmp_path, heavy.to_dict(), "heavy.json")
+    return heavy, write_config(tmp_path, heavy.to_dict(), "heavy.json")
+
+
+@pytest.mark.parametrize("route", [[], ["--n0", "2"]], ids=["direct", "schur"])
+def test_smatrix_command_builds_q_once(tmp_path, capsys, monkeypatch, route):
+    s, cfg = _heavy_tail_config(tmp_path)
+    real = build_q
+    lams = []
+
+    def counting_build_q(z, sub):
+        lams.append(z)
+        return real(z, sub)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("zrs") and getattr(mod, "build_q", None) is real:
+            monkeypatch.setattr(mod, "build_q", counting_build_q)
+    assert main(["smatrix", "--config", cfg, "--lambda", "7.3", *route]) == 0
+    # Gamma and G_N (the defect's overlap) come from one Q
+    assert lams == [7.3]
+
+
+def test_smatrix_gram_failure_comes_after_gamma(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    seen = []
+    real = scattering._gamma_from_q
+
+    def gamma(*args):
+        seen.append("gamma")
+        return real(*args)
+
+    def gram(*args):
+        seen.append("gram")
+        raise NonPositiveGram("least Gram eigenvalue -1 <= 0")
+
+    monkeypatch.setattr(scattering, "_gamma_from_q", gamma)
+    monkeypatch.setattr(scattering, "_gram_from_q", gram)
+    assert main(["smatrix", "--config", cfg, "--lambda", "4"]) == 3
+    assert seen == ["gamma", "gram"]
+    assert capsys.readouterr() == (
+        "", "zrs: numerical failure: least Gram eigenvalue -1 <= 0\n")
+
+
+def test_smatrix_schur_header_measures_the_schur_gamma(tmp_path, capsys):
+    heavy, cfg = _heavy_tail_config(tmp_path)
     assert main(["smatrix", "--config", cfg, "--lambda", "4", "--n0", "2"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     rep = smatrix(4.0, heavy, split=2)
@@ -517,8 +562,34 @@ def test_n_sweep_matches_per_prefix_gamma(tmp_path):
     gam = {n: gamma_direct(*build_weighted(s.prefix(n), build_q(4.0, s.prefix(n))))
            for n in (2, 3, 5)}
     diffs = [float(r.split(",")[2]) for r in out.read_text().splitlines()[1:]]
-    assert diffs == [np.linalg.norm(gam[5][:2, :2] - gam[2], 2),
-                     np.linalg.norm(gam[5][:3, :3] - gam[3], 2)]
+    want = [np.linalg.norm(gam[5][:2, :2] - gam[2], 2),
+            np.linalg.norm(gam[5][:3, :3] - gam[3], 2)]
+    # levels 3 and 5 are bordered up from level 2: each difference may move
+    # by the round-off bounds of its two levels
+    qt, j = build_weighted(s, build_q(4.0, s))
+    slack = {n: bordering_bound(qt[:n, :n] + np.diag(j[:n]), g) for n, g in gam.items()}
+    assert len(diffs) == 2
+    for d, w, (lo, hi) in zip(diffs, want, [(2, 5), (5, 3)]):
+        assert abs(d - w) <= slack[lo] + slack[hi]
+
+
+@pytest.mark.parametrize("levels, first", [("5,2,3", 5), ("3,2,5", 3)])
+def test_n_sweep_names_first_singular_level_in_argv_order(tmp_path, capsys, monkeypatch,
+                                                          levels, first):
+    _, cfg = _battery_config(tmp_path)
+    # levels 3 and 5 fail the certificate, then the SVD check with an rcond
+    # that names the level; level 2 passes
+    real = krein._certified
+    monkeypatch.setattr(krein, "_certified", lambda a, x: real(a, x) & (a.shape[-1] < 3))
+
+    def singular(a, label, exc=SingularMatrix):
+        rcond = a.shape[-1] * 1e-20
+        raise exc(f"{label} is numerically singular (rcond {rcond:.2e})", rcond=rcond)
+
+    monkeypatch.setattr(krein, "check_rcond", singular)
+    assert main(["sweep", "--config", cfg, "--lambda", "4", "--n-sweep", levels]) == 3
+    assert capsys.readouterr() == ("", "zrs: numerical failure: J + Qtilde is "
+                                   f"numerically singular (rcond {first}.00e-20)\n")
 
 
 def test_resolvent_pass_and_perturbed_fail(tmp_path, capsys):

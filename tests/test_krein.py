@@ -28,9 +28,11 @@ from zrs import (
     summability_surrogate,
     tail_bound,
 )
-from zrs.krein import STACK_ENTRIES, _checked_inv, check_rcond
+from zrs import krein
+from zrs._blas import serial_blas
+from zrs.krein import STACK_ENTRIES, _checked_inv, check_rcond, gamma_levels
 
-from conftest import explicit_gram, explicit_gram_cases, make_config
+from conftest import bordering_bound, explicit_gram, explicit_gram_cases, make_config
 
 FOUR_PI = 4 * np.pi
 
@@ -267,6 +269,83 @@ def test_gamma_direct_singular():
     with pytest.raises(SingularMatrix) as err:
         gamma_direct(qt, np.ones(2))
     assert err.value.rcond is not None
+
+
+def _level_families():
+    """Lattices, clustering chains and mixed-sign boxes for the N-sweep
+    levels."""
+    return ([generate_family("cubic-lattice-ball", {"spacing": d}, 120)
+             for d in (0.7, 1.0, 1.6)]
+            + [generate_family("clustering", {"p": p, "q": q}, 120)
+               for p, q in ((1, 4), (2, 7), (0.5, 3))]
+            + [make_config(seed, 60, ws) for seed, ws in ((3, 1.0), (17, 0.1), (29, 0.02))])
+
+
+def test_gamma_levels_within_the_bordering_bound():
+    rng = np.random.default_rng(23)
+    for s in _level_families():
+        for lam in (0.9, 7.3, 40.0):
+            qt, j = build_weighted(s, build_q(lam, s))
+            levels = [int(v) for v in rng.integers(1, s.n + 1, rng.integers(2, 7))]
+            # unsorted, with a repeated level
+            levels.insert(int(rng.integers(len(levels) + 1)), levels[0])
+            got = gamma_levels(qt, j, levels)
+            assert sorted(got) == sorted(set(levels))
+            for n, gamma in got.items():
+                ref = gamma_direct(qt[:n, :n], j[:n])
+                bound = bordering_bound(qt[:n, :n] + np.diag(j[:n]), ref)
+                assert np.linalg.norm(gamma - ref, 2) <= bound
+
+
+@pytest.mark.parametrize("fault, levels, direct", [
+    # level 20 fails the certificate; 30 grows from the uncertified 20, so
+    # it is inverted directly too; 40 is bordered again
+    ("certificate", [40, 20, 10, 30], [10, 20, 30]),
+    # the order-15 Schur complements of 10 -> 25 and 25 -> 40 are singular
+    ("singular-schur", [10, 25, 40], [10, 25, 40]),
+])
+def test_gamma_levels_inverts_a_failed_level_directly(monkeypatch, fault, levels,
+                                                      direct):
+    s = generate_family("cubic-lattice-ball", {}, 40)
+    qt, j = build_weighted(s, build_q(5.0, s))
+    # the levels run on one BLAS thread, so their direct references do too
+    with serial_blas(40):
+        expect = {n: gamma_direct(qt[:n, :n], j[:n]) for n in levels}
+    if fault == "certificate":
+        real = krein._certified
+        monkeypatch.setattr(krein, "_certified",
+                            lambda a, x: real(a, x) & (a.shape[-1] != 20))
+    else:
+        inv = np.linalg.inv
+
+        def singular_schur(a):
+            if a.shape[-1] == 15:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+        monkeypatch.setattr(np.linalg, "inv", singular_schur)
+    seen = []
+    real_direct = krein.gamma_direct
+
+    def recorded(qtilde, j):
+        seen.append(len(j))
+        return real_direct(qtilde, j)
+
+    monkeypatch.setattr(krein, "gamma_direct", recorded)
+    got = gamma_levels(qt, j, levels)
+    assert seen == direct
+    for n in levels:
+        if n in direct:
+            assert _same(got[n], expect[n])
+        else:
+            bound = bordering_bound(qt[:n, :n] + np.diag(j[:n]), expect[n])
+            assert np.linalg.norm(got[n] - expect[n], 2) <= bound
+
+
+def test_gamma_levels_rejects_a_level_outside_the_matrix():
+    qt, j = build_weighted(make_config(4, 3), build_q(2.0, make_config(4, 3)))
+    for levels in ([0, 2], [2, 4]):
+        with pytest.raises(BadParams, match="outside 1..3"):
+            gamma_levels(qt, j, levels)
 
 
 def test_gamma_schur_degenerate_split():
