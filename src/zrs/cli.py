@@ -14,21 +14,18 @@ import numpy as np
 
 from . import resolvent as rsv
 from . import scattering as sc
-from ._blas import serial_blas
 from .errors import (
-    BadParams,
     FitUnstable,
     NonPositiveGram,
     SingularMatrix,
     TailNotContractive,
     ZrsError,
 )
-from .krein import build_q, build_weighted, gamma_levels
+# unused here; perfbench's tracer test reads it as zrs.cli.build_q
+from .krein import build_q  # noqa: F401
 from .scatterers import (check_admissibility, from_config, integer, number,
-                         tail_bound, write_csv, write_text)
+                         tail_bound, write_text)
 from .spherical import default_grid, make_grid
-
-NSWEEP_CSV_HEADER = "n_low,n_high,gamma_diff"
 
 
 class UsageError(Exception):
@@ -134,11 +131,10 @@ def _cmd_smatrix(args, cfg, s):
     seed = _setting(args, cfg, "seed", "seed", integer, 0)
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
-    tb = None
-    if args.n0 is not None:
-        tb = tail_bound(sub, args.n0, lam)
+    n0 = _setting(args, cfg, "n0", "n0", integer)
+    tb = None if n0 is None else tail_bound(sub, n0, lam)
     try:
-        rep = sc.smatrix(lam, sub, split=args.n0, tail_bound=tb)
+        rep = sc.smatrix(lam, sub, split=n0, tail_bound=tb)
     except (SingularMatrix, TailNotContractive) as exc:
         exc.args = (f"lambda={lam:g}: {exc}",)
         raise
@@ -175,25 +171,8 @@ def _cmd_sweep(args, cfg, s):
         lam = _setting(args, cfg, "lambda", "lam", number)
         if lam is None:
             raise UsageError("N-sweep mode needs --lambda")
-        if len(ns) < 2:
-            raise UsageError("N-sweep needs at least two truncations")
-        if lam <= 0:
-            raise BadParams("lambda must be positive")
-        top = max((sub.prefix(nv) for nv in ns), key=lambda t: t.n)
-        # Q, Qt and J of a prefix are the leading blocks of those of the
-        # largest truncation, so assemble them once and border each level's
-        # Gamma up from the one below it
-        gammas = gamma_levels(*build_weighted(top, build_q(lam, top)), ns)
-        pairs = list(zip(ns, ns[1:]))
-        rows = []
-        with serial_blas(max(map(min, pairs))):
-            for lo, hi in pairs:
-                common = min(lo, hi)
-                diff = float(np.linalg.norm(gammas[hi][:common, :common]
-                                            - gammas[lo][:common, :common], 2))
-                rows.append((lo, hi, diff))
         buf = io.StringIO()
-        write_csv(buf, NSWEEP_CSV_HEADER, rows)
+        sc.write_truncation_csv(sub, lam, ns, buf)
         return 0, buf.getvalue()
 
     interval = _setting(args, cfg, "interval", "interval", _pair)

@@ -219,57 +219,49 @@ def gamma_at(z, s):
     return _gamma_from_q(build_q(z, s), s)
 
 
-def _border(a, gamma_lo, hi):
-    """Inverse of the leading order-``hi`` block of ``a`` from the inverse
-    ``gamma_lo`` of its leading order-lo block, or None when the tail
-    Schur complement is exactly singular or the result fails
-    :func:`_certified`.
+def _schur_step(a, pivot_inv, piv, rest, out):
+    """One Schur-Frobenius step (block LU; Golub & Van Loan, Matrix
+    Computations, 4th ed.): writes ``out[i, i] = a[i, i]^{-1}`` for ``i``
+    the indices of the slices ``piv`` and ``rest``, given ``pivot_inv =
+    a[piv, piv]^{-1}``, and returns the Schur complement S.  For complex
+    symmetric ``a`` the lower blocks are transposes of the upper ones:
 
-    The bordering (block inverse) update through the tail Schur complement
-    S (block LU; Golub & Van Loan, Matrix Computations, 4th ed.):
+        P = a[rest, piv],  X = pivot_inv P^T,  S = a[rest, rest] - P X,
+        Y = X S^{-1},  [[pivot_inv + Y X^T, -Y], [-Y^T, S^{-1}]].
 
-        P = A[lo:hi, :lo],  X = Gamma_lo P^T,  S = A[lo:hi, lo:hi] - P X,
-        Y = X S^{-1},  Gamma_hi = [[Gamma_lo + Y X^T, -Y], [-Y^T, S^{-1}]].
-
-    ``a`` is complex symmetric, so Gamma_lo and S are too, which makes the
-    lower blocks transposes of the upper ones.  The matrices are of order
-    at most max(lo, hi - lo) and run on one BLAS thread up to
-    SERIAL_BLAS_MAX_N.  The blocks are written into Gamma_hi in place,
-    since every large temporary costs fresh pages on each call.
+    The blocks are written in place, as every large temporary costs fresh
+    pages; S is inverted by :func:`_checked_inv`, raising
+    SingularSchurComplement.  The step runs on one BLAS thread when
+    max(|piv|, |rest|) is at most SERIAL_BLAS_MAX_N.
     """
-    lo = gamma_lo.shape[0]
-    gamma = np.empty((hi, hi), dtype=complex)
-    with serial_blas(max(lo, hi - lo)):
-        p = a[lo:hi, :lo]
-        x = gamma_lo @ p.T
+    p = a[rest, piv]
+    with serial_blas(max(p.shape)):
+        x = pivot_inv @ p.T
         s = p @ x
-        np.subtract(a[lo:hi, lo:hi], s, out=s)
-        try:
-            gamma[lo:, lo:] = np.linalg.inv(s)
-        except np.linalg.LinAlgError:
-            return None
+        np.subtract(a[rest, rest], s, out=s)
+        out[rest, rest] = _checked_inv(s, "Schur complement W_ring",
+                                       SingularSchurComplement)
         # with X negated in place, y = -Y and y (-X)^T = Y X^T
-        y = np.negative(x, out=x) @ gamma[lo:, lo:]
-        gamma[:lo, lo:] = y
-        gamma[lo:, :lo] = y.T
-        np.matmul(y, x.T, out=gamma[:lo, :lo])
-    gamma[:lo, :lo] += gamma_lo
-    return gamma if _certified(a[:hi, :hi], gamma) else None
+        y = np.negative(x, out=x) @ out[rest, rest]
+        out[piv, rest] = y
+        out[rest, piv] = y.T
+        np.matmul(y, x.T, out=out[piv, piv])
+    out[piv, piv] += pivot_inv
+    return s
 
 
 def gamma_levels(qtilde, j, levels):
     """Gamma = (J + Qt)^{-1} of the leading blocks of orders ``levels``, as
     ``{level: Gamma}`` for the distinct levels.
 
-    The smallest level is inverted by :func:`gamma_direct`; each larger one
-    is bordered up from the next smaller level by :func:`_border`.  A
-    level goes through :func:`gamma_direct` instead when the bordering
-    fails or the level below it was not certified by :func:`_certified`
-    (it passed the SVD check only), so every level is certified regular
-    or checked as :func:`gamma_direct` checks it.  When a level raises,
-    the levels are inverted again by :func:`gamma_direct` in the order
-    given, so the first singular level in that order decides the error,
-    as in a per-level loop.
+    The smallest level is inverted by :func:`gamma_direct`; each larger
+    level ``hi`` grows from the next smaller ``lo`` by a :func:`_schur_step`
+    with pivot ``:lo``.  A level goes through :func:`gamma_direct` instead
+    when the step raises SingularSchurComplement, its Gamma fails
+    :func:`_certified`, or the level below was not certified (it passed
+    the SVD check only).  When a level raises, the levels are inverted
+    again by :func:`gamma_direct` in the order given, so the first
+    singular level in that order decides the error.
     """
     n = qtilde.shape[0]
     if not all(1 <= v <= n for v in levels):
@@ -285,12 +277,18 @@ def gamma_levels(qtilde, j, levels):
     lo = None
     try:
         for hi in sorted(set(levels)):
-            gamma = _border(a, gammas[lo], hi) if lo is not None else None
-            if gamma is None:
+            ok = False
+            if lo is not None:
+                gamma = np.empty((hi, hi), dtype=complex)
+                try:
+                    _schur_step(a, gammas[lo], slice(0, lo), slice(lo, hi), gamma)
+                    ok = _certified(a[:hi, :hi], gamma)
+                except SingularSchurComplement:
+                    pass
+            if not ok:
                 gamma = direct(hi)
-                lo = hi if _certified(a[:hi, :hi], gamma) else None
-            else:
-                lo = hi
+                ok = _certified(a[:hi, :hi], gamma)
+            lo = hi if ok else None
             gammas[hi] = gamma
     except SingularMatrix:
         for v in dict.fromkeys(levels):
@@ -342,7 +340,8 @@ class SchurFactors:
 
 
 def gamma_schur(qtilde, j, split, tail_bound=None):
-    """Gamma = (J + Qt)^{-1} through the Schur-Frobenius factorization.
+    """Gamma = (J + Qt)^{-1} through the Schur-Frobenius factorization:
+    one :func:`_schur_step` with the tail block R as pivot.
 
     Parameters
     ----------
@@ -380,18 +379,12 @@ def gamma_schur(qtilde, j, split, tail_bound=None):
             raise TailNotContractive(
                 f"measured tail norm {measured:.6g} >= 1", bound=measured)
 
-    w = a[:split, :split]
-    r = a[split:, split:]
-    p = qtilde[split:, :split]
-    rinv = _checked_inv(r, "tail block R")
-    w_ring = w - p.T @ rinv @ p
-    wri = _checked_inv(w_ring, "Schur complement W_ring",
-                       exc=SingularSchurComplement)
-    g12 = -wri @ p.T @ rinv
-    g21 = -rinv @ p @ wri
-    g22 = rinv + rinv @ p @ wri @ p.T @ rinv
-    gamma = np.block([[wri, g12], [g21, g22]])
-    return gamma, SchurFactors(w_block=w, r_block=r, p_block=p,
+    rinv = _checked_inv(a[split:, split:], "tail block R")
+    gamma = np.empty((n, n), dtype=complex)
+    w_ring = _schur_step(a, rinv, slice(split, n), slice(0, split), gamma)
+    return gamma, SchurFactors(w_block=a[:split, :split],
+                               r_block=a[split:, split:],
+                               p_block=qtilde[split:, :split],
                                w_ring=w_ring, n0=split)
 
 

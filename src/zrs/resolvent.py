@@ -87,8 +87,12 @@ def hilbert_identity_residual(z1, z2, s):
 
 
 def symmetry_residual(z, s):
-    """Residual ||C(z)^H - C(conj z)||_2 of the adjoint symmetry."""
+    """Residual ||C(z)^H - C(conj z)||_2 of the adjoint symmetry.  A real
+    z > 0 raises BadParams: the branch takes C(lambda + i0) for z and conj z
+    alike there, where the identity does not hold."""
     e = as_energy(z)
+    if e.z.imag == 0 and e.z.real > 0:
+        raise BadParams(f"symmetry residual needs z off (0, inf), got {e.z}")
     return float(np.linalg.norm(c_matrix(e, s).conj().T
                                 - c_matrix(e.conj, s), 2))
 

@@ -19,7 +19,7 @@ import numpy as np
 from ._blas import serial_blas
 from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (_gamma_from_q, _gram_from_q, build_q, build_weighted,
-                    check_rcond, gamma_schur, stack_chunks)
+                    check_rcond, gamma_levels, gamma_schur, stack_chunks)
 from .scatterers import _convert, integer, write_csv
 from .spherical import (_plane_waves, default_grid, direction_angles,
                         gram_overlap, plane_wave_block)
@@ -34,21 +34,18 @@ class SMatrixRep:
     ``coeff`` is the dimensionless matrix T = i sqrt(lam)/(8 pi^2) Gamma;
     the plane-wave weight factors 1/sqrt|w| are applied at evaluation
     time.  ``gamma`` is the Gamma that ``coeff`` was formed from and ``q``
-    the Q(lambda + i0) that Gamma was built from (None for a
-    representation built from ``coeff`` alone); the 2-norm condition
+    the Q(lambda + i0) that Gamma was built from; the 2-norm condition
     number ``gamma_cond`` takes an SVD on first read and is kept.
     """
 
     lam: float
     coeff: np.ndarray
     scatterers: object
-    gamma: np.ndarray = None
-    q: np.ndarray = None
+    gamma: np.ndarray
+    q: np.ndarray
 
     @functools.cached_property
     def gamma_cond(self):
-        if self.gamma is None:
-            return np.nan
         return float(np.linalg.cond(self.gamma))
 
 
@@ -151,18 +148,12 @@ def unitarity_defect_reduced(rep):
 
     whose spectral norm is returned (zero in exact arithmetic), measured
     on ``rep.gamma`` (the Schur-route Gamma for ``smatrix(...,
-    split=n0)``), so ``rep`` must come from :func:`smatrix`.  The matrix is Hermitian, so the norm is its largest
-    eigenvalue modulus (see :func:`_defect_reduced`).
+    split=n0)``) with G_N read off ``rep.q``.  The matrix is Hermitian,
+    so the norm is its largest eigenvalue modulus (see
+    :func:`_defect_reduced`).
     """
-    return float(_defect_reduced(rep.lam, rep.gamma, _overlap(rep)))
-
-
-def _overlap(rep):
-    """The exact plane-wave overlap B of ``rep``, with G_N read off as Im Q
-    of the Q that its Gamma was built from (built anew for a ``rep``
-    without one)."""
-    q = build_q(rep.lam, rep.scatterers) if rep.q is None else rep.q
-    return gram_overlap(_gram_from_q(rep.lam, q), rep.scatterers)
+    b = gram_overlap(_gram_from_q(rep.lam, rep.q), rep.scatterers)
+    return float(_defect_reduced(rep.lam, rep.gamma, b))
 
 
 def _defect_matrix(lam, gamma, b):
@@ -233,7 +224,7 @@ def smatrix_minus_identity_norm(rep):
 
     Equals ||B^{1/2} T B^{1/2}||_2 with B the exact plane-wave overlap.
     """
-    b = _overlap(rep)
+    b = gram_overlap(_gram_from_q(rep.lam, rep.q), rep.scatterers)
     vals, vecs = np.linalg.eigh(b)
     root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     return float(np.linalg.norm(root @ rep.coeff @ root, 2))
@@ -351,6 +342,7 @@ def gamma_continuity_scan(s, n, interval, points):
 KERNEL_CSV_HEADER = "theta,phi,theta_p,phi_p,re_s,im_s"
 DEFECT_CSV_HEADER = "lambda,defect_reduced,gamma_norm,gamma_cond,mu,increment"
 CROSS_SECTION_CSV_HEADER = "theta,phi,value"
+NSWEEP_CSV_HEADER = "n_low,n_high,gamma_diff"
 
 
 def write_kernel_csv(rep, dirs_out, dirs_in, out):
@@ -390,3 +382,25 @@ def write_defect_csv(s, lambdas, out):
     with serial_blas(s.n):
         write_csv(out, DEFECT_CSV_HEADER,
                   lambda_rows(s, np.asarray(lambdas, dtype=float)))
+
+
+def write_truncation_csv(s, lam, levels, out):
+    """N-sweep table at lambda > 0: for each consecutive pair (lo, hi) of
+    ``levels`` (at least two prefix lengths of ``s``), ||Gamma_hi -
+    Gamma_lo||_2 on their common leading block.  Qt of the largest level
+    is built once; :func:`krein.gamma_levels` grows the levels from it.
+    """
+    if len(levels) < 2:
+        raise BadParams("N-sweep needs at least two truncations")
+    if lam <= 0:
+        raise BadParams("lambda must be positive")
+    top = max((s.prefix(n) for n in levels), key=lambda t: t.n)
+    gammas = gamma_levels(*build_weighted(top, build_q(lam, top)), levels)
+    pairs = list(zip(levels, levels[1:]))
+    rows = []
+    with serial_blas(max(map(min, pairs))):
+        for lo, hi in pairs:
+            m = min(lo, hi)
+            diff = np.linalg.norm(gammas[hi][:m, :m] - gammas[lo][:m, :m], 2)
+            rows.append((lo, hi, float(diff)))
+    write_csv(out, NSWEEP_CSV_HEADER, rows)

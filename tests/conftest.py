@@ -85,9 +85,11 @@ def single_scatterer():
 
 def bordering_bound(a, gamma):
     """Round-off bound 4 n eps kappa_F(A) ||Gamma||_2, with kappa_F =
-    ||A||_F ||Gamma||_F, on the distance between the Gamma that
-    ``zrs.krein.gamma_levels`` borders up to order n and the direct inverse
-    ``gamma`` of the order-n leading block ``a`` of J + Qt."""
+    ||A||_F ||Gamma||_F and ``gamma`` the direct inverse of the order-n
+    block ``a`` of J + Qt, on the distance between two Schur-complement
+    inverses of ``a``, or between one and ``gamma``: the Gamma that
+    ``zrs.krein.gamma_levels`` borders up to order n, and the Schur route's
+    Gamma of one step against its block formula."""
     kappa = np.linalg.norm(a, "fro") * np.linalg.norm(gamma, "fro")
     return 4 * a.shape[0] * np.finfo(float).eps * kappa * np.linalg.norm(gamma, 2)
 

@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zrs import (NonPositiveGram, SingularMatrix, build_q, build_weighted,
-                 gamma_direct, smatrix, unitarity_defect_reduced)
+from zrs import (BadParams, NonPositiveGram, SingularMatrix, build_q,
+                 build_weighted, gamma_direct, smatrix, unitarity_defect_reduced)
 from zrs import cli, krein, scattering
 from zrs.cli import main
-from zrs.scattering import write_defect_csv
+from zrs._blas import serial_blas
+from zrs.krein import gamma_levels
+from zrs.scattering import write_defect_csv, write_truncation_csv
 
 from conftest import bordering_bound, count_linalg_calls, make_config, run_child
 
@@ -176,6 +178,7 @@ def test_non_positive_lambda_same_error_for_smatrix_and_n_sweep(tmp_path, capsys
     (["sweep", "--interval", "1", "2"], "grid_points"),
     (["validate"], "n0"),
     (["validate"], "b"),
+    (["smatrix", "--lambda", "4"], "n0"),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv, key):
     cfg = write_config(tmp_path, {**TWO_SCATTERERS, key: "x"})
@@ -410,6 +413,22 @@ def test_smatrix_schur_header_measures_the_schur_gamma(tmp_path, capsys):
     assert f"gamma_cond={rep.gamma_cond:.17g}" in header
 
 
+def test_smatrix_reads_n0_from_the_config(tmp_path, capsys):
+    heavy, cfg = _heavy_tail_config(tmp_path)
+    keyed = write_config(tmp_path, {**heavy.to_dict(), "n0": 2}, "keyed.json")
+    runs = {}
+    for name, argv in (("direct", ["--config", cfg]),
+                       ("flag", ["--config", cfg, "--n0", "2"]),
+                       ("key", ["--config", keyed])):
+        assert main(["smatrix", "--lambda", "4", *argv]) == 0
+        runs[name] = capsys.readouterr().out
+    # the key takes the Schur route, as the flag does
+    assert runs["key"] == runs["flag"] != runs["direct"]
+    # and a flag overrides it
+    assert main(["smatrix", "--lambda", "4", "--config", keyed, "--n0", "5"]) == 0
+    assert capsys.readouterr().out != runs["flag"]
+
+
 # the flags each command reads besides --config and --out
 FLAGS_READ = {
     "validate": {"--lambda", "--n", "--n0"},
@@ -543,6 +562,33 @@ def test_sweep_rows_match_defect_csv_and_gamma(tmp_path):
         prev = gamma
 
 
+def test_n_sweep_rows_match_truncation_csv_and_gamma_levels(tmp_path):
+    s, cfg = _battery_config(tmp_path)
+    out = tmp_path / "nsweep.csv"
+    assert main(["sweep", "--config", cfg, "--lambda", "4", "--n-sweep", "2,5,3",
+                 "--out", str(out)]) == 0
+    buf = io.StringIO()
+    write_truncation_csv(s, 4.0, [2, 5, 3], buf)
+    assert out.read_text() == buf.getvalue()
+    rows = out.read_text().splitlines()
+    assert rows[0] == "n_low,n_high,gamma_diff"
+    gammas = gamma_levels(*build_weighted(s, build_q(4.0, s)), [2, 5, 3])
+    with serial_blas(5):
+        for row, (lo, hi) in zip(rows[1:], [(2, 5), (5, 3)], strict=True):
+            m = min(lo, hi)
+            want = np.linalg.norm(gammas[hi][:m, :m] - gammas[lo][:m, :m], 2)
+            assert row.startswith(f"{lo},{hi},")
+            assert float(row.split(",")[2]) == want
+
+
+def test_n_sweep_needs_two_levels(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"family": FAMILY | {"N": 10}})
+    assert main(["sweep", "--config", cfg, "--lambda", "4", "--n-sweep", "4"]) == 1
+    assert capsys.readouterr() == ("", "zrs: N-sweep needs at least two truncations\n")
+    with pytest.raises(BadParams, match="at least two"):
+        write_truncation_csv(make_config(4, 3), 4.0, [], io.StringIO())
+
+
 def test_n_sweep_levels_come_from_the_truncation(tmp_path, capsys):
     cfg = write_config(tmp_path, {"family": FAMILY | {"N": 10}})
     sweep = ["sweep", "--config", cfg, "--lambda", "4", "--n-sweep", "2,5"]
@@ -590,6 +636,15 @@ def test_n_sweep_names_first_singular_level_in_argv_order(tmp_path, capsys, monk
     assert main(["sweep", "--config", cfg, "--lambda", "4", "--n-sweep", levels]) == 3
     assert capsys.readouterr() == ("", "zrs: numerical failure: J + Qtilde is "
                                    f"numerically singular (rcond {first}.00e-20)\n")
+
+
+def test_resolvent_at_positive_real_z_exits_1(tmp_path, capsys):
+    two = {"points": [[0, 0, 0], [1, 0, 0]], "weights": [1.0, 2.0]}
+    cfg = write_config(tmp_path, {**two, "z": [2, 0]})
+    assert main(["resolvent", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "zrs: symmetry residual needs z off (0, inf), "
+                          "got (2+0j)\n")
 
 
 def test_resolvent_pass_and_perturbed_fail(tmp_path, capsys):

@@ -9,6 +9,7 @@ from zrs import (
     NonPositiveGram,
     ScattererSet,
     SingularMatrix,
+    SingularSchurComplement,
     TailNotContractive,
     ZeroDistance,
     branch_sqrt,
@@ -381,6 +382,62 @@ def test_gamma_schur_matches_direct_with_contractive_tail():
     gd = gamma_direct(qt, j)
     assert np.linalg.norm(gamma - gd, 2) / np.linalg.norm(gd, 2) < 1e-10
     assert np.allclose(factors.product(), qt + np.diag(j), atol=1e-14)
+
+
+def _gamma_schur_blocks(qtilde, j, split):
+    """Gamma of the Schur route by its block formula, each block formed on
+    its own: the reference for the in-place Schur step's round-off."""
+    a = qtilde + np.diag(j)
+    w, r, p = a[:split, :split], a[split:, split:], qtilde[split:, :split]
+    rinv = np.linalg.inv(r)
+    wri = np.linalg.inv(w - p.T @ rinv @ p)
+    return np.block([[wri, -wri @ p.T @ rinv],
+                     [-rinv @ p @ wri, rinv + rinv @ p @ wri @ p.T @ rinv]])
+
+
+def test_gamma_schur_within_the_bordering_bound_of_the_block_formula(battery25):
+    # the battery and random boxes with heavy tails, at three head sizes
+    rng = np.random.default_rng(41)
+    boxes = [(s.n, 1000 + i) for i, s in enumerate(battery25) if s.n >= 2]
+    boxes += [(int(rng.integers(2, 13)), int(rng.integers(10**6))) for _ in range(20)]
+    checked = 0
+    for n, seed in boxes:
+        for n0 in sorted({1, n // 2, n - 1}):
+            s = _heavy_tail_config(seed, n, n0)
+            p = tail_bound(s, n0, 50.0)
+            for lam in (0.9, 7.0, 40.0):
+                qt, j = build_weighted(s, build_q(lam, s))
+                gamma, _ = gamma_schur(qt, j, n0, tail_bound=p)
+                gd = gamma_direct(qt, j)
+                bound = bordering_bound(qt + np.diag(j), gd)
+                ref = _gamma_schur_blocks(qt, j, n0)
+                assert np.linalg.norm(gamma - ref, 2) <= bound
+                # acceptance criterion 2
+                assert np.linalg.norm(gamma - gd, 2) / np.linalg.norm(gd, 2) < 1e-9
+                checked += 1
+    assert checked >= 300
+
+
+@pytest.mark.parametrize("corner, rcond", [
+    (1 + 1e-15, (1 + 1e-15) - 1),  # W_ring = diag(1, 1.1e-15): inverted, then checked
+    (1.0, 0.0),  # W_ring = diag(1, 0): np.linalg.inv raises
+], ids=["rcond-1e-15", "zero-pivot"])
+def test_gamma_schur_singular_schur_complement(corner, rcond):
+    # the tail R = [1] is regular, and W - P^T R^{-1} P is exact
+    qt = np.array([[1.0, 1.0, 1.0], [1.0, corner - 1, 1.0], [1.0, 1.0, 0.0]],
+                  dtype=complex)
+    j = np.ones(3)
+    for p in (None, 0.5):
+        with pytest.raises(SingularSchurComplement) as err:
+            gamma_schur(qt, j, split=2, tail_bound=p)
+        assert str(err.value) == ("Schur complement W_ring is numerically "
+                                  f"singular (rcond {rcond:.2e})")
+        assert err.value.rcond == rcond
+    # a singular tail block R is reported first
+    with pytest.raises(SingularMatrix) as err:
+        gamma_schur(qt, np.array([1.0, 1.0, 0.0]), split=2)
+    assert type(err.value) is SingularMatrix
+    assert str(err.value).startswith("tail block R is numerically singular")
 
 
 def test_gamma_schur_two_point_example():

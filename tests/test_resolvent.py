@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zrs import (
+    BadParams,
     BumpProfile,
     FitUnstable,
     ScattererSet,
@@ -131,6 +132,16 @@ def test_symmetry_residual():
     # N=1 scalar: conj(C(z)) = C(conj z) analytically
     s1 = ScattererSet([[0, 0, 0]], [2.0])
     assert symmetry_residual(0.3 + 2j, s1) < 1e-16
+
+
+def test_symmetry_residual_rejects_the_positive_axis():
+    # C(lambda + i0) is taken for both z and conj z there, so the identity
+    # does not apply; the rest of the real axis and points just off it pass
+    s = ScattererSet([[0, 0, 0], [1, 0, 0]], [1.0, 2.0])
+    with pytest.raises(BadParams, match="off \\(0, inf\\)"):
+        symmetry_residual(2.0, s)
+    for z in (-2.0, 0.0, 2 + 1e-9j):
+        assert symmetry_residual(z, s) == 0.0
 
 
 def test_boundary_condition_single_scatterer():

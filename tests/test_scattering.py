@@ -1,5 +1,6 @@
 """Scattering matrix assembly, application, unitarity, Omega, scans."""
 
+import dataclasses
 import io
 import json
 import re
@@ -105,7 +106,7 @@ def test_apply_identity_cases():
     lam = 3.0
     rep = smatrix(lam, s)
     grid = default_grid(lam, s)
-    zero_rep = type(rep)(lam=lam, coeff=np.zeros_like(rep.coeff), scatterers=s)
+    zero_rep = dataclasses.replace(rep, coeff=np.zeros_like(rep.coeff))
     f = SphereFunction(values=np.cos(grid.nodes[:, 2]) + 0j, grid=grid)
     assert np.allclose(apply_smatrix(zero_rep, f).values, f.values)
     # f orthogonal to every conj(u): a high azimuthal harmonic (below the
@@ -176,7 +177,7 @@ def test_reduced_defect_sensitivity():
     lam = 2.0
     rep = smatrix(lam, s)
     grid = default_grid(lam, s)
-    bad = type(rep)(lam=lam, coeff=rep.coeff * (1 + 1e-3), scatterers=s)
+    bad = dataclasses.replace(rep, coeff=rep.coeff * (1 + 1e-3))
     assert unitarity_defect_quadrature(bad, grid, trials=6) >= 1e-4
 
 
@@ -352,7 +353,7 @@ def test_smatrix_takes_the_gamma_svd_on_first_gamma_cond_read(monkeypatch):
 def test_quadrature_defect_identity_rep():
     s = ScattererSet([[0, 0, 0]], [1.0])
     rep = smatrix(2.0, s)
-    zero = type(rep)(lam=2.0, coeff=np.zeros((1, 1), complex), scatterers=s)
+    zero = dataclasses.replace(rep, coeff=np.zeros((1, 1), complex))
     grid = default_grid(2.0, s)
     assert unitarity_defect_quadrature(zero, grid, trials=4) == 0.0
     # single scatterer at default order: deep below 1e-8
@@ -411,7 +412,7 @@ def test_cross_section_patterns():
     rep1 = smatrix(2.0, s1)
     pat = cross_section(rep1, [0, 0, 1.0])
     assert np.ptp(pat.values.real) < 1e-14  # isotropic
-    zero = type(rep1)(lam=2.0, coeff=np.zeros((1, 1), complex), scatterers=s1)
+    zero = dataclasses.replace(rep1, coeff=np.zeros((1, 1), complex))
     assert np.allclose(cross_section(zero, [0, 0, 1.0]).values, 0.0)
 
 
