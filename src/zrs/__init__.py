@@ -25,7 +25,6 @@ from .scatterers import (
     tail_bound,
 )
 from .krein import (
-    ComplexEnergy,
     GramData,
     KreinMatrices,
     SchurFactors,

@@ -167,7 +167,7 @@ def _truncations(val):
 def _cmd_sweep(args, cfg, s):
     sub = s.prefix(args.n)
     ns = _setting(args, cfg, "n_sweep", "n_sweep", _truncations)
-    if ns:
+    if ns is not None:
         lam = _setting(args, cfg, "lambda", "lam", number)
         if lam is None:
             raise UsageError("N-sweep mode needs --lambda")

@@ -14,11 +14,12 @@ Callers walk long spectral grids in chunks from :func:`stack_chunks`.
 :func:`gamma_levels` gives Gamma of nested leading blocks (the levels of
 an N-sweep), each larger one bordered up from the one below it.
 
-The square root branch is fixed with Im sqrt(z) >= 0, so boundary
-values on the positive axis are taken from above (sqrt(lambda) >= 0).
+A spectral point is a complex number, and a stack of them a 1-D array.
+:func:`branch_sqrt` fixes the square root branch with Im sqrt(z) >= 0,
+so boundary values on the positive axis are taken from above
+(sqrt(lambda) >= 0).
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,57 +54,32 @@ def stack_chunks(points, n):
 
 
 def branch_sqrt(z):
-    """Square root with Im sqrt(z) >= 0; +sqrt(lambda) on the positive axis."""
-    s = complex(np.sqrt(complex(z)))
-    if s.imag < 0.0:
-        s = -s
-    return s
+    """Square root with Im sqrt(z) >= 0, +sqrt(lambda) on the positive
+    axis, of a spectral point or of each point of an array of them.
 
-
-@dataclass(frozen=True)
-class ComplexEnergy:
-    """Spectral point z together with its fixed-branch square root."""
-
-    z: complex
-    sqrt_z: complex
-
-    @classmethod
-    def from_z(cls, z):
-        z = complex(z)
-        if not cmath.isfinite(z):
-            raise BadParams(f"spectral point must be finite, got {z}")
-        return cls(z=z, sqrt_z=branch_sqrt(z))
-
-    @property
-    def conj(self):
-        return ComplexEnergy.from_z(np.conj(self.z))
-
-
-def as_energy(z):
-    if isinstance(z, ComplexEnergy):
-        return z
-    return ComplexEnergy.from_z(z)
-
-
-def _spectral_points(z):
-    """``(energies, stacked)``: a 1-D ``z`` is a stack of spectral points."""
-    stacked = np.ndim(z) == 1
-    return [as_energy(v) for v in (z if stacked else [z])], stacked
+    A scalar ``z`` gives a numpy complex scalar.  Raises BadParams naming
+    the first point that is not finite.
+    """
+    z = np.asarray(z, dtype=complex)
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise BadParams(f"spectral point must be finite, got {z[bad][0]}")
+    s = np.sqrt(z)
+    return np.where(s.imag < 0, -s, s)[()]
 
 
 def green_at_distance(z, r):
     """Free Green function e^{i sqrt(z) r} / (4 pi r) at distances ``r``.
 
-    Vectorized over ``r``; a 1-D ``z`` adds a leading spectral axis.  All
+    Vectorized over ``r``; an array ``z`` adds its axes in front.  All
     distances must be positive.
     """
-    es, stacked = _spectral_points(z)
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ZeroDistance("free Green function requires positive distance")
-    ik = np.array([1j * e.sqrt_z for e in es]).reshape((-1,) + (1,) * r.ndim)
-    g = np.exp(ik * r) / (FOUR_PI * r)
-    return g if stacked else g[0]
+    ik = 1j * branch_sqrt(z)
+    ik = np.reshape(ik, np.shape(ik) + (1,) * r.ndim)
+    return np.exp(ik * r) / (FOUR_PI * r)
 
 
 def free_green(z, x):
@@ -119,19 +95,20 @@ def build_q(z, s):
 
     A 1-D ``z`` gives the (K, N, N) stack of Q at each point.
     """
-    es, stacked = _spectral_points(z)
+    ik = 1j * branch_sqrt(z)
     n = s.n
-    q = np.empty((len(es), n, n), dtype=complex)
-    # the diagonal per point in Python complex arithmetic: numpy's complex
-    # division rounds i sqrt(z) / (4 pi) differently
-    q[...] = np.array([1j * e.sqrt_z / FOUR_PI for e in es])[:, None, None]
+    q = np.empty(np.shape(ik) + (n, n), dtype=complex)
+    # the diagonal part by part: numpy's complex-by-real division
+    # multiplies by the reciprocal and rounds i sqrt(z) / (4 pi) differently
+    diag = np.reshape(ik, np.shape(ik) + (1, 1))
+    q.real[...] = diag.real / FOUR_PI
+    q.imag[...] = diag.imag / FOUR_PI
     if n > 1:
-        d = s.distances()
         iu = np.triu_indices(n, 1)
-        off = green_at_distance(es if stacked else es[0], d[iu])
-        q[:, iu[0], iu[1]] = off
-        q[:, iu[1], iu[0]] = off
-    return q if stacked else q[0]
+        off = green_at_distance(z, s.distances()[iu])
+        q[..., iu[0], iu[1]] = off
+        q[..., iu[1], iu[0]] = off
+    return q
 
 
 def build_weighted(s, q):
@@ -193,7 +170,8 @@ def _checked_inv(a, label, exc=SingularMatrix):
         raise exc(f"{label} is singular ({err})") from err
     doubtful = np.flatnonzero(~_certified(a, x))
     if doubtful.size:
-        check_rcond(a[doubtful] if a.ndim == 3 else a, label, exc)
+        n = a.shape[-1]
+        check_rcond(a.reshape(-1, n, n)[doubtful], label, exc)
     return x
 
 
@@ -393,7 +371,7 @@ def q_norm_bound(s, z):
 
     Reduces to |sqrt z| / (4 pi |w|) for a single scatterer (no pairs).
     """
-    return float(np.max(site_bounds(s, abs(as_energy(z).sqrt_z))))
+    return float(np.max(site_bounds(s, abs(branch_sqrt(z)))))
 
 
 @dataclass(frozen=True)
@@ -401,7 +379,7 @@ class GramData:
     """Sphere Gram matrix G_N(lambda), its least eigenvalue mu, and lambda.
 
     For a stack of K spectral points ``g`` is (K, N, N) and ``mu`` and
-    ``lam`` are length-K arrays.
+    ``lam`` are length-K arrays; for one point they are floats.
     """
 
     g: np.ndarray
@@ -417,24 +395,22 @@ def _gram_from_q(lam, q):
     NonPositiveGram when the least eigenvalue is not positive beyond
     round-off; a stack raises for its first failing point.
     """
-    for v in np.atleast_1d(lam):
-        if not 0 < v < np.inf:
-            raise BadParams(f"lambda must be positive and finite, got {v}")
-    stacked = np.ndim(lam) == 1
+    lam = np.asarray(lam)
+    bad = np.flatnonzero(~((0 < lam) & (lam < np.inf)))
+    if bad.size:
+        raise BadParams(
+            f"lambda must be positive and finite, got {lam.flat[bad[0]]}")
     g = q.imag
-    ev = np.linalg.eigvalsh(g if stacked else g[None])
-    mu = ev[:, 0]
-    # ||G||_2 enters the round-off floor only where mu < 0; G is symmetric,
-    # so it is the larger of |mu| and the top eigenvalue
-    neg = np.flatnonzero(mu < 0)
-    if neg.size:
-        floor = -1e-12 * np.maximum(1.0, np.maximum(-mu[neg], ev[neg, -1]))
-        bad = neg[mu[neg] <= floor]
-        if bad.size:
-            raise NonPositiveGram(f"least Gram eigenvalue {mu[bad[0]]:g} <= 0")
-    if stacked:
-        return GramData(g=g, mu=mu, lam=np.asarray(lam, dtype=float))
-    return GramData(g=g, mu=float(mu[0]), lam=float(lam))
+    ev = np.linalg.eigvalsh(g)
+    mu = ev[..., 0]
+    # the floor -1e-12 max(1, ||G||_2) is negative, so only a negative mu
+    # can fall on it; G is symmetric, so ||G||_2 is then the larger of |mu|
+    # and the top eigenvalue
+    floor = -1e-12 * np.maximum(1.0, np.maximum(-mu, ev[..., -1]))
+    bad = np.flatnonzero(mu <= floor)
+    if bad.size:
+        raise NonPositiveGram(f"least Gram eigenvalue {mu.flat[bad[0]]:g} <= 0")
+    return GramData(g=g, mu=mu[()], lam=lam.astype(float)[()])
 
 
 def gram_matrix(lam, s):
@@ -482,7 +458,7 @@ def c_matrix(z, s):
 class KreinMatrices:
     """Bundle of the Krein-formula matrices at one spectral point."""
 
-    energy: ComplexEnergy
+    z: complex
     q: np.ndarray
     qtilde: np.ndarray
     j: np.ndarray
@@ -498,12 +474,12 @@ def krein_matrices(z, s):
     used by the resolvent kernel); D^{-1/2} Gamma D^{-1/2} equals
     (Q + L)^{-1}.
     """
-    e = as_energy(z)
-    q = build_q(e, s)
+    z = complex(z)
+    q = build_q(z, s)
     qt, j = build_weighted(s, q)
     gamma = gamma_direct(qt, j)
     c = _c_from_q(q, s)
-    return KreinMatrices(energy=e, q=q, qtilde=qt, j=j, gamma=gamma, c=c)
+    return KreinMatrices(z=z, q=q, qtilde=qt, j=j, gamma=gamma, c=c)
 
 
 def summability_surrogate(s, z):
@@ -514,12 +490,12 @@ def summability_surrogate(s, z):
     b = diag(1/sqrt|w|).  The inequality lhs <= rhs requires
     Im sqrt(z) >= 1 (the 1/Im sqrt(z) factor is dropped in the rhs).
     """
-    e = as_energy(z)
-    if e.z.imag == 0:
+    z = complex(z)
+    if z.imag == 0:
         raise BadParams("summability surrogate needs Im z != 0")
-    q = build_q(e, s)
+    q = build_q(z, s)
     qt, _ = build_weighted(s, q)
-    gram = (qt - qt.conj().T) / (2j * e.z.imag)
+    gram = (qt - qt.conj().T) / (2j * z.imag)
     lhs = float(np.sum(np.real(np.diag(gram))))
     rhs = float(np.sum(1.0 / s.abs_weights) / (8.0 * np.pi))
     return lhs, rhs

@@ -18,7 +18,7 @@ from .errors import BadParams, FitUnstable
 from .krein import (
     FOUR_PI,
     _c_from_q,
-    as_energy,
+    branch_sqrt,
     build_q,
     c_matrix,
     green_at_distance,
@@ -43,7 +43,7 @@ SPHERE_ORDER = 24
 class ResolventKernel:
     """Evaluable kernel of the perturbed resolvent at one spectral point."""
 
-    energy: object
+    z: complex
     c: np.ndarray
     scatterers: object
 
@@ -51,14 +51,13 @@ class ResolventKernel:
         """g_m(z; x) for an (..., 3) array of evaluation points."""
         x = np.asarray(x, dtype=float)
         d = np.linalg.norm(x[..., None, :] - self.scatterers.points, axis=-1)
-        return green_at_distance(self.energy, d)
+        return green_at_distance(self.z, d)
 
     def evaluate(self, x, xp):
         """K(z; x, x') for broadcastable (..., 3) point arrays."""
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
-        free = green_at_distance(self.energy,
-                                 np.linalg.norm(x - xp, axis=-1))
+        free = green_at_distance(self.z, np.linalg.norm(x - xp, axis=-1))
         gx = self.green_columns(x)
         gxp = self.green_columns(xp)
         return free - np.einsum("...m,mn,...n->...", gx, self.c, gxp)
@@ -66,8 +65,8 @@ class ResolventKernel:
 
 def resolvent_kernel(z, s):
     """Build the resolvent kernel; requires Q(z) + 4 pi L invertible."""
-    e = as_energy(z)
-    return ResolventKernel(energy=e, c=c_matrix(e, s), scatterers=s)
+    z = complex(z)
+    return ResolventKernel(z=z, c=c_matrix(z, s), scatterers=s)
 
 
 def hilbert_identity_residual(z1, z2, s):
@@ -76,25 +75,25 @@ def hilbert_identity_residual(z1, z2, s):
     Phi is the divided difference (Q(z1) - Q(z2)) / (z1 - z2), the
     diagonal included; the residual vanishes in exact arithmetic.
     """
-    if complex(z1) == complex(z2):
+    dz = complex(z1) - complex(z2)
+    if dz == 0:
         raise BadParams("z1 and z2 must differ")
-    e1, e2 = as_energy(z1), as_energy(z2)
-    q1, q2 = build_q(e1, s), build_q(e2, s)
+    q1, q2 = build_q(z1, s), build_q(z2, s)
     c1 = _c_from_q(q1, s)
     c2 = _c_from_q(q2, s)
-    phi = (q1 - q2) / (e1.z - e2.z)
-    return float(np.linalg.norm(c1 - c2 + (e1.z - e2.z) * c1 @ phi @ c2, 2))
+    phi = (q1 - q2) / dz
+    return float(np.linalg.norm(c1 - c2 + dz * c1 @ phi @ c2, 2))
 
 
 def symmetry_residual(z, s):
     """Residual ||C(z)^H - C(conj z)||_2 of the adjoint symmetry.  A real
     z > 0 raises BadParams: the branch takes C(lambda + i0) for z and conj z
     alike there, where the identity does not hold."""
-    e = as_energy(z)
-    if e.z.imag == 0 and e.z.real > 0:
-        raise BadParams(f"symmetry residual needs z off (0, inf), got {e.z}")
-    return float(np.linalg.norm(c_matrix(e, s).conj().T
-                                - c_matrix(e.conj, s), 2))
+    z = complex(z)
+    if z.imag == 0 and 0 < z.real < np.inf:
+        raise BadParams(f"symmetry residual needs z off (0, inf), got {z}")
+    return float(np.linalg.norm(c_matrix(z, s).conj().T
+                                - c_matrix(z.conjugate(), s), 2))
 
 
 def default_fit_radii(s):
@@ -142,14 +141,18 @@ def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
         direction = _RAY_DIRECTION
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    e = kern.energy
-    q_self = 1j * e.sqrt_z / FOUR_PI
-    sing_col = np.exp(1j * e.sqrt_z * radii) / (FOUR_PI * radii)
+    # Python complex arithmetic: numpy's complex division by 4 pi rounds
+    # differently
+    ik = 1j * complex(branch_sqrt(kern.z))
+    q_self = ik / FOUR_PI
+    sing_col = np.exp(ik * radii) / (FOUR_PI * radii)
     design = np.stack(
         [sing_col, np.ones_like(radii, dtype=complex), radii.astype(complex)],
         axis=1,
     )
-    scaled = design / np.linalg.norm(design, axis=0)
+    # a singular column that underflows to 0 stays 0 and makes cond inf
+    norms = np.linalg.norm(design, axis=0)
+    scaled = np.divide(design, norms, out=np.zeros_like(design), where=norms > 0)
     cond = np.linalg.cond(scaled)
     if cond > FIT_COND_LIMIT:
         raise FitUnstable(f"fit design condition {cond:.3g} exceeds {FIT_COND_LIMIT:g}")
@@ -158,9 +161,13 @@ def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
     xs = s.points[:, None, :] + radii[:, None] * direction
     coef, *_ = np.linalg.lstsq(design, kern.evaluate(xs, source).T, rcond=None)
     a, b = coef[0], coef[1]
+    # a kernel that underflows to 0 on a site's ray fits a = b = 0
+    scale = np.abs(a) + np.abs(b)
+    if not np.all(scale > 0):
+        raise FitUnstable("boundary fit is empty: the kernel underflows to 0 "
+                          "at the fit radii")
     content = np.abs(a) * sing_sup / (np.abs(a) * sing_sup + np.abs(b))
-    strength = (np.abs(a * q_self + b + FOUR_PI * s.weights * a)
-                / (np.abs(a) + np.abs(b)))
+    strength = np.abs(a * q_self + b + FOUR_PI * s.weights * a) / scale
     return np.where(content < 1e-4, content, strength)
 
 
@@ -212,7 +219,7 @@ def free_resolvent_reproduction(z, points, bump=None):
     """
     if bump is None:
         bump = BumpProfile()
-    e = as_energy(z)
+    ik = 1j * branch_sqrt(z)
     grid = make_grid(SPHERE_ORDER)
     xr, xw = np.polynomial.legendre.leggauss(RADIAL_ORDER)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -222,9 +229,9 @@ def free_resolvent_reproduction(z, points, bump=None):
         rho = 0.5 * rho_max * (xr + 1.0)
         rw = 0.5 * rho_max * xw
         pts = x[None, None, :] + rho[:, None, None] * grid.nodes[None, :, :]
-        f = bump.source(pts.reshape(-1, 3), e.z).reshape(len(rho), -1)
+        f = bump.source(pts.reshape(-1, 3), z).reshape(len(rho), -1)
         sphere_part = f @ grid.qweights
-        val = np.sum(rw * rho * np.exp(1j * e.sqrt_z * rho) / FOUR_PI * sphere_part)
+        val = np.sum(rw * rho * np.exp(ik * rho) / FOUR_PI * sphere_part)
         res[i] = abs(val - bump.value(x))
     return res
 

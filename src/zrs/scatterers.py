@@ -103,6 +103,8 @@ class ScattererSet:
         if not np.all(np.isfinite(pts)):
             raise BadParams("points must be finite")
         d = pairwise_distances(pts)
+        if not np.all(np.isfinite(d)):
+            raise BadParams("pairwise distances must be finite (points too far apart)")
         # row m of the strict lower triangle holds the distances from point
         # m to the earlier points; the distance matrix is exactly symmetric,
         # so the mask selects each pair once
@@ -163,15 +165,18 @@ class ScattererSet:
 
 
 def pairwise_distances(points):
+    """Distance matrix of ``points``; a distance above the float range is
+    inf, without an overflow warning."""
     pts = np.asarray(points, dtype=float)
     # dx^2 + dy^2 + dz^2 in the order norm(axis=-1) sums them, without
     # (N, N, 3) temporaries
-    d = np.subtract.outer(pts[:, 0], pts[:, 0])
-    d *= d
-    for k in range(1, pts.shape[1]):
-        diff = np.subtract.outer(pts[:, k], pts[:, k])
-        diff *= diff
-        d += diff
+    with np.errstate(over="ignore"):
+        d = np.subtract.outer(pts[:, 0], pts[:, 0])
+        d *= d
+        for k in range(1, pts.shape[1]):
+            diff = np.subtract.outer(pts[:, k], pts[:, k])
+            diff *= diff
+            d += diff
     return np.sqrt(d, out=d)
 
 

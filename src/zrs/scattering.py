@@ -159,12 +159,12 @@ def unitarity_defect_reduced(rep):
 def _defect_matrix(lam, gamma, b):
     """The S*S - I coefficient matrix ia (Gamma^H - Gamma) + a^2 Gamma^H B
     Gamma; a 1-D ``lam`` goes with (K, N, N) stacks ``gamma`` and ``b``.
-    ia and a^2 are formed per lambda in scalar arithmetic, which rounds
-    a^2 differently from numpy's array power."""
-    shape = np.shape(lam) + (1, 1)
-    a = [np.sqrt(v) / (8.0 * np.pi**2) for v in np.ravel(lam)]
-    ia = np.reshape([1j * v for v in a], shape)
-    a2 = np.reshape([v**2 for v in a], shape)
+    a^2 is taken by ``float_power``, which rounds as the scalar power
+    does; the array power ``a**2`` multiplies and differs in the last bit
+    for some lambda."""
+    a = (np.sqrt(lam) / (8.0 * np.pi**2))[..., None, None]
+    ia = 1j * a
+    a2 = np.float_power(a, 2)
     gh = np.swapaxes(gamma.conj(), -1, -2)
     defect = ia * (gh - gamma)
     # fewer stacks alive at once keeps a sweep's peak memory at the

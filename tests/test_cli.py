@@ -583,8 +583,14 @@ def test_n_sweep_rows_match_truncation_csv_and_gamma_levels(tmp_path):
 
 def test_n_sweep_needs_two_levels(tmp_path, capsys):
     cfg = write_config(tmp_path, {"family": FAMILY | {"N": 10}})
-    assert main(["sweep", "--config", cfg, "--lambda", "4", "--n-sweep", "4"]) == 1
-    assert capsys.readouterr() == ("", "zrs: N-sweep needs at least two truncations\n")
+    empty = write_config(tmp_path, {"family": FAMILY | {"N": 10}, "n_sweep": []},
+                         name="empty.json")
+    # an empty list is an N-sweep too, not a lambda sweep without --interval
+    for argv in (["--config", cfg, "--n-sweep", "4"],
+                 ["--config", cfg, "--n-sweep", ","],
+                 ["--config", empty]):
+        assert main(["sweep", *argv, "--lambda", "4"]) == 1
+        assert capsys.readouterr() == ("", "zrs: N-sweep needs at least two truncations\n")
     with pytest.raises(BadParams, match="at least two"):
         write_truncation_csv(make_config(4, 3), 4.0, [], io.StringIO())
 
@@ -645,6 +651,35 @@ def test_resolvent_at_positive_real_z_exits_1(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (out, err) == ("", "zrs: symmetry residual needs z off (0, inf), "
                           "got (2+0j)\n")
+
+
+@pytest.mark.parametrize("points, z, message", [
+    ([[0, 0, 0], [1, 0, 0]], [0, 1e15], "boundary fit is empty"),
+    ([[0, 0, 0], [1, 0, 0]], [0, 1e17], "fit design condition inf"),
+    ([[0, 0, 0], [1, 0, 0]], [-1e17, 0], "fit design condition inf"),
+    # the fit radii scale with the separation
+    ([[0, 0, 0], [1e154, 0, 0]], [0, 1], "fit design condition inf"),
+])
+def test_resolvent_fit_that_under_or_overflows_exits_3(tmp_path, capsys, points,
+                                                       z, message):
+    cfg = write_config(tmp_path, {"points": points, "weights": [2.0, 2.0], "z": z})
+    assert main(["resolvent", "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"zrs: numerical failure: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["smatrix", "--lambda", "4"], ["sweep", "--interval", "1", "2"],
+    ["resolvent"],
+])
+def test_sites_beyond_the_float_range_exit_1(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, {"points": [[0, 0, 0], [2e154, 0, 0]],
+                                  "weights": [2.0, 2.0]})
+    assert main([*argv, "--config", cfg]) == 1
+    assert capsys.readouterr() == (
+        "", "zrs: pairwise distances must be finite (points too far apart)\n")
 
 
 def test_resolvent_pass_and_perturbed_fail(tmp_path, capsys):

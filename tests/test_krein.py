@@ -5,7 +5,6 @@ import pytest
 
 from zrs import (
     BadParams,
-    ComplexEnergy,
     NonPositiveGram,
     ScattererSet,
     SingularMatrix,
@@ -22,6 +21,7 @@ from zrs import (
     gamma_schur,
     generate_family,
     gram_matrix,
+    green_at_distance,
     krein_matrices,
     m_sampled,
     q_norm_bound,
@@ -45,11 +45,17 @@ def test_branch_sqrt():
         s = branch_sqrt(z)
         assert s.imag >= 0
         assert np.isclose(s * s, z)
-    e = ComplexEnergy.from_z(np.pi**2)
-    assert np.isclose(e.sqrt_z, np.pi)
-    # conjugate point stays on the fixed branch
-    ec = ComplexEnergy.from_z(2 - 3j).conj
-    assert ec.z == 2 + 3j and ec.sqrt_z.imag >= 0
+    assert np.isclose(branch_sqrt(np.pi**2), np.pi)
+    # an array of points: each root as at the single point, bit for bit,
+    # conjugate pairs and the negative axis included
+    zs = np.array([np.pi**2, 2 + 3j, 2 - 3j, -1 - 0.5j, -1 + 0.5j, -4.0, 0.0,
+                   -4.0 - 0.0j, 1e-300j, -1e300])
+    roots = branch_sqrt(zs)
+    assert roots.shape == zs.shape and roots.dtype == complex
+    assert np.all(roots.imag >= 0)
+    for z, r in zip(zs, roots):
+        assert _same(r, branch_sqrt(z))
+    assert isinstance(branch_sqrt(2 - 3j), np.complexfloating)
 
 
 @pytest.mark.parametrize("fn", [smatrix, gram_matrix, c_matrix])
@@ -57,6 +63,14 @@ def test_branch_sqrt():
 def test_non_finite_spectral_point_rejected(fn, z, two_scatterers):
     with pytest.raises(BadParams):
         fn(z, two_scatterers)
+
+
+@pytest.mark.parametrize("fn", [branch_sqrt, build_q, gram_matrix, gamma_at, c_matrix])
+def test_non_finite_point_in_a_stack_rejected(fn, two_scatterers):
+    zs = np.array([1.0, 2.0, np.nan, 4.0, np.inf])
+    args = () if fn is branch_sqrt else (two_scatterers,)
+    with pytest.raises(BadParams, match=r"must be finite, got \(nan\+0j\)"):
+        fn(zs, *args)
 
 
 def test_free_green_trivials():
@@ -167,6 +181,28 @@ def test_stacked_builders_equal_per_point(n, extra):
         assert _same(q[i], build_q(lam, s))
         assert _same(gammas[i], gamma_at(lam, s))
         assert _same(gd.g[i], one.g) and gd.mu[i] == one.mu and gd.lam[i] == one.lam
+    # a complex stack of the same length: off-axis points next to their
+    # conjugates, and points of the negative axis
+    w = lams[::-1] * np.exp(2.5j)
+    zs = np.stack([w, w.conj(), -lams], axis=1).ravel()[:k]
+    r = np.linspace(0.25, 3.0, 7)
+    qz = build_q(zs, s)
+    gz = green_at_distance(zs, r)
+    assert qz.shape == (k, n, n) and gz.shape == (k, 7)
+    for i in sorted(set(range(0, k, max(1, k // 256))) | {k - 1}):
+        assert _same(qz[i], build_q(zs[i], s))
+        assert _same(gz[i], green_at_distance(zs[i], r))
+
+
+def test_q_diagonal_rounds_as_python_complex_division():
+    # numpy's complex division by 4 pi multiplies by the reciprocal; the
+    # diagonal keeps the rounding of Python's i sqrt(z) / (4 pi)
+    s = ScattererSet([[0, 0, 0]], [1.0])
+    rng = np.random.default_rng(5)
+    zs = rng.standard_normal(4000) * 10.0 ** rng.uniform(-3, 4, 4000)
+    zs = zs + 1j * np.where(np.arange(zs.size) % 2, 0.0, zs[::-1])
+    want = np.array([1j * complex(branch_sqrt(z)) / FOUR_PI for z in zs])
+    assert _same(build_q(zs, s)[:, 0, 0], want)
 
 
 def test_m_sampled_equals_per_point_max_across_stacks():
@@ -606,8 +642,8 @@ def test_gram_floor_matches_svd_rule(monkeypatch, s, lams, shift):
     eigvalsh = np.linalg.eigvalsh
 
     def shifted(g):
-        floor = 1e-12 * np.maximum(1.0, np.linalg.norm(g, 2, axis=(1, 2)))
-        ev = eigvalsh(g) - shift * floor[:, None]
+        floor = 1e-12 * np.maximum(1.0, np.linalg.norm(g, 2, axis=(-2, -1)))
+        ev = eigvalsh(g) - shift * np.asarray(floor)[..., None]
         seen.append((g, ev))
         return ev
 
@@ -620,9 +656,10 @@ def test_gram_floor_matches_svd_rule(monkeypatch, s, lams, shift):
         except NonPositiveGram:
             raised = True
         g, ev = seen[-1]
-        mu = ev[0, 0]
+        assert g.ndim == 2
+        mu = ev[0]
         negative += mu < 0
-        svd_floor = -1e-12 * max(1.0, np.linalg.norm(g[0], 2))
+        svd_floor = -1e-12 * max(1.0, np.linalg.norm(g, 2))
         assert raised == (mu < 0 and mu <= svd_floor)
     assert negative > 0
     if shift > 1:

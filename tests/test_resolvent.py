@@ -19,7 +19,7 @@ from zrs import (
     symmetry_residual,
 )
 from zrs import krein, resolvent
-from zrs.krein import FOUR_PI, as_energy, build_q, c_matrix
+from zrs.krein import FOUR_PI, branch_sqrt, build_q, c_matrix
 from zrs.resolvent import default_fit_radii, write_kernel_slice_csv
 
 from conftest import battery, make_config
@@ -29,9 +29,9 @@ def test_c_scalar_formula():
     w, z = 1.9, 1j
     s = ScattererSet([[0, 0, 0]], [w])
     kern = resolvent_kernel(z, s)
-    e = as_energy(z)
+    assert kern.z == z
     assert np.allclose(kern.c[0, 0],
-                       1 / (1j * e.sqrt_z / FOUR_PI + FOUR_PI * w))
+                       1 / (1j * branch_sqrt(z) / FOUR_PI + FOUR_PI * w))
 
 
 def test_c_cofactor_oracle_2x2():
@@ -89,10 +89,9 @@ def test_hilbert_identity_scalar_closed_form():
     z1, z2 = 1j, -1j
 
     def c(z):
-        e = as_energy(z)
-        return 1 / (1j * e.sqrt_z / FOUR_PI + FOUR_PI * w)
+        return 1 / (1j * complex(branch_sqrt(z)) / FOUR_PI + FOUR_PI * w)
 
-    phi = (1j * as_energy(z1).sqrt_z - 1j * as_energy(z2).sqrt_z) / (
+    phi = (1j * complex(branch_sqrt(z1)) - 1j * complex(branch_sqrt(z2))) / (
         FOUR_PI * (z1 - z2))
     res = abs(c(z1) - c(z2) + (z1 - z2) * c(z1) * phi * c(z2))
     assert res < 1e-18
@@ -101,10 +100,10 @@ def test_hilbert_identity_scalar_closed_form():
 
 def test_hilbert_residual_builds_each_q_once(monkeypatch):
     s = make_config(1010, 10)
-    e1, e2 = as_energy(1 + 1j), as_energy(-2 + 0.5j)
-    c1, c2 = c_matrix(e1, s), c_matrix(e2, s)
-    phi = (build_q(e1, s) - build_q(e2, s)) / (e1.z - e2.z)
-    expect = float(np.linalg.norm(c1 - c2 + (e1.z - e2.z) * c1 @ phi @ c2, 2))
+    z1, z2 = 1 + 1j, -2 + 0.5j
+    c1, c2 = c_matrix(z1, s), c_matrix(z2, s)
+    phi = (build_q(z1, s) - build_q(z2, s)) / (z1 - z2)
+    expect = float(np.linalg.norm(c1 - c2 + (z1 - z2) * c1 @ phi @ c2, 2))
     calls = []
 
     def counting_build_q(z, sub):
@@ -114,7 +113,7 @@ def test_hilbert_residual_builds_each_q_once(monkeypatch):
     for module in (krein, resolvent):
         monkeypatch.setattr(module, "build_q", counting_build_q)
     assert hilbert_identity_residual(1 + 1j, -2 + 0.5j, s) == expect
-    assert calls == [e1, e2]
+    assert calls == [z1, z2]
 
 
 def test_hilbert_residual_continuity_in_gap():
@@ -158,8 +157,8 @@ def test_boundary_condition_fit_matches_expansion_oracle():
     src = np.array([0.4, 0.7, -0.3])
     gamma = free_green(z, -src)
     radii = default_fit_radii(s)
-    e = kern.energy
-    design = np.stack([np.exp(1j * e.sqrt_z * radii) / (FOUR_PI * radii),
+    ik = 1j * complex(branch_sqrt(kern.z))
+    design = np.stack([np.exp(ik * radii) / (FOUR_PI * radii),
                        np.ones_like(radii, complex), radii.astype(complex)], 1)
     d_hat = np.array([1.0, 0, 0])
     f = kern.evaluate(s.points[0] + radii[:, None] * d_hat, src)
@@ -188,13 +187,13 @@ def _residuals_per_site(z, s, source, direction):
     one least-squares fit and one branch per site.  Returns the residuals
     and the condition number of the unit-column design."""
     kern = resolvent_kernel(z, s)
-    e = kern.energy
+    ik = 1j * complex(branch_sqrt(kern.z))
     radii = default_fit_radii(s)
-    sing_col = np.exp(1j * e.sqrt_z * radii) / (FOUR_PI * radii)
+    sing_col = np.exp(ik * radii) / (FOUR_PI * radii)
     design = np.stack([sing_col, np.ones_like(radii, complex),
                        radii.astype(complex)], 1)
     sing_sup = float(np.max(np.abs(sing_col)))
-    q_self = 1j * e.sqrt_z / FOUR_PI
+    q_self = ik / FOUR_PI
     out = np.empty(s.n)
     for m in range(s.n):
         f = kern.evaluate(s.points[m] + radii[:, None] * direction, source)

@@ -115,6 +115,18 @@ def test_duplicate_point_rejected():
         ScattererSet([[0, 0, 0], [0, 0, 1e-13]], [1, 1])
 
 
+@pytest.mark.parametrize("points", [
+    [[0, 0, 0], [2e154, 0, 0]],
+    [[-1e308, 0, 0], [1e308, 0, 0]],
+    [[0, 0, 0], [1, 0, 0], [1e154, 1e154, 1e154]],
+])
+def test_distance_beyond_the_float_range_rejected(points):
+    with pytest.raises(BadParams, match="distances must be finite"):
+        ScattererSet(points, [1.0] * len(points))
+    d = pairwise_distances(np.array(points, dtype=float))
+    assert np.isinf(d).any() and not np.isnan(d).any()
+
+
 def test_admissibility_single_scatterer():
     s = ScattererSet([[0, 0, 0]], [1.0])
     rep = check_admissibility(s, 25.0)

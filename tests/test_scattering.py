@@ -171,6 +171,20 @@ def test_reduced_defect_examples():
     assert unitarity_defect_reduced(smatrix(2.0, s5)) < 1e-10
 
 
+def test_defect_matrix_coefficients_round_as_scalar_arithmetic():
+    # with Gamma = B = I the defect matrix is a^2 I, a = sqrt(lam)/(8 pi^2);
+    # a^2 must round as numpy's scalar power, which the array power a**2
+    # misses in the last bit for some lambda
+    lams = np.geomspace(1e-3, 1e4, 20000)
+    eye = np.broadcast_to(np.eye(1, dtype=complex), (lams.size, 1, 1))
+    got = scattering._defect_matrix(lams, eye, eye)[:, 0, 0]
+    want = [(np.sqrt(v) / (8.0 * np.pi**2)) ** 2 for v in lams]
+    assert got.real.tobytes() == np.array(want).tobytes()
+    assert not got.imag.any()
+    one = scattering._defect_matrix(lams[7], np.eye(1), np.eye(1))
+    assert one.shape == (1, 1) and one[0, 0] == want[7]
+
+
 def test_reduced_defect_sensitivity():
     # perturbing the coefficient matrix must push the defect up
     s = make_config(19, 5)
