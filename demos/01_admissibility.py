@@ -17,9 +17,9 @@ from zrs import (
 
 print("== explicit configuration ==")
 s = ScattererSet([[0, 0, 0], [1, 0, 0], [3, 0, 0]], [2.0, -1.5, 4.0])
-prof = separation_profile(s)
+eta = separation_profile(s)
 print(f"points:\n{s.points}")
-print(f"prefix separation minima eta: {prof.eta}")
+print(f"prefix separation minima eta: {eta}")
 rep = check_admissibility(s, b=25.0)
 print(f"K0 = {rep.k0:.6f}, K1 = {rep.k1:.6f}, tail = {np.round(rep.tail, 6)}")
 print(f"tail bound p_(N0={rep.n0})(b=25) = {rep.p_tail:.3f} "

@@ -16,7 +16,6 @@ from .errors import (
 from .scatterers import (
     AdmissibilityReport,
     ScattererSet,
-    SeparationProfile,
     check_admissibility,
     eta_by_index,
     from_config,

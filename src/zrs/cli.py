@@ -14,6 +14,7 @@ import numpy as np
 
 from . import resolvent as rsv
 from . import scattering as sc
+from ._blas import serial_blas
 from .errors import (
     FitUnstable,
     NonPositiveGram,
@@ -251,7 +252,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = _load_config(args.config)
         s = from_config(cfg)
-        code, text = _COMMANDS[args.command](args, cfg, s)
+        # one BLAS thread for the orders where that is faster, which also
+        # makes the output independent of the thread count
+        with serial_blas(s.n if args.n is None else args.n):
+            code, text = _COMMANDS[args.command](args, cfg, s)
     except UsageError as exc:
         print(f"zrs: usage error: {exc}", file=sys.stderr)
         return 1

@@ -132,11 +132,13 @@ def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
     if np.any(d_src < 1e-9):
         raise BadParams("source must be distinct from every scatterer")
     if radii is None:
+        # 1e-5 times the least separation and up, so no check is needed
         radii = default_fit_radii(s)
-    radii = np.asarray(radii, dtype=float)
-    eta = eta_by_index(s)
-    if eta.size and np.min(radii) < 1e-6 * np.min(eta):
-        raise BadParams("smallest radius below 1e-6 * eta")
+    else:
+        radii = np.asarray(radii, dtype=float)
+        eta = eta_by_index(s)
+        if eta.size and np.min(radii) < 1e-6 * np.min(eta):
+            raise BadParams("smallest radius below 1e-6 * eta")
     if direction is None:
         direction = _RAY_DIRECTION
     direction = np.asarray(direction, dtype=float)

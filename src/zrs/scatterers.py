@@ -180,35 +180,15 @@ def pairwise_distances(points):
     return np.sqrt(d, out=d)
 
 
-@dataclass(frozen=True)
-class SeparationProfile:
-    """Prefix minima of pairwise distances.
-
-    ``eta[i]`` is the minimum pairwise distance among the first ``i + 2``
-    points, so the list has length N - 1 and is nonincreasing.
-    """
-
-    eta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", _freeze(np.atleast_1d(self.eta)))
-
-
 def separation_profile(s):
-    """Prefix separation minima eta of a scatterer set.
-
-    Returns
-    -------
-    SeparationProfile
-        ``eta`` of length N - 1; empty for a single scatterer.
-    """
+    """Prefix separation minima of a scatterer set: ``eta[i]`` is the
+    minimum pairwise distance among the first ``i + 2`` points, so the
+    array has length N - 1 (empty for a single scatterer) and is
+    nonincreasing."""
     # the per-point minima over earlier points, kept by ScattererSet; min
-    # is exact, so the order of the minima does not matter
-    eta = np.minimum.accumulate(s._row_minima)[1:]
-    bad = np.flatnonzero(eta <= DUPLICATE_EPS)
-    if bad.size:
-        raise DuplicatePoint(f"points {bad[0] + 1} and an earlier one coincide")
-    return SeparationProfile(eta=eta)
+    # is exact, so the order of the minima does not matter.  Every minimum
+    # is above DUPLICATE_EPS: the set checked its least one.
+    return np.minimum.accumulate(s._row_minima)[1:]
 
 
 def eta_by_index(s):
@@ -220,8 +200,22 @@ def eta_by_index(s):
     """
     if s.n == 1:
         return np.empty(0)
-    eta = separation_profile(s).eta
+    eta = separation_profile(s)
     return np.concatenate([eta[:1], eta])
+
+
+def _site_terms(s):
+    """Per-site summability data: the K0 terms 1/|w_m|, eta_m (as
+    :func:`eta_by_index`) and the K1 terms 1/(eta_m^2 |w_m|).
+
+    A K1 term whose denominator overflows is 0, its limit.  A single
+    scatterer has no eta and no K1 terms.
+    """
+    absw = s.abs_weights
+    eta = eta_by_index(s)
+    with np.errstate(over="ignore"):
+        terms_k1 = 1.0 / (eta**2 * absw)
+    return 1.0 / absw, eta, terms_k1
 
 
 @dataclass(frozen=True)
@@ -278,7 +272,7 @@ def _ratio_converges(terms):
     return bool(ratio < 1.0)
 
 
-def site_bounds(s, root, eta=None):
+def site_bounds(s, root):
     """Per-site terms (root + K0/eta_m^2 + K1) / (4 pi |w_m|) of the norm
     bounds p_L(z) (root = |sqrt z|) and p_{N0,L}(b) (root = sqrt b).
 
@@ -287,14 +281,13 @@ def site_bounds(s, root, eta=None):
     absw = s.abs_weights
     if s.n == 1:
         return root / (4.0 * np.pi * absw)
-    if eta is None:
-        eta = eta_by_index(s)
-    k0 = float(np.sum(1.0 / absw))
-    k1 = float(np.sum(1.0 / (eta**2 * absw)))
+    terms_k0, eta, terms_k1 = _site_terms(s)
+    k0 = float(np.sum(terms_k0))
+    k1 = float(np.sum(terms_k1))
     return (root + k0 / eta**2 + k1) / (4.0 * np.pi * absw)
 
 
-def tail_bound(s, n0, b, eta=None):
+def tail_bound(s, n0, b):
     """Tail norm bound p_{N0,L}(b) = max_{m>N0} (sqrt(b) + K0/eta_m^2 + K1) / (4 pi |w_m|).
 
     K0 and K1 are taken over the retained scatterers.  Returns 0.0 for
@@ -306,7 +299,7 @@ def tail_bound(s, n0, b, eta=None):
         raise BadParams(f"n0 = {n0} outside 0..{s.n}")
     if n0 == s.n:
         return 0.0
-    return float(np.max(site_bounds(s, np.sqrt(b), eta)[n0:]))
+    return float(np.max(site_bounds(s, np.sqrt(b))[n0:]))
 
 
 def check_admissibility(s, b, n0=None):
@@ -328,16 +321,13 @@ def check_admissibility(s, b, n0=None):
     """
     if n0 is None:
         n0 = max(1, s.n // 2)
-    absw = s.abs_weights
-    terms_k0 = 1.0 / absw
+    # a single scatterer has no K1 terms, so tail [0]
+    terms_k0, _, terms_k1 = _site_terms(s)
     k0 = float(np.sum(terms_k0))
-    # a single scatterer has an empty eta, so no K1 terms and tail [0]
-    eta = eta_by_index(s)
-    terms_k1 = 1.0 / (eta**2 * absw)
     k1 = float(np.sum(terms_k1))
     # tail[j] = sum of K1 terms with index m > j+1 (1-based)
     tail = np.concatenate([np.cumsum(terms_k1[::-1])[::-1][1:], [0.0]])
-    p = tail_bound(s, n0, b, eta=eta)
+    p = tail_bound(s, n0, b)
     return AdmissibilityReport(
         k0=k0,
         k1=k1,

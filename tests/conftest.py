@@ -94,6 +94,27 @@ def bordering_bound(a, gamma):
     return 4 * a.shape[0] * np.finfo(float).eps * kappa * np.linalg.norm(gamma, 2)
 
 
+def inverse_error_bound(inv):
+    """Round-off bound 16 n eps cond(inv) ||inv||_2 on the 2-norm error of
+    ``inv``, a computed inverse of order n."""
+    n = inv.shape[-1]
+    return (16 * n * np.finfo(float).eps * np.linalg.cond(inv)
+            * np.linalg.norm(inv, 2))
+
+
+def kernel_error_bound(lam, points, inv, wmin=1.0):
+    """Round-off bound on each entry of a far-field kernel at ``lam``: a
+    sum over n^2 site pairs of (k / 8 pi^2) inv_mn / sqrt|w_m w_n| times
+    unit-modulus phases e^{-ik n.x_m} e^{ik n'.x_n}.  It adds the inverse
+    error of ``inv`` (:func:`inverse_error_bound`) and a rounding of 4 eps
+    (k r + 1) in each phase (r the largest |x_m|), over ``wmin`` = min|w|."""
+    k = np.sqrt(lam)
+    r = np.max(np.linalg.norm(points, axis=1))
+    entry = (inverse_error_bound(inv)
+             + 8 * np.finfo(float).eps * (k * r + 1) * np.max(np.abs(inv)))
+    return k / (8 * np.pi**2) * len(points)**2 * entry / wmin
+
+
 def run_child(argv, cwd):
     """Run ``argv`` in a fresh interpreter that imports this ``zrs``."""
     env = dict(os.environ)

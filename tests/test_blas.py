@@ -51,11 +51,23 @@ def get_threads(request, monkeypatch):
         set_(before)
 
 
-def _lattice(tmp_path, n):
-    cfg = tmp_path / f"lattice{n}.json"
-    cfg.write_text(json.dumps(
-        {"family": {"kind": "cubic-lattice-ball", "N": n, "params": {}}}))
+def _lattice(tmp_path, n, weight=1.0):
+    cfg = tmp_path / f"lattice{n}-{weight:g}.json"
+    cfg.write_text(json.dumps({"family": {"kind": "cubic-lattice-ball", "N": n,
+                                          "params": {"weight": weight}}}))
     return str(cfg)
+
+
+def _run_under_one_and_two_threads(tmp_path, monkeypatch, argv):
+    """The stdout of ``zrs argv`` in a fresh interpreter under one and under
+    two OpenBLAS threads; each run must exit 0."""
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        proc = run_child([sys.executable, "-m", "zrs", *argv], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    return outs
 
 
 def test_sweep_runs_serially_and_restores_the_count(tmp_path, monkeypatch, get_threads):
@@ -158,12 +170,30 @@ def test_sweep_output_does_not_depend_on_blas_threads(tmp_path, monkeypatch):
         (_lattice(tmp_path, 400), ["--lambda", "5", "--n-sweep", "25,50,100,200,400"], 4),
     ]
     for cfg, mode, rows in runs:
-        outs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-            proc = run_child([sys.executable, "-m", "zrs", "sweep", "--config", cfg,
-                              *mode], tmp_path)
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout)
+        outs = _run_under_one_and_two_threads(tmp_path, monkeypatch,
+                                              ["sweep", "--config", cfg, *mode])
         assert len(outs[0].splitlines()) == rows + 1
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("n", [20, 50, 150])
+def test_smatrix_output_does_not_depend_on_blas_threads(tmp_path, monkeypatch, n):
+    # weight 10 makes the tail block of the Schur split contractive
+    runs = [["--config", _lattice(tmp_path, n)],
+            ["--config", _lattice(tmp_path, n, 10.0), "--n0", str(n // 2)]]
+    for run in runs:
+        outs = _run_under_one_and_two_threads(tmp_path, monkeypatch,
+                                              ["smatrix", "--lambda", "5", *run])
+        # the header and the 8 x 8 kernel sample
+        assert len(outs[0].splitlines()) == 2 + 64
+        assert outs[0] == outs[1]
+
+
+def test_resolvent_output_does_not_depend_on_blas_threads(tmp_path, monkeypatch):
+    cfg = tmp_path / "lattice150.json"
+    cfg.write_text(json.dumps({"family": {"kind": "cubic-lattice-ball", "N": 150},
+                               "z": [0.5, 1.0]}))
+    outs = _run_under_one_and_two_threads(tmp_path, monkeypatch,
+                                          ["resolvent", "--config", str(cfg)])
+    assert json.loads(outs[0])["pass"]
+    assert outs[0] == outs[1]

@@ -5,13 +5,15 @@ import contextlib
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zrs import (BadParams, NonPositiveGram, SingularMatrix, build_q,
-                 build_weighted, gamma_direct, smatrix, unitarity_defect_reduced)
+from zrs import (BadParams, NonPositiveGram, ScattererSet, SingularMatrix, build_q,
+                 build_weighted, gamma_direct, q_norm_bound, smatrix, tail_bound,
+                 unitarity_defect_reduced)
 from zrs import cli, krein, scattering
 from zrs.cli import main
 from zrs._blas import serial_blas
@@ -668,6 +670,20 @@ def test_resolvent_fit_that_under_or_overflows_exits_3(tmp_path, capsys, points,
     assert out == ""
     assert err.startswith(f"zrs: numerical failure: {message}")
     assert err.count("\n") == 1
+
+
+def test_k1_term_that_overflows_is_zero_without_warning(tmp_path, capsys):
+    # eta^2 |w| = 2e308 is above the float range: the K1 term is its limit 0
+    data = {"points": [[0, 0, 0], [1e154, 0, 0]], "weights": [2.0, 2.0]}
+    cfg = write_config(tmp_path, data)
+    s = ScattererSet(data["points"], data["weights"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", cfg]) == 0
+        assert tail_bound(s, 1, 25.0) == 5.0 / (8.0 * np.pi)
+        assert q_norm_bound(s, -4.0) == 2.0 / (8.0 * np.pi)
+    out = json.loads(capsys.readouterr().out)
+    assert (out["K0"], out["K1"], out["tail"]) == (1.0, 0.0, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,27 +16,26 @@ from zrs import (
     separation_profile,
     tail_bound,
 )
-from zrs import scatterers
-from zrs.scatterers import DUPLICATE_EPS, pairwise_distances
+from zrs.scatterers import pairwise_distances
 
 from conftest import make_config
 
 
 def test_profile_three_collinear():
     s = ScattererSet([[0, 0, 0], [1, 0, 0], [3, 0, 0]], [1, 1, 1])
-    assert np.allclose(separation_profile(s).eta, [1.0, 1.0])
+    assert np.allclose(separation_profile(s), [1.0, 1.0])
 
 
 def test_profile_two_points():
     s = ScattererSet([[0, 0, 0], [0, 0, 2]], [1, 1])
-    assert np.allclose(separation_profile(s).eta, [2.0])
+    assert np.allclose(separation_profile(s), [2.0])
 
 
 def test_profile_harmonic_points_brute_force():
     # x_m = (1/m, 0, 0); oracle is the O(N^2) pairwise scan
     pts = [[1.0 / m, 0, 0] for m in range(1, 5)]
     s = ScattererSet(pts, [1, 1, 1, 1])
-    eta = separation_profile(s).eta
+    eta = separation_profile(s)
 
     def brute(k):
         sub = np.array(pts[:k])
@@ -53,7 +52,7 @@ def test_profile_harmonic_points_brute_force():
 
 def test_profile_nonincreasing_and_permutation_floor():
     s = make_config(42, 10)
-    eta = separation_profile(s).eta
+    eta = separation_profile(s)
     assert np.all(np.diff(eta) <= 1e-15)
     # final value is the global minimum pairwise distance, however indexed
     d = s.distances()
@@ -62,32 +61,21 @@ def test_profile_nonincreasing_and_permutation_floor():
     rng = np.random.default_rng(3)
     perm = rng.permutation(10)
     sp = ScattererSet(s.points[perm], s.weights[perm])
-    assert np.isclose(separation_profile(sp).eta[-1], dmin)
+    assert np.isclose(separation_profile(sp)[-1], dmin)
 
 
-def _profile_loop(d, eps):
+def _profile_loop(d):
     # reference: running minimum of the distances to each newly added point
     eta, running = [], np.inf
     for m in range(1, len(d)):
         running = min(running, float(np.min(d[m, :m])))
-        if running <= eps:
-            return m
         eta.append(running)
     return np.array(eta)
 
 
 def test_profile_equals_loop_definition(battery25):
     for s in battery25 + [generate_family("clustering", {"p": 2, "q": 6}, 60)]:
-        assert separation_profile(s).eta.tobytes() == \
-            _profile_loop(s.distances(), DUPLICATE_EPS).tobytes()
-
-
-def test_profile_duplicate_index_equals_loop_definition(monkeypatch):
-    s = ScattererSet([[0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 0, 1e-6]], [1] * 4)
-    monkeypatch.setattr(scatterers, "DUPLICATE_EPS", 1e-3)
-    assert _profile_loop(s.distances(), scatterers.DUPLICATE_EPS) == 3
-    with pytest.raises(DuplicatePoint, match="points 3 and"):
-        separation_profile(s)
+        assert separation_profile(s).tobytes() == _profile_loop(s.distances()).tobytes()
 
 
 def test_distances_cached_read_only_and_equal_to_norm(battery25):

@@ -32,6 +32,7 @@ from zrs import (
     omega_unitary,
     overlap_error,
     plane_wave_block,
+    resolvent_kernel,
     smatrix,
     smatrix_minus_identity_norm,
     unitarity_defect_quadrature,
@@ -49,7 +50,7 @@ from zrs.scattering import (
 from zrs.spherical import direction_angles, gram_overlap, weighted_gram_target
 
 from conftest import (count_linalg_calls, explicit_gram, explicit_gram_cases,
-                      make_config)
+                      kernel_error_bound, make_config)
 
 FOUR_PI = 4 * np.pi
 
@@ -99,6 +100,65 @@ def test_kernel_direct_sum_oracle():
                     acc += (rep.coeff[m, mp] * u_m * u_mp
                             / np.sqrt(abs(s.weights[m]) * abs(s.weights[mp])))
             assert np.isclose(vals[i, j], -acc, atol=1e-14)
+
+
+def _far_field(k, points, dirs):
+    """The exact far field of the Green columns, lim_{R -> inf} 4 pi R
+    e^{-ikR} g_m(k^2 + i0; R n) = e^{-ik n . x_m}, as an (a, N) array over
+    the unit vectors ``dirs``."""
+    return np.exp(-1j * k * (np.atleast_2d(dirs) @ points.T))
+
+
+def _resolvent_far_field(lam, s, dirs_out, dirs_in, weights):
+    """(ik / 8 pi^2) times the far field of the scattered part of the
+    resolvent kernel at lambda + i0, for x = R n and x' = -R n' with R ->
+    inf: -sum C_mn e^{-ik n . x_m} e^{ik n' . x_n}, where C is the
+    resolvent's at strengths ``weights``.  Returns that matrix and C."""
+    k = np.sqrt(lam)
+    c = resolvent_kernel(lam, ScattererSet(s.points, weights)).c
+    far = -(_far_field(k, s.points, dirs_out) @ c @ _far_field(k, s.points, -dirs_in).T)
+    return 1j * k / (8.0 * np.pi**2) * far, c
+
+
+def test_far_field_is_the_green_columns_limit(battery25):
+    lam, big = 7.3, 1e6
+    k = np.sqrt(lam)
+    dirs = make_grid(4).nodes
+    for s in battery25:
+        kern = resolvent_kernel(lam, s)
+        scaled = FOUR_PI * big * np.exp(-1j * k * big) * kern.green_columns(big * dirs)
+        # |R n - x| = R - n.x + O(|x|^2 / R): a phase error of at most
+        # k |x|^2 / 2R and an amplitude error of at most |x| / R
+        r = np.max(np.linalg.norm(s.points, axis=1))
+        bound = 2.0 * (k * r**2 / 2.0 + r) / big
+        assert np.max(np.abs(scaled - _far_field(k, s.points, dirs))) <= bound
+
+
+def test_smatrix_kernel_is_the_far_field_of_the_resolvent(battery25):
+    # S - I at strengths w is the far field of the resolvent kernel at
+    # strengths w / 4 pi: both invert Q + L, L = diag(w), the S side as
+    # D^{1/2} (J + Qt)^{-1} D^{1/2} and the resolvent side as
+    # (Q + 4 pi L')^{-1} with L' = L / 4 pi
+    rng = np.random.default_rng(7)
+    dirs = rng.standard_normal((2, 8, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    out, inc = dirs
+    for s in battery25:
+        for lam in (0.9, 7.3, 40.0):
+            rep = smatrix(lam, s)
+            got = kernel_correction(rep, out, inc)
+            want, c = _resolvent_far_field(lam, s, out, inc, s.weights / FOUR_PI)
+            # fixed before measuring: the round-off of each side
+            bound = (kernel_error_bound(lam, s.points, rep.gamma,
+                                        np.min(s.abs_weights))
+                     + kernel_error_bound(lam, s.points, c))
+            assert np.max(np.abs(got - want)) <= bound
+            # the check tells the strength map and the orientation apart
+            wrong_map, _ = _resolvent_far_field(lam, s, out, inc, s.weights)
+            flipped, _ = _resolvent_far_field(lam, s, -out, -inc, s.weights / FOUR_PI)
+            assert np.max(np.abs(got - wrong_map)) > 1e3 * bound
+            if s.n > 1:
+                assert np.max(np.abs(got - flipped)) > 1e3 * bound
 
 
 def test_apply_identity_cases():

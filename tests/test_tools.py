@@ -23,6 +23,30 @@ def test_self_compare_of_one_warmup_reports_no_difference(tmp_path):
         f"(BLAS threads in effect: {worker.blas_threads()})")
 
 
+def test_threads_option_sets_each_sides_openblas_thread_count(tmp_path, monkeypatch,
+                                                              capsys):
+    jobs = compare_outputs._jobs(("smatrix-quadrature",), 1, 0, tmp_path / "configs")
+    # the option overrides the count the child would inherit
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    side = compare_outputs._spawn(ROOT, jobs[:1], tmp_path, "one", threads=1)
+    assert side["blas_threads"] == (None if worker.blas_threads() is None else 1)
+    spawned = []
+
+    def fake_spawn(side, jobs, workdir, tag, threads=None):
+        spawned.append((side, tag, threads))
+        return {"blas_threads": threads, "jobs": {}}
+
+    monkeypatch.setattr(compare_outputs, "_spawn", fake_spawn)
+    assert compare_outputs.main(["--threads", "1", "2", str(ROOT), str(ROOT)]) == 0
+    assert spawned == [(ROOT, "parent", 1), (ROOT, "change", 2)]
+    assert capsys.readouterr().out == (
+        "0 jobs, 0 fields compared, 0 differ "
+        "(BLAS threads in effect: parent 1, change 2)\n")
+    spawned.clear()
+    assert compare_outputs.main([str(ROOT), str(ROOT)]) == 0
+    assert spawned == [(ROOT, "parent", None), (ROOT, "change", None)]
+
+
 def test_summary_names_the_thread_count_of_each_side():
     parent = {"blas_threads": 1, "jobs": {"a": None, "b": None}}
     change = {"blas_threads": 2, "jobs": {"a": None, "b": None}}

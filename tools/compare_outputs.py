@@ -1,8 +1,9 @@
 """Compare what two zrs checkouts print on the benchmark's job lists.
 
-    python3 tools/compare_outputs.py PARENT CHANGE
+    python3 tools/compare_outputs.py [--threads P C] PARENT CHANGE
 
-PARENT and CHANGE are checkout directories, each holding ``src/zrs``.
+PARENT and CHANGE are checkout directories, each holding ``src/zrs``;
+they may be one directory, to check a tree against itself.
 The jobs are the warm-up and cycles 0 and 1 of every workload's job
 list at seed 1, taken from ``perfbench/workloads.py`` of the checkout
 holding this script (read and not modified), and the demos of each
@@ -17,9 +18,11 @@ side.  Each side runs every job in one child process started with
   files it writes under ``demo_output/``.
 
 Each side also reports the OpenBLAS thread count in effect when its
-jobs start (from ``perfbench/worker.py``; set it for both sides with
-``OPENBLAS_NUM_THREADS``), and the summary line names it, since outputs
-computed with more than one thread may differ in the last bits.
+jobs start (from ``perfbench/worker.py``), and the summary line names
+it, since outputs computed with more than one thread may differ in the
+last bits.  Both sides inherit ``OPENBLAS_NUM_THREADS``; ``--threads P
+C`` sets it to P for the parent's child and to C for the change's, so
+``--threads 1 2 TREE TREE`` shows what depends on the thread count.
 
 For each job the tool compares the exit code, the error raised (if
 any), stdout, stderr and the output bytes.  For a CSV that differs it
@@ -148,8 +151,9 @@ def run_side(side, jobs_path, result_path):
     Path(result_path).write_text(json.dumps({"blas_threads": threads, "jobs": results}))
 
 
-def _spawn(side, jobs, workdir, tag):
-    """Run ``jobs`` on checkout ``side`` in a child process; returns
+def _spawn(side, jobs, workdir, tag, threads=None):
+    """Run ``jobs`` on checkout ``side`` in a child process, with
+    ``OPENBLAS_NUM_THREADS`` set to ``threads`` unless that is None; returns
     ``{"blas_threads": count or None, "jobs": {name: outcome}}``."""
     jobs_path, result_path = workdir / f"jobs-{tag}.json", workdir / f"result-{tag}.json"
     jobs_path.write_text(json.dumps(jobs))
@@ -157,6 +161,8 @@ def _spawn(side, jobs, workdir, tag):
             "import compare_outputs as c; "
             f"c.run_side({str(side)!r}, {str(jobs_path)!r}, {str(result_path)!r})")
     env = dict(os.environ, PYTHONPATH=str(Path(side) / "src"))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
     subprocess.run([sys.executable, "-c", code], env=env, cwd=workdir, check=True)
     return json.loads(result_path.read_text())
 
@@ -337,12 +343,17 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
+    ap.add_argument("--threads", nargs=2, type=int, metavar=("P", "C"),
+                    default=(None, None),
+                    help="OPENBLAS_NUM_THREADS of the parent's and the change's run")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         jobs = _jobs(WORKLOADS, SEED, CYCLES, workdir / "configs")
-        sides = [_spawn(side.resolve(), jobs + _demo_jobs(side.resolve()), workdir, tag)
-                 for tag, side in (("parent", args.parent), ("change", args.change))]
+        sides = [_spawn(side.resolve(), jobs + _demo_jobs(side.resolve()), workdir,
+                        tag, threads)
+                 for tag, side, threads in zip(("parent", "change"),
+                                               (args.parent, args.change), args.threads)]
     results = [side["jobs"] for side in sides]
     lines, ndiff, nfields = compare(*results)
     print("\n".join(lines + totals(*results) + [summary(*sides, nfields, ndiff)]))
