@@ -1,10 +1,12 @@
-"""Serial BLAS regions for the small dense calls of spectral and N-sweeps.
+"""One OpenBLAS thread for every command and the continuity scan.
 
 numpy's OpenBLAS splits each LAPACK call over its thread pool.  For the
-matrix orders of a sweep the split costs more than it saves: the worker
-threads spin between calls, and a 100 x 100 complex SVD runs slower on
-two threads than on one.  :func:`serial_blas` sets OpenBLAS to one thread
-for a block of such calls and restores the count on exit.
+matrix orders of this toolkit the split does not pay: on a 2-core host
+(numpy 2.4.6, OpenBLAS 0.3.31) a complex SVD of order up to 200 runs
+slower on two threads than on one, and at orders 300 and 400 a command
+takes about the same wall time on one thread as on two, for 1.2-2 times
+less CPU.  :func:`serial_blas` sets OpenBLAS to one thread for a block
+of calls and restores the count on exit.
 
 A one-thread OpenBLAS call takes the same code path whatever the count
 outside the region, so results computed inside a region equal, bit for
@@ -23,14 +25,6 @@ import threading
 from pathlib import Path
 
 import numpy as np
-
-# Largest matrix order run serially: the largest order at which one
-# complex inv, svd and eigvalsh each (a sweep's calls per point) took less
-# wall time on one thread than on two, on a 2-core host with numpy 2.4.6
-# and OpenBLAS 0.3.31 (n = 200: 22.5 against 26.2 ms; n = 300: 60.7
-# against 58.3 ms).  svd gains most; inv alone is faster on two threads
-# from n = 100 on.  See the crossover table in CHANGES.md.
-SERIAL_BLAS_MAX_N = 200
 
 # (getter, setter) symbol pairs, as the scipy-openblas wheel and plain
 # OpenBLAS builds export them
@@ -66,17 +60,16 @@ _saved = None  # count to restore when the last region closes; None: leave it
 
 
 @contextlib.contextmanager
-def serial_blas(n):
-    """Run the block on one OpenBLAS thread when ``n`` (the order of its
-    matrices) is at most SERIAL_BLAS_MAX_N.
+def serial_blas():
+    """Run the block on one OpenBLAS thread.
 
     Regions nest and may overlap across threads: the first to open saves
     the count in effect and the last to close restores it, on every exit
-    path.  A no-op for larger ``n``, a single-threaded OpenBLAS, or a BLAS
-    other than OpenBLAS (MKL, Accelerate, or a library not found).
+    path.  A no-op for a single-threaded OpenBLAS or a BLAS other than
+    OpenBLAS (MKL, Accelerate, or a library not found).
     """
     global _depth, _saved
-    controls = _controls() if n <= SERIAL_BLAS_MAX_N else None
+    controls = _controls()
     if controls is None:
         yield
         return

@@ -252,9 +252,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = _load_config(args.config)
         s = from_config(cfg)
-        # one BLAS thread for the orders where that is faster, which also
-        # makes the output independent of the thread count
-        with serial_blas(s.n if args.n is None else args.n):
+        # one BLAS thread: at these orders more do not pay, and the output
+        # does not depend on the thread count
+        with serial_blas():
             code, text = _COMMANDS[args.command](args, cfg, s)
     except UsageError as exc:
         print(f"zrs: usage error: {exc}", file=sys.stderr)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import serial_blas
 from .errors import (
     BadParams,
     NonPositiveGram,
@@ -151,9 +150,12 @@ def _certified(a, x):
 
     Since sigma_max(A) <= ||A||_F and ||A^{-1}||_2 <= ||A^{-1}||_F,
     rcond_2(A) >= 1 / (||A||_F ||X||_F) for X = inv(A); the seven orders
-    of margin absorb the rounding error of X.
+    of margin absorb the rounding error of X.  A product that overflows,
+    or is inf * 0 (one norm overflowed, the other underflowed), is not a
+    certificate, and no warning is given.
     """
-    return _frobenius(a) * _frobenius(x) <= RCOND_LIMIT ** -0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _frobenius(a) * _frobenius(x) <= RCOND_LIMIT ** -0.5
 
 
 def _checked_inv(a, label, exc=SingularMatrix):
@@ -209,21 +211,19 @@ def _schur_step(a, pivot_inv, piv, rest, out):
 
     The blocks are written in place, as every large temporary costs fresh
     pages; S is inverted by :func:`_checked_inv`, raising
-    SingularSchurComplement.  The step runs on one BLAS thread when
-    max(|piv|, |rest|) is at most SERIAL_BLAS_MAX_N.
+    SingularSchurComplement.
     """
     p = a[rest, piv]
-    with serial_blas(max(p.shape)):
-        x = pivot_inv @ p.T
-        s = p @ x
-        np.subtract(a[rest, rest], s, out=s)
-        out[rest, rest] = _checked_inv(s, "Schur complement W_ring",
-                                       SingularSchurComplement)
-        # with X negated in place, y = -Y and y (-X)^T = Y X^T
-        y = np.negative(x, out=x) @ out[rest, rest]
-        out[piv, rest] = y
-        out[rest, piv] = y.T
-        np.matmul(y, x.T, out=out[piv, piv])
+    x = pivot_inv @ p.T
+    s = p @ x
+    np.subtract(a[rest, rest], s, out=s)
+    out[rest, rest] = _checked_inv(s, "Schur complement W_ring",
+                                   SingularSchurComplement)
+    # with X negated in place, y = -Y and y (-X)^T = Y X^T
+    y = np.negative(x, out=x) @ out[rest, rest]
+    out[piv, rest] = y
+    out[rest, piv] = y.T
+    np.matmul(y, x.T, out=out[piv, piv])
     out[piv, piv] += pivot_inv
     return s
 
@@ -245,10 +245,6 @@ def gamma_levels(qtilde, j, levels):
     if not all(1 <= v <= n for v in levels):
         raise BadParams(f"levels {list(levels)} outside 1..{n}")
 
-    def direct(v):
-        with serial_blas(v):
-            return gamma_direct(qtilde[:v, :v], j[:v])
-
     a = qtilde.copy()
     a[np.diag_indices(n)] += j
     gammas = {}
@@ -264,13 +260,13 @@ def gamma_levels(qtilde, j, levels):
                 except SingularSchurComplement:
                     pass
             if not ok:
-                gamma = direct(hi)
+                gamma = gamma_direct(qtilde[:hi, :hi], j[:hi])
                 ok = _certified(a[:hi, :hi], gamma)
             lo = hi if ok else None
             gammas[hi] = gamma
     except SingularMatrix:
         for v in dict.fromkeys(levels):
-            direct(v)
+            gamma_direct(qtilde[:v, :v], j[:v])
         raise
     return gammas
 
@@ -444,9 +440,15 @@ def m_sampled(s, n, interval, grid=64):
     return worst
 
 
+def resolvent_strengths(s):
+    """The strengths 4 pi w_m that the resolvent route C = (Q + 4 pi L)^{-1}
+    carries for config weights w_m; the Gamma route carries w_m itself."""
+    return FOUR_PI * s.weights
+
+
 def _c_from_q(q, s):
     """C = (Q + 4 pi L)^{-1} from an already built Q."""
-    return _checked_inv(q + FOUR_PI * np.diag(s.weights), "Q + 4 pi L")
+    return _checked_inv(q + np.diag(resolvent_strengths(s)), "Q + 4 pi L")
 
 
 def c_matrix(z, s):

@@ -22,6 +22,7 @@ from .krein import (
     build_q,
     c_matrix,
     green_at_distance,
+    resolvent_strengths,
 )
 from .scatterers import eta_by_index, write_csv
 from .spherical import make_grid
@@ -169,7 +170,7 @@ def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
         raise FitUnstable("boundary fit is empty: the kernel underflows to 0 "
                           "at the fit radii")
     content = np.abs(a) * sing_sup / (np.abs(a) * sing_sup + np.abs(b))
-    strength = np.abs(a * q_self + b + FOUR_PI * s.weights * a) / scale
+    strength = np.abs(a * q_self + b + resolvent_strengths(s) * a) / scale
     return np.where(content < 1e-4, content, strength)
 
 

@@ -208,14 +208,16 @@ def _site_terms(s):
     """Per-site summability data: the K0 terms 1/|w_m|, eta_m (as
     :func:`eta_by_index`) and the K1 terms 1/(eta_m^2 |w_m|).
 
-    A K1 term whose denominator overflows is 0, its limit.  A single
-    scatterer has no eta and no K1 terms.
+    A K1 term whose denominator overflows is 0, its limit; a term that
+    overflows, or whose denominator underflows to 0, is inf.  Neither
+    warns.  A single scatterer has no eta and no K1 terms.
     """
     absw = s.abs_weights
     eta = eta_by_index(s)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
+        terms_k0 = 1.0 / absw
         terms_k1 = 1.0 / (eta**2 * absw)
-    return 1.0 / absw, eta, terms_k1
+    return terms_k0, eta, terms_k1
 
 
 @dataclass(frozen=True)
@@ -276,30 +278,42 @@ def site_bounds(s, root):
     """Per-site terms (root + K0/eta_m^2 + K1) / (4 pi |w_m|) of the norm
     bounds p_L(z) (root = |sqrt z|) and p_{N0,L}(b) (root = sqrt b).
 
-    A single scatterer has no pairs and gives root / (4 pi |w|).
+    A single scatterer has no pairs and gives root / (4 pi |w|).  A term
+    that overflows is inf, without a warning.
     """
+    return _site_bounds(s, root, _site_terms(s))
+
+
+def _site_bounds(s, root, terms):
+    """:func:`site_bounds` from the per-site terms ``_site_terms(s)``."""
     absw = s.abs_weights
-    if s.n == 1:
-        return root / (4.0 * np.pi * absw)
-    terms_k0, eta, terms_k1 = _site_terms(s)
-    k0 = float(np.sum(terms_k0))
-    k1 = float(np.sum(terms_k1))
-    return (root + k0 / eta**2 + k1) / (4.0 * np.pi * absw)
+    with np.errstate(over="ignore"):
+        if s.n == 1:
+            return root / (4.0 * np.pi * absw)
+        terms_k0, eta, terms_k1 = terms
+        k0 = float(np.sum(terms_k0))
+        k1 = float(np.sum(terms_k1))
+        return (root + k0 / eta**2 + k1) / (4.0 * np.pi * absw)
 
 
 def tail_bound(s, n0, b):
     """Tail norm bound p_{N0,L}(b) = max_{m>N0} (sqrt(b) + K0/eta_m^2 + K1) / (4 pi |w_m|).
 
     K0 and K1 are taken over the retained scatterers.  Returns 0.0 for
-    an empty tail (N0 = N).
+    an empty tail (N0 = N), and inf for a bound that overflows.
     """
+    return _tail_bound(s, n0, b, _site_terms(s))
+
+
+def _tail_bound(s, n0, b, terms):
+    """:func:`tail_bound` from the per-site terms ``_site_terms(s)``."""
     if not 0 < b < np.inf:
         raise BadParams(f"b must be positive and finite, got {b}")
     if not 0 <= n0 <= s.n:
         raise BadParams(f"n0 = {n0} outside 0..{s.n}")
     if n0 == s.n:
         return 0.0
-    return float(np.max(site_bounds(s, np.sqrt(b))[n0:]))
+    return float(np.max(_site_bounds(s, np.sqrt(b), terms)[n0:]))
 
 
 def check_admissibility(s, b, n0=None):
@@ -317,17 +331,27 @@ def check_admissibility(s, b, n0=None):
     Returns
     -------
     AdmissibilityReport
-        Carries flags, never raises on a failing condition.
+        Carries flags, never raises on a failing condition.  Raises
+        BadParams naming the first of K0, K1, the tail entries and p_tail
+        that overflows, as no finite report can be given.
     """
     if n0 is None:
         n0 = max(1, s.n // 2)
+    terms = _site_terms(s)
     # a single scatterer has no K1 terms, so tail [0]
-    terms_k0, _, terms_k1 = _site_terms(s)
-    k0 = float(np.sum(terms_k0))
-    k1 = float(np.sum(terms_k1))
-    # tail[j] = sum of K1 terms with index m > j+1 (1-based)
-    tail = np.concatenate([np.cumsum(terms_k1[::-1])[::-1][1:], [0.0]])
-    p = tail_bound(s, n0, b)
+    terms_k0, _, terms_k1 = terms
+    with np.errstate(over="ignore"):
+        k0 = float(np.sum(terms_k0))
+        k1 = float(np.sum(terms_k1))
+        # tail[j] = sum of K1 terms with index m > j+1 (1-based)
+        tail = np.concatenate([np.cumsum(terms_k1[::-1])[::-1][1:], [0.0]])
+    p = _tail_bound(s, n0, b, terms)
+    values = np.concatenate([[k0, k1], tail, [p]])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        names = ["K0", "K1", *(f"tail[{i}]" for i in range(len(tail))), "p_tail"]
+        raise BadParams(f"admissibility value {names[bad[0]]} overflows to "
+                        f"{values[bad[0]]}")
     return AdmissibilityReport(
         k0=k0,
         k1=k1,

@@ -332,7 +332,9 @@ def gamma_continuity_scan(s, n, interval, points):
         raise BadParams("need at least two lambda samples")
     sub = s.prefix(n)
     lams = np.linspace(a, b, points)
-    with serial_blas(sub.n):
+    # a library entry point with no command around it, so it opens its own
+    # region; the increments then match zrs sweep's bit for bit
+    with serial_blas():
         inc = np.concatenate([steps for *_, steps in _gamma_chunks(sub, lams)])[1:]
     med = float(np.median(inc)) if len(inc) else 0.0
     flagged = inc > JUMP_FACTOR * med if med > 0 else np.zeros(len(inc), bool)
@@ -379,9 +381,8 @@ def lambda_rows(s, lambdas):
 def write_defect_csv(s, lambdas, out):
     """Defect-vs-lambda table: unitarity defect, Gamma norms, Gram mu and
     the Gamma increment from the previous lambda (nan at the first)."""
-    with serial_blas(s.n):
-        write_csv(out, DEFECT_CSV_HEADER,
-                  lambda_rows(s, np.asarray(lambdas, dtype=float)))
+    write_csv(out, DEFECT_CSV_HEADER,
+              lambda_rows(s, np.asarray(lambdas, dtype=float)))
 
 
 def write_truncation_csv(s, lam, levels, out):
@@ -396,11 +397,9 @@ def write_truncation_csv(s, lam, levels, out):
         raise BadParams("lambda must be positive")
     top = max((s.prefix(n) for n in levels), key=lambda t: t.n)
     gammas = gamma_levels(*build_weighted(top, build_q(lam, top)), levels)
-    pairs = list(zip(levels, levels[1:]))
     rows = []
-    with serial_blas(max(map(min, pairs))):
-        for lo, hi in pairs:
-            m = min(lo, hi)
-            diff = np.linalg.norm(gammas[hi][:m, :m] - gammas[lo][:m, :m], 2)
-            rows.append((lo, hi, float(diff)))
+    for lo, hi in zip(levels, levels[1:]):
+        m = min(lo, hi)
+        diff = np.linalg.norm(gammas[hi][:m, :m] - gammas[lo][:m, :m], 2)
+        rows.append((lo, hi, float(diff)))
     write_csv(out, NSWEEP_CSV_HEADER, rows)

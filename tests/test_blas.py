@@ -1,5 +1,6 @@
 """Serial BLAS regions: the OpenBLAS thread count is restored on every
-exit path, and sweep outputs do not depend on the host's thread count."""
+exit path, and command outputs do not depend on the host's thread count
+at any N."""
 
 import contextlib
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from zrs import SingularMatrix, _blas, build_q, generate_family, scattering
-from zrs._blas import SERIAL_BLAS_MAX_N, serial_blas
+from zrs._blas import serial_blas
 from zrs.cli import main
 
 from conftest import run_child
@@ -71,18 +72,29 @@ def _run_under_one_and_two_threads(tmp_path, monkeypatch, argv):
 
 
 def test_sweep_runs_serially_and_restores_the_count(tmp_path, monkeypatch, get_threads):
+    # every dense call the sweeps make; norm(., 2) reaches svd through
+    # numpy's implementation module
+    impl = sys.modules[np.linalg.norm.__wrapped__.__module__]
     seen = []
-    svd = np.linalg.svd
+    for name in ("inv", "svd", "eigvalsh"):
+        real = getattr(impl, name)
 
-    def recording_svd(*args, **kwargs):
-        seen.append(get_threads())
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    assert main(["sweep", "--config", _lattice(tmp_path, 20), "--interval", "1", "9",
-                 "--grid-points", "8", "--out", str(tmp_path / "s.csv")]) == 0
-    assert seen and set(seen) == {1}
-    assert get_threads() == 2
+        def recording(*args, _real=real, **kwargs):
+            seen.append(get_threads())
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+        monkeypatch.setattr(impl, name, recording)
+    runs = [
+        (_lattice(tmp_path, 20), ["--interval", "1", "9", "--grid-points", "8"]),
+        # the step 50 -> 300 is of order 250
+        (_lattice(tmp_path, 300), ["--lambda", "5", "--n-sweep", "50,300"]),
+    ]
+    for cfg, mode in runs:
+        seen.clear()
+        assert main(["sweep", "--config", cfg, *mode,
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert seen and set(seen) == {1}
+        assert get_threads() == 2
 
 
 def test_singular_matrix_mid_sweep_restores_the_count(tmp_path, monkeypatch,
@@ -114,36 +126,31 @@ def test_singular_matrix_mid_sweep_restores_the_count(tmp_path, monkeypatch,
 
 
 def test_nested_and_overlapping_regions_restore_the_first_count(get_threads):
-    with serial_blas(10):
+    with serial_blas():
         assert get_threads() == 1
-        with serial_blas(SERIAL_BLAS_MAX_N + 1):
-            assert get_threads() == 1
-        with serial_blas(SERIAL_BLAS_MAX_N):
+        with serial_blas():
             assert get_threads() == 1
         assert get_threads() == 1
     assert get_threads() == 2
     # regions of two threads may close in either order: the count returns
     # when the last one closes
     with contextlib.ExitStack() as first:
-        first.enter_context(serial_blas(10))
+        first.enter_context(serial_blas())
         second = contextlib.ExitStack()
-        second.enter_context(serial_blas(10))
+        second.enter_context(serial_blas())
     assert get_threads() == 1
     second.close()
     assert get_threads() == 2
     with pytest.raises(RuntimeError):
-        with serial_blas(10):
+        with serial_blas():
             raise RuntimeError("inside")
     assert get_threads() == 2
 
 
-def test_large_orders_and_single_thread_are_left_alone(monkeypatch):
-    fake = FakeOpenBLAS(2)
+def test_single_thread_is_left_alone(monkeypatch):
+    fake = FakeOpenBLAS(1)
     monkeypatch.setattr(_blas, "_controls", lambda: (fake.get, fake.set))
-    with serial_blas(SERIAL_BLAS_MAX_N + 1):
-        assert fake.count == 2
-    fake.count = 1
-    with serial_blas(10):
+    with serial_blas():
         assert fake.count == 1
     assert fake.sets == []
 
@@ -158,7 +165,7 @@ def test_region_is_a_no_op_without_openblas(monkeypatch):
     assert _blas._controls.__wrapped__() is None
     monkeypatch.setattr(_blas, "_controls", lambda: None)
     ran = []
-    with serial_blas(10):
+    with serial_blas():
         ran.append(True)
     assert ran == [True] and _blas._depth == 0
 
@@ -166,8 +173,10 @@ def test_region_is_a_no_op_without_openblas(monkeypatch):
 def test_sweep_output_does_not_depend_on_blas_threads(tmp_path, monkeypatch):
     runs = [
         (_lattice(tmp_path, 100), ["--interval", "0.7", "45", "--grid-points", "8"], 8),
-        # every bordering step of 25 -> ... -> 400 is of order <= 200
+        (_lattice(tmp_path, 300), ["--interval", "1", "9", "--grid-points", "2"], 2),
         (_lattice(tmp_path, 400), ["--lambda", "5", "--n-sweep", "25,50,100,200,400"], 4),
+        # the step 50 -> 300 is of order 250
+        (_lattice(tmp_path, 300), ["--lambda", "5", "--n-sweep", "50,300"], 1),
     ]
     for cfg, mode, rows in runs:
         outs = _run_under_one_and_two_threads(tmp_path, monkeypatch,

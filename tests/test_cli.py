@@ -574,8 +574,9 @@ def test_n_sweep_rows_match_truncation_csv_and_gamma_levels(tmp_path):
     assert out.read_text() == buf.getvalue()
     rows = out.read_text().splitlines()
     assert rows[0] == "n_low,n_high,gamma_diff"
-    gammas = gamma_levels(*build_weighted(s, build_q(4.0, s)), [2, 5, 3])
-    with serial_blas(5):
+    # on one BLAS thread, as the command runs
+    with serial_blas():
+        gammas = gamma_levels(*build_weighted(s, build_q(4.0, s)), [2, 5, 3])
         for row, (lo, hi) in zip(rows[1:], [(2, 5), (5, 3)], strict=True):
             m = min(lo, hi)
             want = np.linalg.norm(gammas[hi][:m, :m] - gammas[lo][:m, :m], 2)
@@ -684,6 +685,33 @@ def test_k1_term_that_overflows_is_zero_without_warning(tmp_path, capsys):
         assert q_norm_bound(s, -4.0) == 2.0 / (8.0 * np.pi)
     out = json.loads(capsys.readouterr().out)
     assert (out["K0"], out["K1"], out["tail"]) == (1.0, 0.0, [0.0, 0.0])
+
+
+def test_validate_that_overflows_exits_1_and_smatrix_3(tmp_path, capsys):
+    # the K0 and K1 terms are 1e300 and the tail bound overflows
+    cfg = write_config(tmp_path, {"points": [[0, 0, 0], [1, 0, 0]],
+                                  "weights": [1e-300, 1e-300]})
+    assert main(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr() == (
+        "", "zrs: admissibility value p_tail overflows to inf\n")
+    assert main(["smatrix", "--config", cfg, "--lambda", "5", "--n0", "1"]) == 3
+    assert capsys.readouterr() == (
+        "", "zrs: numerical failure: lambda=5: tail bound p = inf >= 1\n")
+
+
+@pytest.mark.parametrize("weight, argv", [
+    # the Frobenius norm of J + Qt overflows and that of its inverse
+    # underflows (of Q + 4 pi L and C for the large weight)
+    (1e-300, ["smatrix", "--lambda", "5"]),
+    (1e-300, ["sweep", "--interval", "1", "9", "--grid-points", "3"]),
+    (1e-300, ["sweep", "--lambda", "5", "--n-sweep", "1,2"]),
+    (1e300, ["resolvent"]),
+])
+def test_extreme_weights_run_without_warnings(tmp_path, capsys, weight, argv):
+    cfg = write_config(tmp_path, {"points": [[0, 0, 0], [1, 0, 0]],
+                                  "weights": [weight, weight]})
+    assert main([*argv, "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,7 +30,6 @@ from zrs import (
     tail_bound,
 )
 from zrs import krein
-from zrs._blas import serial_blas
 from zrs.krein import STACK_ENTRIES, _checked_inv, check_rcond, gamma_levels
 
 from conftest import bordering_bound, explicit_gram, explicit_gram_cases, make_config
@@ -345,9 +344,7 @@ def test_gamma_levels_inverts_a_failed_level_directly(monkeypatch, fault, levels
                                                       direct):
     s = generate_family("cubic-lattice-ball", {}, 40)
     qt, j = build_weighted(s, build_q(5.0, s))
-    # the levels run on one BLAS thread, so their direct references do too
-    with serial_blas(40):
-        expect = {n: gamma_direct(qt[:n, :n], j[:n]) for n in levels}
+    expect = {n: gamma_direct(qt[:n, :n], j[:n]) for n in levels}
     if fault == "certificate":
         real = krein._certified
         monkeypatch.setattr(krein, "_certified",

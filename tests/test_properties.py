@@ -1,6 +1,7 @@
 """Symmetry laws of the Krein matrices and of S(lambda), as properties over
 generated configurations (Albeverio, Gesztesy, Hoegh-Krohn & Holden,
-*Solvable Models in Quantum Mechanics*, ch. II.1).
+*Solvable Models in Quantum Mechanics*, ch. II.1), and the exit-code
+contract of the command line over configurations of any scale.
 
 Sites lie on the grid of spacing 1/16 in [-1, 1]^3, at least 3/16 apart,
 with weights 0.3 <= |w| <= 3.  A grid translation by a multiple of 1/16
@@ -11,11 +12,17 @@ examples are derived from the test names (``derandomize``), so every run
 checks the same inputs.
 """
 
+import io
+import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zrs import ScattererSet, build_q, c_matrix, kernel_correction, smatrix
+from zrs.cli import main
 
 from conftest import inverse_error_bound, kernel_error_bound
 
@@ -107,3 +114,60 @@ def test_translation_multiplies_the_kernel_by_a_phase(s, lam, out, inc, cell):
     err = np.abs(kernel_correction(rep_a, out, inc)
                  - phase * kernel_correction(rep, out, inc))
     assert np.all(err <= bound)
+
+
+# each command at fixed settings; the small grid order keeps smatrix cheap
+# for sites spread over a box of side 1000
+_COMMANDS = {
+    "validate": lambda n: ["validate"],
+    "smatrix": lambda n: ["smatrix", "--lambda", "5", "--grid-order", "8"],
+    "lambda-sweep": lambda n: ["sweep", "--interval", "1", "9", "--grid-points", "3"],
+    "n-sweep": lambda n: ["sweep", "--lambda", "5", "--n-sweep", f"1,{n}"],
+    "resolvent": lambda n: ["resolvent"],
+}
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def command_runs(draw):
+    """A config of 1..6 points in a box of side 10^U(-3, 3) with weights
+    +-10^U(-300, 300), and the argv of one command on it."""
+    n = draw(st.integers(1, 6))
+    side = 10.0 ** draw(st.floats(-3.0, 3.0))
+    points = draw(st.lists(st.tuples(_unit, _unit, _unit), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
+    data = {"points": (side * np.array(points)).tolist(),
+            "weights": [sign * 10.0 ** e for sign, e in zip(signs, exponents)]}
+    return data, _COMMANDS[draw(st.sampled_from(sorted(_COMMANDS)))](n)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_runs())
+def test_every_generated_config_runs_or_exits_with_one_line(tmp_path, run):
+    data, argv = run
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    # an exception out of main fails the example with its traceback
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([*argv, "--config", str(cfg)])
+    out, err = out.getvalue(), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2, 3)
+    if argv[0] in ("validate", "resolvent") and out:
+        payload = json.loads(out, parse_constant=_no_constant)
+    if code in (0, 2) or (argv[0] == "resolvent" and code == 3 and out):
+        assert err == ""
+        if code == 3:
+            assert payload["pass"] is False
+    else:
+        assert out == ""
+        assert err.startswith("zrs: ") and err.count("\n") == 1

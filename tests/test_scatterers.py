@@ -16,6 +16,7 @@ from zrs import (
     separation_profile,
     tail_bound,
 )
+from zrs import scatterers
 from zrs.scatterers import pairwise_distances
 
 from conftest import make_config
@@ -214,6 +215,36 @@ def test_tail_bound_empty_tail():
     s = make_config(5, 5)
     assert tail_bound(s, 5, 25.0) == 0.0
     assert tail_bound(s, 2, 25.0) > 0.0
+
+
+def test_a_report_derives_the_site_terms_once(monkeypatch):
+    s = generate_family("clustering", {"p": 2, "q": 6}, 40)
+    want = tail_bound(s, 10, 25.0)
+    calls = []
+    real = scatterers._site_terms
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+    monkeypatch.setattr(scatterers, "_site_terms", counting)
+    report = check_admissibility(s, 25.0, n0=10)
+    assert calls == [s]
+    assert report.p_tail == want
+
+
+@pytest.mark.parametrize("points, weights, name", [
+    # 1/|w| overflows, or the sum of two terms 1e308 does
+    ([[0, 0, 0], [1, 0, 0]], [5e-324, 1.0], "K0"),
+    ([[0, 0, 0], [1, 0, 0]], [1e-308, 1e-308], "K0"),
+    # eta^2 |w| = 1e-310 is subnormal, its reciprocal overflows
+    ([[0, 0, 0], [1e-5, 0, 0]], [1e-300, 1e-300], "K1"),
+    # the terms are 1e300, the bound (K0 + K1 + 5) / (4 pi 1e-300) overflows
+    ([[0, 0, 0], [1, 0, 0]], [1e-300, 1e-300], "p_tail"),
+])
+def test_report_value_that_overflows_is_rejected(points, weights, name):
+    s = ScattererSet(points, weights)
+    with pytest.raises(BadParams, match=rf"admissibility value {name} overflows to inf"):
+        check_admissibility(s, 25.0)
 
 
 @pytest.mark.parametrize("b", [0.0, -1.0, np.nan, np.inf])
