@@ -25,7 +25,7 @@ from .errors import (
 # unused here; perfbench's tracer test reads it as zrs.cli.build_q
 from .krein import build_q  # noqa: F401
 from .scatterers import (check_admissibility, from_config, integer, number,
-                         tail_bound, write_text)
+                         write_text)
 from .spherical import default_grid, make_grid
 
 
@@ -133,9 +133,8 @@ def _cmd_smatrix(args, cfg, s):
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
     n0 = _setting(args, cfg, "n0", "n0", integer)
-    tb = None if n0 is None else tail_bound(sub, n0, lam)
     try:
-        rep = sc.smatrix(lam, sub, split=n0, tail_bound=tb)
+        rep = sc.smatrix(lam, sub, split=n0)
     except (SingularMatrix, TailNotContractive) as exc:
         exc.args = (f"lambda={lam:g}: {exc}",)
         raise

@@ -114,9 +114,15 @@ def build_weighted(s, q):
     """Weighted matrix Qt = D^{-1/2} Q D^{-1/2} and signature J.
 
     Returns ``(qtilde, j)`` with ``j`` the 1-D array of weight signs.
+    Raises BadParams, without a warning, when an entry of Qt overflows
+    (a weight near the bottom of the float range).
     """
     rootw = np.sqrt(s.abs_weights)
-    qt = q / np.outer(rootw, rootw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qt = q / np.outer(rootw, rootw)
+    if not np.isfinite(qt).all():
+        raise BadParams(f"weighted matrix Qtilde overflows (least |w| = "
+                        f"{np.min(s.abs_weights):g})")
     return qt, s.signs.astype(float)
 
 
@@ -273,25 +279,22 @@ def gamma_levels(qtilde, j, levels):
 
 @dataclass(frozen=True)
 class SchurFactors:
-    """Blocks of the Schur-Frobenius factorization of J + Qt at ``n0``.
+    """Blocks of the Schur-Frobenius factorization of J + Qt.
 
     ``w_ring`` is the Schur complement W - P^T R^{-1} P; the triangular
     factors of the three-factor product can be reassembled with
-    :meth:`product`.
+    :meth:`product`.  The tail blocks are empty at split N.
     """
 
     w_block: np.ndarray
     r_block: np.ndarray
     p_block: np.ndarray
     w_ring: np.ndarray
-    n0: int
 
     def product(self):
         """Reassemble the three-factor product; equals J + Qt."""
-        n0 = self.n0
+        n0 = self.w_block.shape[0]
         nt = self.r_block.shape[0]
-        if nt == 0:
-            return self.w_block.copy()
         rinv = np.linalg.inv(self.r_block)
         upper = np.block([
             [np.eye(n0), self.p_block.T @ rinv],
@@ -313,7 +316,7 @@ class SchurFactors:
         return float(np.linalg.eigvalsh(h)[0])
 
 
-def gamma_schur(qtilde, j, split, tail_bound=None):
+def gamma_schur(qtilde, j, split, tail_bound):
     """Gamma = (J + Qt)^{-1} through the Schur-Frobenius factorization:
     one :func:`_schur_step` with the tail block R as pivot.
 
@@ -321,12 +324,11 @@ def gamma_schur(qtilde, j, split, tail_bound=None):
     ----------
     qtilde, j : weighted matrix and signature from :func:`build_weighted`.
     split : int
-        Head size N0; the tail holds indices > N0.  ``split == N``
-        degenerates to the direct inversion.
-    tail_bound : float, optional
-        Precomputed p_{N0,L}(b) (see ``scatterers.tail_bound``).  When
-        given, TailNotContractive is raised exactly when it is >= 1;
-        otherwise the measured tail norm ||Qt_tail||_2 is used.
+        Head size N0; the tail holds indices > N0.  At ``split == N`` the
+        tail is empty and the step inverts W = J + Qt as its complement.
+    tail_bound : float
+        The tail bound p_{N0,L}(b) (``scatterers.tail_bound``); raises
+        TailNotContractive exactly when it is >= 1.
 
     Returns
     -------
@@ -336,22 +338,9 @@ def gamma_schur(qtilde, j, split, tail_bound=None):
     if not 1 <= split <= n:
         raise BadParams(f"split {split} outside 1..{n}")
     a = qtilde + np.diag(np.asarray(j, dtype=float))
-    if split == n:
-        gamma = _checked_inv(a, "J + Qtilde")
-        factors = SchurFactors(w_block=a, r_block=np.empty((0, 0), complex),
-                               p_block=np.empty((0, split), complex),
-                               w_ring=a.copy(), n0=split)
-        return gamma, factors
-
-    if tail_bound is not None:
-        if tail_bound >= 1.0:
-            raise TailNotContractive(
-                f"tail bound p = {tail_bound:.6g} >= 1", bound=float(tail_bound))
-    else:
-        measured = float(np.linalg.norm(qtilde[split:, split:], 2))
-        if measured >= 1.0:
-            raise TailNotContractive(
-                f"measured tail norm {measured:.6g} >= 1", bound=measured)
+    if tail_bound >= 1.0:
+        raise TailNotContractive(
+            f"tail bound p = {tail_bound:.6g} >= 1", bound=float(tail_bound))
 
     rinv = _checked_inv(a[split:, split:], "tail block R")
     gamma = np.empty((n, n), dtype=complex)
@@ -359,7 +348,7 @@ def gamma_schur(qtilde, j, split, tail_bound=None):
     return gamma, SchurFactors(w_block=a[:split, :split],
                                r_block=a[split:, split:],
                                p_block=qtilde[split:, :split],
-                               w_ring=w_ring, n0=split)
+                               w_ring=w_ring)
 
 
 def q_norm_bound(s, z):

@@ -263,15 +263,17 @@ class AdmissibilityReport:
 
 def _ratio_converges(terms):
     # geometric-mean ratio of successive terms over the trailing half;
-    # < 1 is taken as evidence the partial sums converge.  Too-short
-    # sequences pass by convention (nothing to diagnose).
+    # < 1 is taken as evidence the partial sums converge.  Over k steps
+    # from the middle term it is (last / middle) ** (1 / k), which is < 1
+    # when last < middle (up to the rounding of the quotient; inf and 0
+    # terms included), so the two terms are compared without a division
+    # that could overflow.
+    # Too-short sequences pass by convention (nothing to diagnose).
     terms = np.asarray(terms, dtype=float)
     n = len(terms)
     if n < 8:
         return True
-    start = max(1, n // 2)
-    ratio = (terms[-1] / terms[start]) ** (1.0 / (n - 1 - start))
-    return bool(ratio < 1.0)
+    return bool(terms[-1] < terms[max(1, n // 2)])
 
 
 def site_bounds(s, root):

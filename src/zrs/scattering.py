@@ -20,7 +20,7 @@ from ._blas import serial_blas
 from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (_gamma_from_q, _gram_from_q, build_q, build_weighted,
                     check_rcond, gamma_levels, gamma_schur, stack_chunks)
-from .scatterers import _convert, integer, write_csv
+from .scatterers import _convert, integer, tail_bound, write_csv
 from .spherical import (_plane_waves, default_grid, direction_angles,
                         gram_overlap, plane_wave_block)
 
@@ -49,7 +49,7 @@ class SMatrixRep:
         return float(np.linalg.cond(self.gamma))
 
 
-def smatrix(lam, s, split=None, tail_bound=None):
+def smatrix(lam, s, split=None):
     """Assemble the scattering-matrix representation at lambda > 0.
 
     Parameters
@@ -60,16 +60,18 @@ def smatrix(lam, s, split=None, tail_bound=None):
         Truncate a family with ``s.prefix(n)``.
     split : int, optional
         When given, Gamma is computed through the Schur-Frobenius
-        route with this head size (propagates TailNotContractive).
+        route with this head size, admitted by the tail bound
+        p_{N0,L}(lam) of ``s`` (propagates TailNotContractive).
     """
+    # the bound checks lam and split first, so its messages come first
+    p = None if split is None else tail_bound(s, split, lam)
     if lam <= 0:
         raise BadParams("lambda must be positive")
     q = build_q(lam, s)
     if split is None:
         gamma = _gamma_from_q(q, s)
     else:
-        gamma, _ = gamma_schur(*build_weighted(s, q), split,
-                               tail_bound=tail_bound)
+        gamma, _ = gamma_schur(*build_weighted(s, q), split, p)
     coeff = 1j * np.sqrt(lam) / (8.0 * np.pi**2) * gamma
     return SMatrixRep(lam=float(lam), coeff=coeff, scatterers=s, gamma=gamma,
                       q=q)

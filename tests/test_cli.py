@@ -431,6 +431,30 @@ def test_smatrix_reads_n0_from_the_config(tmp_path, capsys):
     assert capsys.readouterr().out != runs["flag"]
 
 
+@pytest.mark.parametrize("lam", ["0.9", "4", "40"])
+def test_smatrix_split_at_n_prints_the_direct_bytes(tmp_path, capsys, lam):
+    # an empty tail has bound 0, and the Schur step inverts J + Qt whole
+    for s, cfg in (_battery_config(tmp_path), _heavy_tail_config(tmp_path)):
+        runs = []
+        for route in ([], ["--n0", str(s.n)]):
+            assert main(["smatrix", "--config", cfg, "--lambda", lam, *route]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1] and runs[0].err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lambda", "-1", "--n0", "1"], "b must be positive and finite, got -1.0"),
+    (["--lambda", "nan", "--n0", "1"], "b must be positive and finite, got nan"),
+    (["--lambda", "4", "--n0", "0"], "split 0 outside 1..2"),
+    (["--lambda", "4", "--n0", "3"], "n0 = 3 outside 0..2"),
+])
+def test_smatrix_split_settings_are_checked_by_the_tail_bound(tmp_path, capsys,
+                                                              argv, message):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    assert main(["smatrix", "--config", cfg, *argv]) == 1
+    assert capsys.readouterr() == ("", f"zrs: {message}\n")
+
+
 # the flags each command reads besides --config and --out
 FLAGS_READ = {
     "validate": {"--lambda", "--n", "--n0"},
@@ -697,6 +721,45 @@ def test_validate_that_overflows_exits_1_and_smatrix_3(tmp_path, capsys):
     assert main(["smatrix", "--config", cfg, "--lambda", "5", "--n0", "1"]) == 3
     assert capsys.readouterr() == (
         "", "zrs: numerical failure: lambda=5: tail bound p = inf >= 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--lambda", "5"],
+    ["smatrix", "--lambda", "5", "--n0", "1"],
+    ["sweep", "--interval", "1", "9", "--grid-points", "3"],
+    ["sweep", "--lambda", "5", "--n-sweep", "1,2"],
+])
+def test_subnormal_weight_exits_1_naming_the_overflow(tmp_path, capsys, argv):
+    # Qt = Q / |w| overflows; validate names K0 on the same config, and the
+    # resolvent route does not form Qt
+    cfg = write_config(tmp_path, {"points": [[0, 0, 0], [1, 0, 0]],
+                                  "weights": [5e-324, 1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--config", cfg]) == 1
+        assert capsys.readouterr() == (
+            "", "zrs: weighted matrix Qtilde overflows (least |w| = 4.94066e-324)\n")
+        assert main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr() == (
+            "", "zrs: admissibility value K0 overflows to inf\n")
+        assert main(["resolvent", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_convergence_flags_of_terms_spanning_the_float_range(tmp_path, capsys):
+    # the K0 terms run 1, ..., 1e-300 (site 5), ..., 1e300 (site 8): the
+    # last is above the middle one, so neither flag holds
+    cfg = write_config(tmp_path, {
+        "points": [[m, 0, 0] for m in range(8)],
+        "weights": [1, 1, 1, 1, 1e300, 1, 1, 1e-300]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", cfg, "--n0", "8"]) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == ""
+    assert (report["k0_converges"], report["k1_converges"]) == (False, False)
+    assert report["verdict"] == "fail"
 
 
 @pytest.mark.parametrize("weight, argv", [

@@ -1,4 +1,5 @@
-"""The narrative demos run to completion and write their CSV artifacts."""
+"""The narrative demos run to completion, without a warning, and write
+their CSV artifacts."""
 
 import sys
 from pathlib import Path
@@ -24,7 +25,11 @@ def test_every_demo_is_listed():
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))
 def test_demo_runs(tmp_path, demo):
-    proc = run_child([sys.executable, str(DEMO_DIR / demo)], tmp_path)
+    # the child interpreter does not read pytest's warning filters, so it
+    # is given the same one
+    proc = run_child([sys.executable, "-W", "error::RuntimeWarning",
+                      str(DEMO_DIR / demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     for name in DEMOS[demo]:
         assert (tmp_path / "demo_output" / name).stat().st_size > 0

@@ -383,12 +383,18 @@ def test_gamma_levels_rejects_a_level_outside_the_matrix():
 
 
 def test_gamma_schur_degenerate_split():
+    # an empty tail: the general step inverts W = J + Qt as its complement,
+    # bit for bit as the direct route does
     s = make_config(21, 4)
     qt, j = build_weighted(s, build_q(2.0, s))
-    gamma, factors = gamma_schur(qt, j, split=4)
-    assert np.allclose(gamma, gamma_direct(qt, j))
+    gamma, factors = gamma_schur(qt, j, split=4, tail_bound=tail_bound(s, 4, 2.0))
+    assert gamma.tobytes() == gamma_direct(qt, j).tobytes()
     assert factors.r_block.shape == (0, 0)
-    assert np.allclose(factors.product(), qt + np.diag(j))
+    assert factors.product().tobytes() == (qt + np.diag(j)).tobytes()
+    # so a singular J + Qt is a singular complement there
+    with pytest.raises(SingularSchurComplement, match="^Schur complement W_ring "):
+        gamma_schur(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+                    np.ones(2), split=2, tail_bound=0.0)
 
 
 def _heavy_tail_config(seed, n, n0, b=50.0, factor0=1e3):
@@ -460,15 +466,14 @@ def test_gamma_schur_singular_schur_complement(corner, rcond):
     qt = np.array([[1.0, 1.0, 1.0], [1.0, corner - 1, 1.0], [1.0, 1.0, 0.0]],
                   dtype=complex)
     j = np.ones(3)
-    for p in (None, 0.5):
-        with pytest.raises(SingularSchurComplement) as err:
-            gamma_schur(qt, j, split=2, tail_bound=p)
-        assert str(err.value) == ("Schur complement W_ring is numerically "
-                                  f"singular (rcond {rcond:.2e})")
-        assert err.value.rcond == rcond
+    with pytest.raises(SingularSchurComplement) as err:
+        gamma_schur(qt, j, split=2, tail_bound=0.5)
+    assert str(err.value) == ("Schur complement W_ring is numerically "
+                              f"singular (rcond {rcond:.2e})")
+    assert err.value.rcond == rcond
     # a singular tail block R is reported first
     with pytest.raises(SingularMatrix) as err:
-        gamma_schur(qt, np.array([1.0, 1.0, 0.0]), split=2)
+        gamma_schur(qt, np.array([1.0, 1.0, 0.0]), split=2, tail_bound=0.5)
     assert type(err.value) is SingularMatrix
     assert str(err.value).startswith("tail block R is numerically singular")
 
@@ -493,20 +498,6 @@ def test_gamma_schur_tail_not_contractive():
     with pytest.raises(TailNotContractive) as err:
         gamma_schur(qt, j, split=1, tail_bound=p)
     assert err.value.bound == pytest.approx(p)
-
-
-def test_gamma_schur_measured_norm_guard():
-    # without a precomputed bound the measured tail norm must gate entry
-    s = ScattererSet([[0, 0, 0], [0.2, 0, 0]], [1.0, 1e-4])
-    qt, j = build_weighted(s, build_q(4.0, s))
-    assert np.linalg.norm(qt[1:, 1:], 2) >= 1.0
-    with pytest.raises(TailNotContractive):
-        gamma_schur(qt, j, split=1)
-    # heavy tail passes through the same route
-    s2 = ScattererSet([[0, 0, 0], [0.2, 0, 0]], [1.0, 1e4])
-    qt2, j2 = build_weighted(s2, build_q(4.0, s2))
-    gamma, _ = gamma_schur(qt2, j2, split=1)
-    assert np.allclose(gamma, gamma_direct(qt2, j2))
 
 
 def test_schur_imag_positivity():

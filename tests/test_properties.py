@@ -18,10 +18,11 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zrs import ScattererSet, build_q, c_matrix, kernel_correction, smatrix
+from zrs import (ScattererSet, build_q, build_weighted, c_matrix,
+                 kernel_correction, smatrix, tail_bound)
 from zrs.cli import main
 
 from conftest import inverse_error_bound, kernel_error_bound
@@ -116,11 +117,45 @@ def test_translation_multiplies_the_kernel_by_a_phase(s, lam, out, inc, cell):
     assert np.all(err <= bound)
 
 
+@st.composite
+def admitted_splits(draw):
+    """2..8 sites on the grid of 16 steps in a box of side 10^U(-3, 3),
+    weights +-10^U(-6, 6), a split 1 <= N0 < N and a window top
+    b = 10^U(-2, 2); the tail weights are doubled until the tail bound
+    p_{N0,L}(b) < 1 admits the split."""
+    n = draw(st.integers(2, 8))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 16)] * 3),
+                          min_size=n, max_size=n, unique=True))
+    side = 10.0 ** draw(st.floats(-3.0, 3.0))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n))
+    n0 = draw(st.integers(1, n - 1))
+    b = 10.0 ** draw(st.floats(-2.0, 2.0))
+    points = side / 16 * np.array(cells, dtype=float)
+    weights = np.array(signs) * 10.0 ** np.array(exponents)
+    # each term of p falls as the tail weights grow, so this ends
+    while tail_bound(ScattererSet(points, weights), n0, b) >= 1.0:
+        weights[n0:] *= 2.0
+    return ScattererSet(points, weights), n0, b
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(admitted_splits(), st.floats(1e-3, 1.0))
+def test_an_admitted_tail_is_a_contraction(split, fraction):
+    # p_{N0,L}(b) < 1 admits the Schur route; the inversion through R
+    # needs ||Qt_tail(lambda)||_2 < 1 at every 0 < lambda <= b
+    s, n0, b = split
+    qt, _ = build_weighted(s, build_q(fraction * b, s))
+    assert np.linalg.norm(qt[n0:, n0:], 2) < 1.0
+
+
 # each command at fixed settings; the small grid order keeps smatrix cheap
 # for sites spread over a box of side 1000
 _COMMANDS = {
     "validate": lambda n: ["validate"],
     "smatrix": lambda n: ["smatrix", "--lambda", "5", "--grid-order", "8"],
+    "smatrix-schur": lambda n: ["smatrix", "--lambda", "5", "--n0", "1",
+                                "--grid-order", "8"],
     "lambda-sweep": lambda n: ["sweep", "--interval", "1", "9", "--grid-points", "3"],
     "n-sweep": lambda n: ["sweep", "--lambda", "5", "--n-sweep", f"1,{n}"],
     "resolvent": lambda n: ["resolvent"],
@@ -146,9 +181,19 @@ def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+# terms spanning the float range in the convergence flags, and a weight
+# whose Qt overflows
+_SPANNING = {"points": [[m, 0, 0] for m in range(8)],
+             "weights": [1, 1, 1, 1, 1e300, 1, 1, 1e-300]}
+_SUBNORMAL = {"points": [[0, 0, 0], [1, 0, 0]], "weights": [5e-324, 1.0]}
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command_runs())
+@example((_SPANNING, ["validate", "--n0", "8"]))
+@example((_SUBNORMAL, _COMMANDS["smatrix"](2)))
+@example((_SUBNORMAL, _COMMANDS["lambda-sweep"](2)))
 def test_every_generated_config_runs_or_exits_with_one_line(tmp_path, run):
     data, argv = run
     cfg = tmp_path / "config.json"

@@ -296,3 +296,17 @@ def test_bad_weights_rejected():
         ScattererSet([[0, 0, 0]], [0.0])
     with pytest.raises(BadParams):
         ScattererSet([[0, 0, 0], [1, 0, 0]], [1.0])
+
+
+@pytest.mark.parametrize("last, middle, flag", [
+    (0.5, 1.0, True), (1.0, 0.5, False), (1.0, 1.0, False),
+    (0.0, 1.0, True), (0.0, 0.0, False), (1.0, 0.0, False),
+    (np.inf, 1.0, False), (1.0, np.inf, True), (np.inf, np.inf, False),
+    (1e300, 1e-300, False), (1e-300, 1e300, True),
+])
+def test_ratio_flag_compares_the_last_term_with_the_middle_one(last, middle, flag):
+    # the geometric-mean ratio (last / middle)^(1/k) < 1, with no division
+    terms = np.ones(9)
+    terms[4], terms[-1] = middle, last
+    with np.errstate(all="raise"):
+        assert scatterers._ratio_converges(terms) is flag
