@@ -2,8 +2,9 @@
 
 Walks through the matrix layer: conjugation symmetry of Q, the
 Nevanlinna sign of its imaginary part, the boundary Gram identity
-Im Q(lambda + i0) = G_N(lambda), the a-priori norm bound, and the
-Schur-Frobenius factorization against direct inversion.
+Im Q(lambda + i0) = G_N(lambda), ||Qt||_2 against the tail bound with
+no head (p_L), and the Schur-Frobenius factorization against direct
+inversion.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from zrs import (
     gram_matrix,
     krein_matrices,
     m_sampled,
-    q_norm_bound,
     tail_bound,
 )
 
@@ -55,7 +55,8 @@ print()
 print("== a-priori norm bound ==")
 for zz in (lam, 2 - 3j):
     measured = np.linalg.norm(build_weighted(s, build_q(zz, s))[0], 2)
-    print(f"z = {zz}: ||Qt||_2 = {measured:.4f} <= p_L = {q_norm_bound(s, zz):.4f}")
+    p_l = tail_bound(s, 0, abs(zz))  # p_L(z): the tail bound with no head
+    print(f"z = {zz}: ||Qt||_2 = {measured:.4f} <= p_L = {p_l:.4f}")
 
 print()
 print("== Schur-Frobenius block inversion ==")

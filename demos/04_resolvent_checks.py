@@ -12,7 +12,6 @@ import os
 import numpy as np
 
 from zrs import (
-    BumpProfile,
     ScattererSet,
     boundary_condition_residual,
     free_resolvent_reproduction,
@@ -64,9 +63,8 @@ print(f"sup |K - free Green| over 40 pairs: "
 
 print()
 print("== free resolvent reproduces a smooth bump ==")
-bump = BumpProfile(radius=1.0, sigma=0.3)
 samples = [[0, 0, 0], [0.3, 0.1, -0.2], [-0.5, 0.4, 0.2]]
-res = free_resolvent_reproduction(2 + 0.5j, samples, bump=bump)
+res = free_resolvent_reproduction(2 + 0.5j, samples)  # bump radius 1, sigma 0.3
 for x, r in zip(samples, res):
     print(f"x = {x}: |R(z)(-Lap - z)phi - phi| = {r:.2e}")
 

@@ -31,7 +31,6 @@ from .krein import (
     build_q,
     build_weighted,
     c_matrix,
-    free_green,
     gamma_at,
     gamma_direct,
     gamma_levels,
@@ -40,8 +39,6 @@ from .krein import (
     green_at_distance,
     krein_matrices,
     m_sampled,
-    q_norm_bound,
-    summability_surrogate,
 )
 from .spherical import (
     PlaneWaveBlock,

@@ -39,7 +39,7 @@ class SingularSchurComplement(SingularMatrix):
 
 
 class TailNotContractive(ZrsError):
-    """Tail norm bound is >= 1, so the block inversion scheme is not justified."""
+    """The tail bound p_{N0,L}(b) is >= 1, so the Schur route is not admitted."""
 
     def __init__(self, message, bound=None):
         super().__init__(message)

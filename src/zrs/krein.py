@@ -5,7 +5,7 @@ i sqrt(z)/(4 pi), its weighted form Qt = D^{-1/2} Q D^{-1/2} with
 D = diag|w_m| and signature J = diag(sign w_m), the boundary-value
 coefficient matrix Gamma = (J + Qt)^{-1}, the resolvent coefficient
 C = (Q + 4 pi L)^{-1}, the sphere Gram matrix G_N(lambda), and the
-Schur-Frobenius block inversion with its tail bounds.
+Schur-Frobenius block inversion admitted by the tail bound.
 
 ``build_q``, ``gamma_at`` and ``gram_matrix`` also take a 1-D array of
 spectral points and return (K, N, N) stacks; ``build_weighted``,
@@ -32,7 +32,7 @@ from .errors import (
     TailNotContractive,
     ZeroDistance,
 )
-from .scatterers import _convert, integer, site_bounds
+from .scatterers import _convert, integer
 
 FOUR_PI = 4.0 * np.pi
 
@@ -79,12 +79,6 @@ def green_at_distance(z, r):
     ik = 1j * branch_sqrt(z)
     ik = np.reshape(ik, np.shape(ik) + (1,) * r.ndim)
     return np.exp(ik * r) / (FOUR_PI * r)
-
-
-def free_green(z, x):
-    """Free Green function of -Delta - z at displacement ``x`` in R^3."""
-    x = np.asarray(x, dtype=float)
-    return complex(green_at_distance(z, np.linalg.norm(x)))
 
 
 def build_q(z, s):
@@ -351,14 +345,6 @@ def gamma_schur(qtilde, j, split, tail_bound):
                                w_ring=w_ring)
 
 
-def q_norm_bound(s, z):
-    """A-priori bound p_L(z) = max_m (|sqrt z| + K0/eta_m^2 + K1) / (4 pi |w_m|).
-
-    Reduces to |sqrt z| / (4 pi |w|) for a single scatterer (no pairs).
-    """
-    return float(np.max(site_bounds(s, abs(branch_sqrt(z)))))
-
-
 @dataclass(frozen=True)
 class GramData:
     """Sphere Gram matrix G_N(lambda), its least eigenvalue mu, and lambda.
@@ -472,21 +458,3 @@ def krein_matrices(z, s):
     c = _c_from_q(q, s)
     return KreinMatrices(z=z, q=q, qtilde=qt, j=j, gamma=gamma, c=c)
 
-
-def summability_surrogate(s, z):
-    """Hilbert-Schmidt surrogate for the resolvent difference.
-
-    Returns ``(lhs, rhs)`` where lhs = sum_n ||Gt(z) e_n||^2 computed
-    from Im Qt(z)/Im z and rhs = (1/8 pi) sum_n (sum_m |b_nm|)^2 with
-    b = diag(1/sqrt|w|).  The inequality lhs <= rhs requires
-    Im sqrt(z) >= 1 (the 1/Im sqrt(z) factor is dropped in the rhs).
-    """
-    z = complex(z)
-    if z.imag == 0:
-        raise BadParams("summability surrogate needs Im z != 0")
-    q = build_q(z, s)
-    qt, _ = build_weighted(s, q)
-    gram = (qt - qt.conj().T) / (2j * z.imag)
-    lhs = float(np.sum(np.real(np.diag(gram))))
-    rhs = float(np.sum(1.0 / s.abs_weights) / (8.0 * np.pi))
-    return lhs, rhs

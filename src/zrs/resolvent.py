@@ -25,11 +25,10 @@ from .krein import (
     resolvent_strengths,
 )
 from .scatterers import eta_by_index, write_csv
-from .spherical import make_grid
+from .spherical import make_grid, unit_vector
 
 # fixed, arbitrary unit vector for the local boundary-condition rays
-_RAY_DIRECTION = np.array([0.37, -0.61, 0.70106741])
-_RAY_DIRECTION = _RAY_DIRECTION / np.linalg.norm(_RAY_DIRECTION)
+_RAY_DIRECTION = unit_vector([0.37, -0.61, 0.70106741])
 
 # boundary fits: default radii in units of the minimum separation, and the
 # largest condition number of the design scaled to unit columns
@@ -122,8 +121,8 @@ def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
     b-free regularity content |a| sup|g| / (|a| sup|g| + |b|), which is
     ~0 exactly when the kernel is regular at the site.
 
-    ``direction`` fixes the approach ray (unit 3-vector); the default
-    is an arbitrary fixed direction.
+    ``direction`` fixes the approach ray (scaled by
+    :func:`spherical.unit_vector`); the default is an arbitrary fixed one.
     """
     kern = resolvent_kernel(z, s)
     if source is None:
@@ -140,10 +139,7 @@ def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
         eta = eta_by_index(s)
         if eta.size and np.min(radii) < 1e-6 * np.min(eta):
             raise BadParams("smallest radius below 1e-6 * eta")
-    if direction is None:
-        direction = _RAY_DIRECTION
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = unit_vector(_RAY_DIRECTION if direction is None else direction)
     # Python complex arithmetic: numpy's complex division by 4 pi rounds
     # differently
     ik = 1j * complex(branch_sqrt(kern.z))
@@ -213,15 +209,15 @@ class BumpProfile:
         return -self.laplacian(pts) - complex(z) * self.value(pts)
 
 
-def free_resolvent_reproduction(z, points, bump=None):
-    """Residuals |(R(z)(-Delta - z) phi)(x) - phi(x)| at sample points.
+def free_resolvent_reproduction(z, points):
+    """Residuals |(R(z)(-Delta - z) phi)(x) - phi(x)| at sample points,
+    phi the default :class:`BumpProfile` (radius 1, sigma 0.3).
 
     The integral is taken in spherical coordinates centered at each
     sample point, which cancels the Green-function singularity; the
     integrand is then smooth and Gauss-Legendre converges fast.
     """
-    if bump is None:
-        bump = BumpProfile()
+    bump = BumpProfile()
     ik = 1j * branch_sqrt(z)
     grid = make_grid(SPHERE_ORDER)
     xr, xw = np.polynomial.legendre.leggauss(RADIAL_ORDER)
@@ -243,9 +239,9 @@ KERNEL_SLICE_CSV_HEADER = "rho,re_k,im_k"
 
 
 def write_kernel_slice_csv(kern, x0, direction, radii, out):
-    """CSV of K(z; x0 + rho d, x0) along a ray (for plots)."""
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    """CSV of K(z; x0 + rho d, x0) along a ray (for plots), d =
+    ``unit_vector(direction)``."""
+    direction = unit_vector(direction)
     radii = np.asarray(radii, dtype=float)
     xs = np.asarray(x0, dtype=float) + radii[:, None] * direction
     vals = kern.evaluate(xs, np.asarray(x0, dtype=float))

@@ -195,8 +195,8 @@ def eta_by_index(s):
     """Per-site separation eta_m, m = 1..N, with eta_1 aliased to eta_2.
 
     eta_m is the minimum pairwise distance among the first max(m, 2)
-    points; this is the quantity entering the K1 sum and the norm
-    bounds.  Returns an empty array for N = 1 (no pairs).
+    points; this is the quantity entering the K1 sum and the tail
+    bound.  Returns an empty array for N = 1 (no pairs).
     """
     if s.n == 1:
         return np.empty(0)
@@ -225,11 +225,12 @@ class AdmissibilityReport:
     """Summability diagnostics for a (possibly truncated) family.
 
     ``tail[j]`` is tau_j = sum_{m > j+1} of the K1 terms, j = 0..N-1,
-    so the last entry is zero.  ``p_tail`` is the tail norm bound
-    p_{N0,L}(b).  The convergence flags are partial-sum diagnostics
-    (geometric-mean ratio of successive terms below 1), meaningful for
-    generated families; short lists (N < 8) pass by convention and the
-    verdict carries no information for unordered finite sets.
+    so the last entry is zero.  ``p_tail`` is the tail bound
+    p_{N0,L}(b), the admission rule of the Schur route.  The convergence
+    flags are partial-sum diagnostics (geometric-mean ratio of successive
+    terms below 1), meaningful for generated families; short lists
+    (N < 8) pass by convention and the verdict carries no information
+    for unordered finite sets.
     """
 
     k0: float
@@ -276,33 +277,13 @@ def _ratio_converges(terms):
     return bool(terms[-1] < terms[max(1, n // 2)])
 
 
-def site_bounds(s, root):
-    """Per-site terms (root + K0/eta_m^2 + K1) / (4 pi |w_m|) of the norm
-    bounds p_L(z) (root = |sqrt z|) and p_{N0,L}(b) (root = sqrt b).
-
-    A single scatterer has no pairs and gives root / (4 pi |w|).  A term
-    that overflows is inf, without a warning.
-    """
-    return _site_bounds(s, root, _site_terms(s))
-
-
-def _site_bounds(s, root, terms):
-    """:func:`site_bounds` from the per-site terms ``_site_terms(s)``."""
-    absw = s.abs_weights
-    with np.errstate(over="ignore"):
-        if s.n == 1:
-            return root / (4.0 * np.pi * absw)
-        terms_k0, eta, terms_k1 = terms
-        k0 = float(np.sum(terms_k0))
-        k1 = float(np.sum(terms_k1))
-        return (root + k0 / eta**2 + k1) / (4.0 * np.pi * absw)
-
-
 def tail_bound(s, n0, b):
-    """Tail norm bound p_{N0,L}(b) = max_{m>N0} (sqrt(b) + K0/eta_m^2 + K1) / (4 pi |w_m|).
+    """Tail bound p_{N0,L}(b) = max_{m>N0} (sqrt(b) + K0/eta_m^2 + K1) / (4 pi |w_m|),
+    the admission rule of the Schur route: a tail is admitted when p < 1.
 
-    K0 and K1 are taken over the retained scatterers.  Returns 0.0 for
-    an empty tail (N0 = N), and inf for a bound that overflows.
+    K0 and K1 are taken over the retained scatterers.  A single scatterer
+    has no pairs and gives sqrt(b) / (4 pi |w|).  Returns 0.0 for an empty
+    tail (N0 = N), and inf, without a warning, for a bound that overflows.
     """
     return _tail_bound(s, n0, b, _site_terms(s))
 
@@ -315,7 +296,17 @@ def _tail_bound(s, n0, b, terms):
         raise BadParams(f"n0 = {n0} outside 0..{s.n}")
     if n0 == s.n:
         return 0.0
-    return float(np.max(_site_bounds(s, np.sqrt(b), terms)[n0:]))
+    root = np.sqrt(b)
+    absw = s.abs_weights
+    with np.errstate(over="ignore"):
+        if s.n == 1:
+            sites = root / (4.0 * np.pi * absw)
+        else:
+            terms_k0, eta, terms_k1 = terms
+            k0 = float(np.sum(terms_k0))
+            k1 = float(np.sum(terms_k1))
+            sites = (root + k0 / eta**2 + k1) / (4.0 * np.pi * absw)
+    return float(np.max(sites[n0:]))
 
 
 def check_admissibility(s, b, n0=None):

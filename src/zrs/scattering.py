@@ -22,7 +22,7 @@ from .krein import (_gamma_from_q, _gram_from_q, build_q, build_weighted,
                     check_rcond, gamma_levels, gamma_schur, stack_chunks)
 from .scatterers import _convert, integer, tail_bound, write_csv
 from .spherical import (_plane_waves, default_grid, direction_angles,
-                        gram_overlap, plane_wave_block)
+                        gram_overlap, plane_wave_block, unit_vector)
 
 JUMP_FACTOR = 10.0
 
@@ -79,7 +79,7 @@ def smatrix(lam, s, split=None):
 
 @dataclass(frozen=True)
 class SphereFunction:
-    """Complex samples on a sphere grid, with quadrature inner products."""
+    """Complex samples on a sphere grid, with the quadrature norm."""
 
     values: np.ndarray
     grid: object
@@ -90,15 +90,6 @@ class SphereFunction:
             raise GridMismatch(
                 f"values shape {v.shape} does not match grid size {self.grid.size}")
         object.__setattr__(self, "values", v)
-
-    def inner(self, other):
-        if other.grid is not self.grid and (
-            other.grid.size != self.grid.size
-            or not np.array_equal(other.grid.nodes, self.grid.nodes)
-        ):
-            raise GridMismatch("sphere functions live on different grids")
-        return complex(np.sum(self.grid.qweights * self.values
-                              * np.conj(other.values)))
 
     def norm(self):
         return float(np.sqrt(np.sum(self.grid.qweights
@@ -247,16 +238,16 @@ def omega_unitary(upsilon, lam_mat):
     return np.eye(n) - 2j * np.linalg.solve(a, upsilon)
 
 
-def cross_section(rep, incident, grid=None):
-    """Angular pattern |sum T_mm' u_m(n) conj(u_m'(incident))|^2.
+def cross_section(rep, incident):
+    """Angular pattern |sum T_mm' u_m(n) conj(u_m'(incident))|^2 on the
+    default grid of ``rep``.
 
     A plotting aid for the magnitude of the S - I kernel against a
-    fixed incident direction; returns a SphereFunction of real values.
+    fixed incident direction (:func:`spherical.unit_vector` scales it);
+    returns a SphereFunction of real values.
     """
-    if grid is None:
-        grid = default_grid(rep.lam, rep.scatterers)
-    incident = np.asarray(incident, dtype=float)
-    incident = incident / np.linalg.norm(incident)
+    grid = default_grid(rep.lam, rep.scatterers)
+    incident = unit_vector(incident)
     amp = kernel_correction(rep, grid.nodes, incident[None, :])[:, 0]
     return SphereFunction(values=np.abs(amp) ** 2 + 0j, grid=grid)
 

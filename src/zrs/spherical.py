@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import BadOrder, BadParams
 from .krein import gram_matrix
-from .scatterers import write_csv
 
 # Product-grid order cap (2 * 1024**2, about 2.1M nodes); band limits such as
 # lambda ~ 1e300 ask for ~1e150 and would overflow the node computation.
@@ -35,10 +34,17 @@ class SphereGrid:
     def integrate(self, values):
         return np.sum(self.qweights * np.asarray(values), axis=-1)
 
-    def to_csv(self, out):
-        """Write (theta, phi, weight) rows; ``out`` is a path or file object."""
-        theta, phi = direction_angles(self.nodes)
-        write_csv(out, "theta,phi,weight", zip(theta, phi, self.qweights))
+
+def unit_vector(v):
+    """``v`` divided by its length; raises BadParams, without a warning,
+    unless ``v`` is a 3-vector of finite nonzero length."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        length = np.linalg.norm(v) if v.shape == (3,) else np.nan
+    if not 0 < length < np.inf:
+        raise BadParams(f"direction must be a 3-vector of finite nonzero "
+                        f"length, got {v.tolist()}")
+    return v / length
 
 
 def direction_angles(dirs):

@@ -1,8 +1,8 @@
 """Shared fixtures: the random configuration battery used across suites.
 
 Battery parameters (box size, separation floor, weight range) are kept
-inside the regime where the a-priori norm bound p_L(z) dominates the
-measured norm; see test_krein.py::test_norm_bound_battery.
+inside the regime where the tail bound with no head, tail_bound(s, 0, |z|),
+dominates the measured norm of Qt; see test_krein.py::test_norm_bound_battery.
 """
 
 import os

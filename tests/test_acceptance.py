@@ -25,7 +25,6 @@ from zrs import (
     omega_unitary,
     overlap_error,
     plane_wave_block,
-    q_norm_bound,
     resolvent_kernel,
     smatrix,
     smatrix_minus_identity_norm,
@@ -173,10 +172,10 @@ def test_criterion_6_norm_bound(configs):
         for z in Z_BATTERY:
             qt, _ = build_weighted(s, build_q(z, s))
             measured = float(np.linalg.norm(qt, 2))
-            bound = q_norm_bound(s, z)
+            bound = tail_bound(s, 0, abs(z))
             # equality holds for N = 1; allow 1e-12 relative rounding
             worst = max(worst, measured - bound * (1 + 1e-12))
-    report("6 norm bound (||Qt||_2 <= p_L on every tested config, z)",
+    report("6 tail bound (||Qt||_2 <= tail_bound(s, 0, |z|) on the battery)",
            worst <= 0, f"worst excess {worst:.3e}")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from zrs import (BadParams, NonPositiveGram, ScattererSet, SingularMatrix, build_q,
-                 build_weighted, gamma_direct, q_norm_bound, smatrix, tail_bound,
+                 build_weighted, gamma_direct, smatrix, tail_bound,
                  unitarity_defect_reduced)
 from zrs import cli, krein, scattering
 from zrs.cli import main
@@ -706,7 +706,7 @@ def test_k1_term_that_overflows_is_zero_without_warning(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["validate", "--config", cfg]) == 0
         assert tail_bound(s, 1, 25.0) == 5.0 / (8.0 * np.pi)
-        assert q_norm_bound(s, -4.0) == 2.0 / (8.0 * np.pi)
+        assert tail_bound(s, 0, abs(-4.0)) == 2.0 / (8.0 * np.pi)
     out = json.loads(capsys.readouterr().out)
     assert (out["K0"], out["K1"], out["tail"]) == (1.0, 0.0, [0.0, 0.0])
 

@@ -15,7 +15,6 @@ from zrs import (
     build_q,
     build_weighted,
     c_matrix,
-    free_green,
     gamma_at,
     gamma_direct,
     gamma_schur,
@@ -24,9 +23,7 @@ from zrs import (
     green_at_distance,
     krein_matrices,
     m_sampled,
-    q_norm_bound,
     smatrix,
-    summability_surrogate,
     tail_bound,
 )
 from zrs import krein
@@ -74,14 +71,14 @@ def test_non_finite_point_in_a_stack_rejected(fn, two_scatterers):
 
 def test_free_green_trivials():
     # z = -1: e^-1 / (4 pi)
-    assert np.isclose(free_green(-1.0, [1, 0, 0]), np.exp(-1) / FOUR_PI)
-    # boundary value at lambda = pi^2, |x| = 1: e^{i pi}/(4 pi)
-    assert np.isclose(free_green(np.pi**2, [0, 1, 0]), -1 / FOUR_PI)
+    assert np.isclose(green_at_distance(-1.0, 1.0), np.exp(-1) / FOUR_PI)
+    # boundary value at lambda = pi^2, r = 1: e^{i pi}/(4 pi)
+    assert np.isclose(green_at_distance(np.pi**2, 1.0), -1 / FOUR_PI)
 
 
 def test_free_green_extended_precision_oracle():
     # frozen from a 50-digit mpmath evaluation of the same formula
-    val = free_green(2 + 3j, [0.7, 0, 0])
+    val = complex(green_at_distance(2 + 3j, 0.7))
     assert val == pytest.approx(
         0.023582280955952852138 + 0.055950116172967170704j, rel=1e-14
     )
@@ -96,7 +93,7 @@ def test_free_green_extended_precision_oracle():
 
 def test_free_green_zero_distance():
     with pytest.raises(ZeroDistance):
-        free_green(1.0, [0, 0, 0])
+        green_at_distance(1.0, 0.0)
 
 
 def test_build_q_diagonal_and_offdiagonal():
@@ -515,11 +512,12 @@ def test_schur_imag_positivity():
     assert factors.imag_w_ring_min() >= mu_w * (1 - 0.5)
 
 
-def test_q_norm_bound_values():
+def test_tail_bound_with_empty_head_values():
     s1 = ScattererSet([[0, 0, 0]], [1.0])
-    assert np.isclose(q_norm_bound(s1, -1.0), 1 / FOUR_PI)
+    # with no head the tail bound at b = |z| is p_L(z): here z = -1
+    assert np.isclose(tail_bound(s1, 0, 1.0), 1 / FOUR_PI)
     s2 = ScattererSet([[0, 0, 0], [1, 0, 0]], [2.0, 2.0])
-    assert np.isclose(q_norm_bound(s2, 1.0), 3 / (8 * np.pi))
+    assert np.isclose(tail_bound(s2, 0, 1.0), 3 / (8 * np.pi))
 
 
 def test_norm_bound_battery(battery25):
@@ -529,18 +527,7 @@ def test_norm_bound_battery(battery25):
             qt, _ = build_weighted(s, build_q(z, s))
             measured = np.linalg.norm(qt, 2)
             # equality holds for N = 1; allow rounding there
-            assert measured <= q_norm_bound(s, z) * (1 + 1e-12)
-
-
-def test_q_norm_bound_equals_tail_bound_with_empty_head(battery25):
-    # both bounds come from one per-site formula: at real b > 0 the bound
-    # p_L(b) is the tail bound with no head, bit for bit
-    bs = [0.3, 1.0, 7.3, 50.0, 1e4, *np.random.default_rng(5).uniform(0.01, 200, 16)]
-    sets = battery25 + [generate_family("clustering", {"p": 2, "q": 6}, 60),
-                        ScattererSet([[0.2, -0.1, 0.4]], [0.7])]
-    for s in sets:
-        for b in bs:
-            assert q_norm_bound(s, b) == tail_bound(s, 0, b)
+            assert measured <= tail_bound(s, 0, abs(z)) * (1 + 1e-12)
 
 
 def test_norm_bound_lattice():
@@ -549,7 +536,7 @@ def test_norm_bound_lattice():
     s = generate_family("cubic-lattice-ball", {"spacing": 1.0}, 10)
     for z in (1.0, 9.0, 2 + 1j):
         qt, _ = build_weighted(s, build_q(z, s))
-        assert np.linalg.norm(qt, 2) <= q_norm_bound(s, z)
+        assert np.linalg.norm(qt, 2) <= tail_bound(s, 0, abs(z))
 
 
 def test_gram_examples():
@@ -703,17 +690,6 @@ def test_q_increment_identity():
     c1, c2 = c_matrix(z1, s), c_matrix(z2, s)
     phi = (build_q(z1, s) - build_q(z2, s)) / (z1 - z2)
     assert np.linalg.norm(c1 - c2 + (z1 - z2) * c1 @ phi @ c2, 2) < 1e-12
-
-
-def test_summability_surrogate():
-    # valid for Im sqrt(z) >= 1; z = 4i gives Im sqrt(z) = sqrt(2)
-    for seed, n in ((4, 3), (5, 8)):
-        s = make_config(seed, n)
-        lhs, rhs = summability_surrogate(s, 4j)
-        assert lhs <= rhs * (1 + 1e-12)
-        # exact value of the left side is sum 1/(8 pi Im sqrt(z) |w_n|)
-        expect = np.sum(1 / s.abs_weights) / (8 * np.pi * np.sqrt(2))
-        assert lhs == pytest.approx(expect, rel=1e-10)
 
 
 def test_krein_matrices_bundle_consistency():

@@ -11,11 +11,12 @@ from zrs import (
     FitUnstable,
     ScattererSet,
     boundary_condition_residual,
-    free_green,
+    cross_section,
     free_resolvent_reproduction,
     green_at_distance,
     hilbert_identity_residual,
     resolvent_kernel,
+    smatrix,
     symmetry_residual,
 )
 from zrs import krein, resolvent
@@ -155,7 +156,7 @@ def test_boundary_condition_fit_matches_expansion_oracle():
     s = ScattererSet([[0, 0, 0]], [w])
     kern = resolvent_kernel(z, s)
     src = np.array([0.4, 0.7, -0.3])
-    gamma = free_green(z, -src)
+    gamma = green_at_distance(z, np.linalg.norm(-src))
     radii = default_fit_radii(s)
     ik = 1j * complex(branch_sqrt(kern.z))
     design = np.stack([np.exp(ik * radii) / (FOUR_PI * radii),
@@ -268,6 +269,26 @@ def test_free_resolvent_reproduction():
            [0.05, -0.8, 0.1], [0.9, 0.2, -0.3]]
     res = free_resolvent_reproduction(2 + 0.5j, pts)
     assert np.max(res) < 1e-6
+
+
+@pytest.mark.parametrize("direction", [[0, 0, 0], [np.nan, 0, 1], [0, np.inf, 0],
+                                       [1e300, 0, 0], [1, 0], [[0, 0, 1]]])
+@pytest.mark.parametrize("entry", ["cross_section", "boundary_condition_residual",
+                                   "write_kernel_slice_csv"])
+def test_bad_direction_rejected(entry, direction):
+    # a zero, non-finite or overflowing length, or a shape other than (3,),
+    # raises before any division, where it used to give NaN output
+    s = make_config(9, 2)
+    call = {
+        "cross_section": lambda: cross_section(smatrix(2.0, s), direction),
+        "boundary_condition_residual":
+            lambda: boundary_condition_residual(1j, s, direction=direction),
+        "write_kernel_slice_csv":
+            lambda: write_kernel_slice_csv(resolvent_kernel(1j, s), [1.0, 1.0, 1.0],
+                                           direction, [0.1, 0.2], io.StringIO()),
+    }[entry]
+    with pytest.raises(BadParams, match="direction must be a 3-vector"):
+        call()
 
 
 def test_kernel_slice_csv_golden_header():

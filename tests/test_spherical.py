@@ -1,7 +1,5 @@
 """Sphere quadrature and plane-wave blocks."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -116,12 +114,3 @@ def test_mu_positive_distinct_points():
     for seed in range(4):
         s = make_config(seed, 6)
         assert gram_matrix(5.0, s).mu > 0
-
-
-def test_grid_csv_golden_header():
-    g = make_grid(2)
-    buf = io.StringIO()
-    g.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "theta,phi,weight"
-    assert len(lines) == 1 + g.size
