@@ -45,7 +45,7 @@ print(f"lambda = {lam}, grid: {grid.kind} order {grid.order} ({grid.size} nodes)
 print(f"cond(Gamma) = {rep.gamma_cond:.3f}")
 print(f"reduced defect ||S*S - I||      = {unitarity_defect_reduced(rep):.2e}")
 print(f"quadrature defect (random f)    = "
-      f"{unitarity_defect_quadrature(rep, grid, trials=8):.2e}")
+      f"{unitarity_defect_quadrature(rep, grid):.2e}")
 print(f"plane-wave overlap error (grid) = "
       f"{overlap_error(plane_wave_block(lam, s, grid)):.2e}")
 

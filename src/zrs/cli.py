@@ -48,7 +48,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     for name, flags in _FLAGS.items():
         q = sub.add_parser(name)
-        q.add_argument("--config", required=True, help="scatterer/run JSON file")
+        q.add_argument("--config", required=True, help="scatterer JSON file")
         for flag in flags:
             q.add_argument(flag, **_FLAG_SPECS[flag])
         q.add_argument("--out", default=None, help="output path (default stdout)")
@@ -65,14 +65,10 @@ def _load_config(path):
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _pair(val):
-    a, b = val
-    return number(a), number(b)
-
-
 def _complex(val):
     """A ``[re, im]`` pair as a complex number."""
-    return complex(*_pair(val))
+    re, im = val
+    return complex(number(re), number(im))
 
 
 def _point(val):
@@ -83,9 +79,12 @@ def _point(val):
 def _tolerances(val):
     """Residual tolerances: the defaults updated from ``val``.  Values stay
     as given (an integer is written back as one), but must be numbers
-    (not booleans)."""
+    (not booleans); a name other than the defaults' is a usage error."""
     tol = {"hilbert": 1e-10, "symmetry": 1e-12, "boundary": 1e-5}
     for name, bound in dict(val).items():
+        if name not in tol:
+            raise UsageError(f"unknown tolerance {name!r}; expected one of "
+                             f"{', '.join(tol)}")
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise TypeError(bound)
         tol[name] = bound
@@ -103,45 +102,33 @@ def _config(cfg, key, convert, default=None):
         raise UsageError(f"bad value {val!r} for config key {key!r}") from None
 
 
-def _setting(args, cfg, key, attr, convert, default=None):
-    """Flag ``attr`` if given, else ``convert(cfg[key])``, else ``default``."""
-    val = getattr(args, attr, None)
-    if val is not None:
-        return val
-    return _config(cfg, key, convert, default)
-
-
 def _cmd_validate(args, cfg, s):
-    b = _setting(args, cfg, "b", "lam", number, 25.0)
-    n0 = _setting(args, cfg, "n0", "n0", integer)
-    report = check_admissibility(s.prefix(args.n), b, n0=n0)
+    b = 25.0 if args.lam is None else args.lam
+    report = check_admissibility(s.prefix(args.n), b, n0=args.n0)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     return (0 if report.passed else 2), text
 
 
 def _cmd_smatrix(args, cfg, s):
-    lam = _setting(args, cfg, "lambda", "lam", number)
+    lam = args.lam
     if lam is None:
         raise UsageError("smatrix needs --lambda")
     sub = s.prefix(args.n)
     # settings are checked before Gamma is built, so a bad one is a usage
     # error whatever the numerics would do; the default grid needs a lambda
     # that smatrix has accepted
-    order = _setting(args, cfg, "grid_order", "grid_order", integer)
-    grid = None if order is None else make_grid(order)
-    seed = _setting(args, cfg, "seed", "seed", integer, 0)
-    if seed < 0:
-        raise UsageError(f"seed must be non-negative, got {seed}")
-    n0 = _setting(args, cfg, "n0", "n0", integer)
+    grid = None if args.grid_order is None else make_grid(args.grid_order)
+    if args.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {args.seed}")
     try:
-        rep = sc.smatrix(lam, sub, split=n0)
+        rep = sc.smatrix(lam, sub, split=args.n0)
     except (SingularMatrix, TailNotContractive) as exc:
         exc.args = (f"lambda={lam:g}: {exc}",)
         raise
     if grid is None:
         grid = default_grid(lam, sub)
     d_red = sc.unitarity_defect_reduced(rep)
-    d_quad = sc.unitarity_defect_quadrature(rep, grid, seed=seed)
+    d_quad = sc.unitarity_defect_quadrature(rep, grid, seed=args.seed)
     idx = np.linspace(0, grid.size - 1, 8).astype(int)
     dirs = grid.nodes[idx]
     buf = io.StringIO()
@@ -152,36 +139,33 @@ def _cmd_smatrix(args, cfg, s):
 
 
 def _truncations(val):
-    """Truncations from the comma string of --n-sweep or a JSON list."""
-    if isinstance(val, str):
-        val = [v for v in val.split(",") if v.strip()]
+    """Truncations from the comma string of --n-sweep."""
     ns = []
-    for entry in val:
+    for entry in val.split(","):
+        if not entry.strip():
+            continue
         try:
             ns.append(integer(entry))
         except (TypeError, ValueError, OverflowError):
-            raise UsageError(f"bad --n-sweep entry {str(entry).strip()!r}") from None
+            raise UsageError(f"bad --n-sweep entry {entry.strip()!r}") from None
     return ns
 
 
 def _cmd_sweep(args, cfg, s):
     sub = s.prefix(args.n)
-    ns = _setting(args, cfg, "n_sweep", "n_sweep", _truncations)
-    if ns is not None:
-        lam = _setting(args, cfg, "lambda", "lam", number)
-        if lam is None:
+    if args.n_sweep is not None:
+        if args.lam is None:
             raise UsageError("N-sweep mode needs --lambda")
         buf = io.StringIO()
-        sc.write_truncation_csv(sub, lam, ns, buf)
+        sc.write_truncation_csv(sub, args.lam, args.n_sweep, buf)
         return 0, buf.getvalue()
 
-    interval = _setting(args, cfg, "interval", "interval", _pair)
-    if interval is None:
+    if args.interval is None:
         raise UsageError("sweep needs --interval A B")
-    a, b = interval
+    a, b = args.interval
     if not 0 < a < b < np.inf:
         raise UsageError("interval must satisfy 0 < a < b < inf")
-    points = _setting(args, cfg, "grid_points", "grid_points", integer, 32)
+    points = args.grid_points
     if points < 0:
         raise UsageError(f"grid points must be non-negative, got {points}")
     buf = io.StringIO()
@@ -221,8 +205,9 @@ _FLAG_SPECS = {
     "--n": dict(type=int, help="truncation"),
     "--n0": dict(type=int, help="Schur split"),
     "--grid-order": dict(type=int),
-    "--grid-points": dict(type=int, help="lambda samples for sweeps"),
-    "--seed": dict(type=int),
+    "--grid-points": dict(type=int, default=32,
+                          help="lambda samples for sweeps"),
+    "--seed": dict(type=int, default=0),
     "--n-sweep": dict(type=_truncations,
                       help="comma list of truncations for convergence mode"),
 }
@@ -235,6 +220,11 @@ _FLAGS = {
     "sweep": ("--lambda", "--interval", "--n", "--grid-points", "--n-sweep"),
     "resolvent": ("--n",),
 }
+
+# the top-level config keys: the scatterer section (read by from_config)
+# and resolvent's inputs; any other key is a usage error
+_CONFIG_KEYS = ("points", "weights", "family", "z", "z1", "z2", "source",
+                "tolerances")
 
 # each command returns (exit code, output text); main writes the text
 _COMMANDS = {
@@ -251,6 +241,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = _load_config(args.config)
         s = from_config(cfg)
+        for key in cfg:
+            if key not in _CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}; expected "
+                                 f"{', '.join(_CONFIG_KEYS)}")
         # one BLAS thread: at these orders more do not pay, and the output
         # does not depend on the thread count
         with serial_blas():

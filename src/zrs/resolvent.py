@@ -103,12 +103,12 @@ def default_fit_radii(s):
     return FIT_RADII * scale
 
 
-def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
+def boundary_condition_residual(z, s, source=None, direction=None):
     """Zero-range boundary-condition residuals, one per scatterer.
 
     Evaluates f = K(z; ., source) on a ray approaching each site, fits
     f ~ a e^{i sqrt(z) rho} / (4 pi rho) + b + c rho by least squares
-    over the radii, and returns
+    over the radii :func:`default_fit_radii`, and returns
 
         |a i sqrt(z)/(4 pi) + b + 4 pi w_m a| / (|a| + |b|),
 
@@ -131,14 +131,7 @@ def boundary_condition_residual(z, s, source=None, radii=None, direction=None):
     d_src = np.linalg.norm(s.points - source, axis=1)
     if np.any(d_src < 1e-9):
         raise BadParams("source must be distinct from every scatterer")
-    if radii is None:
-        # 1e-5 times the least separation and up, so no check is needed
-        radii = default_fit_radii(s)
-    else:
-        radii = np.asarray(radii, dtype=float)
-        eta = eta_by_index(s)
-        if eta.size and np.min(radii) < 1e-6 * np.min(eta):
-            raise BadParams("smallest radius below 1e-6 * eta")
+    radii = default_fit_radii(s)
     direction = unit_vector(_RAY_DIRECTION if direction is None else direction)
     # Python complex arithmetic: numpy's complex division by 4 pi rounds
     # differently

@@ -19,7 +19,14 @@ from .errors import BadParams, DuplicatePoint
 
 DUPLICATE_EPS = 1e-12
 
-_FAMILY_KINDS = ("uniform-line", "cubic-lattice-ball", "clustering")
+# each family kind with the parameters it reads
+_FAMILY_PARAMS = {
+    "uniform-line": ("spacing", "weight"),
+    "cubic-lattice-ball": ("spacing", "weight"),
+    "clustering": ("p", "q", "w0"),
+}
+
+_FAMILY_KEYS = ("kind", "N", "params", "strict")
 
 
 def _freeze(a):
@@ -69,10 +76,15 @@ def _convert(val, what, convert=number):
         raise BadParams(f"bad value for {what}: {exc}") from None
 
 
-def _section(val, what):
-    """``val`` if it is a JSON object (dict), else BadParams."""
+def _section(val, what, keys=None):
+    """``val`` if it is a JSON object (dict) whose keys are all in ``keys``
+    (any keys for None), else BadParams."""
     if not isinstance(val, dict):
         raise BadParams(f"{what} must be a JSON object, got {type(val).__name__}")
+    for key in val:
+        if keys is not None and key not in keys:
+            raise BadParams(f"unknown key {key!r} in {what}; expected "
+                            f"{', '.join(keys)}")
     return val
 
 
@@ -376,9 +388,13 @@ def generate_family(kind, params, n, strict=False):
         summability conditions iff q > 2p + 1 and q > 1; with
         ``strict=True`` parameters violating that raise BadParams.
         Params: ``p``, ``q``, ``w0`` (default 1).
+
+    A parameter the kind does not read raises BadParams naming it.
     """
     if n < 1:
         raise BadParams("n must be >= 1")
+    if isinstance(kind, str) and kind in _FAMILY_PARAMS:
+        _section(params, "family params", _FAMILY_PARAMS[kind])
     if kind in ("uniform-line", "cubic-lattice-ball"):
         d = _convert(params.get("spacing", 1.0), "family parameter 'spacing'")
         w = _convert(params.get("weight", 1.0), "family parameter 'weight'")
@@ -420,7 +436,8 @@ def generate_family(kind, params, n, strict=False):
         pts[:, 0] = x
         return ScattererSet(pts, w0 * m**q)
 
-    raise BadParams(f"unknown family kind {kind!r}; expected one of {_FAMILY_KINDS}")
+    raise BadParams(f"unknown family kind {kind!r}; expected one of "
+                    f"{tuple(_FAMILY_PARAMS)}")
 
 
 def from_config(data):
@@ -429,21 +446,21 @@ def from_config(data):
     Accepts ``{"points": [[x,y,z],...], "weights": [w,...]}`` or
     ``{"family": {"kind": ..., "params": {...}, "N": n, "strict": false}}``
     (``N`` an integer, ``strict`` a JSON boolean); a section or value of the
-    wrong type raises BadParams naming it.
+    wrong type, or a family key or parameter that is not read, raises
+    BadParams naming it.
     """
     if "family" in _section(data, "scatterer config"):
-        fam = _section(data["family"], "family section")
+        fam = _section(data["family"], "family section", _FAMILY_KEYS)
         try:
             kind = fam["kind"]
             n = _convert(fam["N"], "family key 'N'", integer)
         except KeyError as exc:
             raise BadParams(f"family section needs key {exc}") from exc
-        params = _section(fam.get("params", {}), "family params")
         strict = fam.get("strict", False)
         if not isinstance(strict, bool):
             raise BadParams(f"family key 'strict' must be true or false, "
                             f"got {strict!r}")
-        return generate_family(kind, params, n, strict=strict)
+        return generate_family(kind, fam.get("params", {}), n, strict=strict)
     try:
         return ScattererSet(data["points"], data["weights"])
     except KeyError as exc:

@@ -183,21 +183,19 @@ def _defect_reduced(lam, gamma, b):
     return np.maximum(-ev[..., 0], ev[..., -1])
 
 
-def unitarity_defect_quadrature(rep, grid, trials=8, seed=0):
-    """Brute-force unitarity defect max ||S*Sf - f|| / ||f|| over random f.
+def unitarity_defect_quadrature(rep, grid, seed=0):
+    """Brute-force unitarity defect max ||S*Sf - f|| / ||f|| over 8 random f.
 
     Half of the trials are drawn inside the span of the plane-wave
     columns (where the finite-rank defect lives), the rest are raw
     nodal noise.  The plane-wave block and its weighted conjugate are
     built once for all trials.
     """
-    if trials < 1:
-        raise BadParams("trials must be >= 1")
     rng = np.random.default_rng(seed)
     u, uw = _blocks(rep, grid)
     adjoint = rep.coeff.conj().T
     worst = 0.0
-    for t in range(trials):
+    for t in range(8):
         if t % 2 == 0:
             c = rng.standard_normal(u.shape[0]) + 1j * rng.standard_normal(u.shape[0])
             vals = u.T @ c

@@ -125,18 +125,49 @@ def run_child(argv, cwd):
                           env=env, timeout=60)
 
 
+class Calls(dict):
+    """Name -> call count, and ``log``: one (name, order, batch) per call."""
+
+    def __init__(self, names):
+        super().__init__(dict.fromkeys(names, 0))
+        self.log = []
+
+    def record(self, name, order, batch):
+        self[name] += 1
+        self.log.append((name, order, batch))
+
+
 def count_linalg_calls(monkeypatch, *names):
     """Count calls of the named ``numpy.linalg`` functions, also those made
     inside numpy (``norm(., 2)`` and ``cond`` call ``svd`` through the
-    implementation module); returns the name -> count dict."""
+    implementation module), and of ``zrs.krein.build_q`` for the name
+    ``"build_q"``, wherever a zrs module imported it.
+
+    Returns a :class:`Calls`.  A linalg call logs the order n and the batch
+    K of its (K, n, n) or (n, n) argument (K = 1; n is the last axis, so
+    the (R, 3) design of a fit has order 3); a ``build_q`` call logs N and
+    the number of spectral points.
+    """
     impl = sys.modules[np.linalg.norm.__wrapped__.__module__]
-    calls = dict.fromkeys(names, 0)
+    calls = Calls(names)
     for name in names:
+        if name == "build_q":
+            real = zrs.krein.build_q
+
+            def counting_q(z, s, _real=real):
+                calls.record("build_q", s.n, int(np.size(z)))
+                return _real(z, s)
+            for mod in list(sys.modules.values()):
+                if (mod.__name__.startswith("zrs")
+                        and getattr(mod, "build_q", None) is real):
+                    monkeypatch.setattr(mod, "build_q", counting_q)
+            continue
         real = getattr(impl, name)
 
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+        def counting(a, *args, _real=real, _name=name, **kwargs):
+            shape = np.shape(a)
+            calls.record(_name, shape[-1], int(np.prod(shape[:-2])))
+            return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
         monkeypatch.setattr(impl, name, counting)
     return calls

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -72,10 +73,9 @@ def test_smatrix_csv_and_identity_limit(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "points": [[0.0, 0.0, 0.0]],
         "weights": [1e12],
-        "lambda": 4.0,
     })
     out = tmp_path / "smatrix.csv"
-    rc = main(["smatrix", "--config", cfg, "--out", str(out)])
+    rc = main(["smatrix", "--config", cfg, "--lambda", "4", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# lambda=4 defect_reduced=")
@@ -90,9 +90,8 @@ def test_smatrix_tail_failure_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "points": [[0, 0, 0], [0.4, 0, 0], [0, 0.5, 0]],
         "weights": [1.0, 1e-3, 2e-3],
-        "lambda": 4.0,
     })
-    rc = main(["smatrix", "--config", cfg, "--n0", "1"])
+    rc = main(["smatrix", "--config", cfg, "--lambda", "4", "--n0", "1"])
     assert rc == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err
@@ -126,10 +125,9 @@ def test_sweep_empty_interval_usage_error(tmp_path):
 def test_sweep_n_mode(tmp_path):
     cfg = write_config(tmp_path, {
         "family": {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": 8},
-        "lambda": 4.0,
     })
     out = tmp_path / "nsweep.csv"
-    rc = main(["sweep", "--config", cfg, "--n-sweep", "2,4,8",
+    rc = main(["sweep", "--config", cfg, "--lambda", "4", "--n-sweep", "2,4,8",
                "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
@@ -176,6 +174,8 @@ def test_non_positive_lambda_same_error_for_smatrix_and_n_sweep(tmp_path, capsys
     assert captured.out == ""
 
 
+# an old config whose run setting has a bad value still fails on one line
+# naming the key (run settings are flags, so the key itself is unknown)
 @pytest.mark.parametrize("argv, key", [
     (["sweep", "--interval", "1", "2"], "grid_points"),
     (["validate"], "n0"),
@@ -244,20 +244,6 @@ def test_family_integral_n_and_boolean_strict(tmp_path, capsys):
     assert rc == 1 and out == "" and "violate q > 2p+1" in err
 
 
-@pytest.mark.parametrize("argv, key, value", [
-    (["sweep", "--interval", "1", "2"], "grid_points", "Infinity"),
-    (["smatrix", "--lambda", "4"], "seed", "-Infinity"),
-    (["sweep", "--lambda", "4"], "n_sweep", "[1, Infinity]"),
-], ids=["grid_points", "seed", "n_sweep"])
-def test_infinite_integer_in_config_is_usage_error(tmp_path, capsys, argv, key, value):
-    # json reads Infinity as a float, which int() rejects with OverflowError
-    cfg = tmp_path / "inf.json"
-    cfg.write_text(f'{{"points": [[0, 0, 0]], "weights": [1], "{key}": {value}}}')
-    assert main([*argv, "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("zrs: usage error: bad ") and len(err.splitlines()) == 1
-
-
 # --n0 1 on this set exits 3 (TailNotContractive) when the settings are valid
 TAIL_NOT_CONTRACTIVE = {
     "points": [[0, 0, 0], [0.4, 0, 0], [0, 0.5, 0]],
@@ -265,18 +251,16 @@ TAIL_NOT_CONTRACTIVE = {
 }
 
 
-@pytest.mark.parametrize("source", ["flag", "config", "flag_n0"])
+@pytest.mark.parametrize("source", ["flag", "flag_n0"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, source):
     data = TAIL_NOT_CONTRACTIVE if source == "flag_n0" else TWO_SCATTERERS
-    extra = {"seed": -1} if source == "config" else {}
-    cfg = write_config(tmp_path, {**data, **extra})
+    cfg = write_config(tmp_path, data)
     argv = ["smatrix", "--config", cfg, "--lambda", "4"]
     if source == "flag_n0":
         argv += ["--n0", "1"]
         assert main([*argv, "--seed", "0"]) == 3
         capsys.readouterr()
-    if source != "config":
-        argv += ["--seed", "-1"]
+    argv += ["--seed", "-1"]
     assert main(argv) == 1
     assert capsys.readouterr() == (
         "", "zrs: usage error: seed must be non-negative, got -1\n")
@@ -295,7 +279,8 @@ def test_smatrix_rejects_settings_before_building_gamma(tmp_path, capsys,
 
 
 # (command argv, config entries, what the one-line message names); JSON
-# true is no number even though float(True) and int(True) succeed
+# true is no number even though float(True) and int(True) succeed.  The
+# run settings (b to n_sweep) are unknown config keys whatever their value.
 FAMILY = {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": 4}
 BOOLEAN_NUMBERS = {
     "b": (["validate"], {"b": True}, "config key 'b'"),
@@ -309,8 +294,6 @@ BOOLEAN_NUMBERS = {
     "interval": (["sweep"], {"interval": [True, 2]}, "config key 'interval'"),
     "n_sweep": (["sweep", "--lambda", "4"], {"n_sweep": True},
                 "config key 'n_sweep'"),
-    "n_sweep-entry": (["sweep", "--lambda", "4"], {"n_sweep": [True, 2]},
-                      "bad --n-sweep entry 'True'"),
     "z": (["resolvent"], {"z": [True, 0]}, "config key 'z'"),
     "z1": (["resolvent"], {"z1": [1, True]}, "config key 'z1'"),
     "z2": (["resolvent"], {"z2": [False, 1]}, "config key 'z2'"),
@@ -415,22 +398,6 @@ def test_smatrix_schur_header_measures_the_schur_gamma(tmp_path, capsys):
     assert f"gamma_cond={rep.gamma_cond:.17g}" in header
 
 
-def test_smatrix_reads_n0_from_the_config(tmp_path, capsys):
-    heavy, cfg = _heavy_tail_config(tmp_path)
-    keyed = write_config(tmp_path, {**heavy.to_dict(), "n0": 2}, "keyed.json")
-    runs = {}
-    for name, argv in (("direct", ["--config", cfg]),
-                       ("flag", ["--config", cfg, "--n0", "2"]),
-                       ("key", ["--config", keyed])):
-        assert main(["smatrix", "--lambda", "4", *argv]) == 0
-        runs[name] = capsys.readouterr().out
-    # the key takes the Schur route, as the flag does
-    assert runs["key"] == runs["flag"] != runs["direct"]
-    # and a flag overrides it
-    assert main(["smatrix", "--lambda", "4", "--config", keyed, "--n0", "5"]) == 0
-    assert capsys.readouterr().out != runs["flag"]
-
-
 @pytest.mark.parametrize("lam", ["0.9", "4", "40"])
 def test_smatrix_split_at_n_prints_the_direct_bytes(tmp_path, capsys, lam):
     # an empty tail has bound 0, and the Schur step inverts J + Qt whole
@@ -467,6 +434,10 @@ FLAG_VALUES = {"--lambda": ["4"], "--interval": ["1", "2"], "--n": ["1"],
                "--seed": ["3"], "--n-sweep": ["1,2"]}
 UNREAD = [(command, flag) for command, flags in FLAGS_READ.items()
           for flag in FLAG_VALUES if flag not in flags]
+# the settings each command needs to run on TWO_SCATTERERS
+BASE_ARGV = {"validate": [], "smatrix": ["--lambda", "4"],
+             "sweep": ["--interval", "1", "2", "--grid-points", "2"],
+             "resolvent": []}
 
 
 def test_each_command_declares_only_the_flags_it_reads():
@@ -484,15 +455,87 @@ def test_each_command_declares_only_the_flags_it_reads():
 @pytest.mark.parametrize("command, flag", UNREAD)
 def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys,
                                                        command, flag):
-    cfg = write_config(tmp_path, {**TWO_SCATTERERS, "lambda": 4.0,
-                                  "interval": [1, 2], "grid_points": 2})
-    assert main([command, "--config", cfg]) == 0
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    base = [command, "--config", cfg, *BASE_ARGV[command]]
+    assert main(base) == 0
     capsys.readouterr()
-    assert main([command, "--config", cfg, flag, *FLAG_VALUES[flag]]) == 1
+    assert main([*base, flag, *FLAG_VALUES[flag]]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"zrs: usage error: unrecognized arguments: "
                    f"{' '.join([flag, *FLAG_VALUES[flag]])}\n")
+
+
+# the run settings a config carried before they became flags only
+RUN_SETTINGS = {"lambda": 4, "b": 25, "n0": 1, "interval": [1, 2],
+                "grid_order": 4, "grid_points": 2, "seed": 0, "n_sweep": "1,2"}
+
+
+@pytest.mark.parametrize("key", [*RUN_SETTINGS, "lamda"])
+@pytest.mark.parametrize("command", BASE_ARGV)
+def test_config_key_outside_the_scatterers_is_usage_error(tmp_path, capsys,
+                                                          command, key):
+    cfg = write_config(tmp_path, {**TWO_SCATTERERS, key: RUN_SETTINGS.get(key, 4)})
+    assert main([command, "--config", cfg, *BASE_ARGV[command]]) == 1
+    assert capsys.readouterr() == (
+        "", f"zrs: usage error: unknown config key {key!r}; expected points, "
+            "weights, family, z, z1, z2, source, tolerances\n")
+
+
+# a misspelled key inside a config: (config, the message's tail, the
+# commands that read it); each ran on a default before it was named
+TYPOS = {
+    "family-param": (
+        {"family": {"kind": "cubic-lattice-ball", "N": 8,
+                    "params": {"spacng": 2.0}}},
+        "unknown key 'spacng' in family params; expected spacing, weight",
+        list(BASE_ARGV)),
+    "family-key": (
+        {"family": {"kind": "clustering", "N": 8, "params": {"p": 2, "q": 6},
+                    "Strict": True}},
+        "unknown key 'Strict' in family section; expected kind, N, params, strict",
+        list(BASE_ARGV)),
+    "tolerance": (
+        {**TWO_SCATTERERS, "tolerances": {"hilbrt": 1e-30}},
+        "usage error: unknown tolerance 'hilbrt'; expected one of hilbert, "
+        "symmetry, boundary",
+        ["resolvent"]),
+}
+
+
+@pytest.mark.parametrize("data, message, commands", list(TYPOS.values()),
+                         ids=list(TYPOS))
+def test_misspelled_config_key_exits_1_naming_it(tmp_path, capsys, data, message,
+                                                 commands):
+    cfg = write_config(tmp_path, data)
+    for command in commands:
+        assert main([command, "--config", cfg, *BASE_ARGV[command]]) == 1
+        assert capsys.readouterr() == ("", f"zrs: {message}\n")
+
+
+def _readme_table(first_header):
+    """The body rows, as lists of cells, of README's table whose first
+    header cell is ``first_header``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows, inside = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            inside = False
+        elif cells[0] == first_header:
+            inside = True
+        elif inside and not set(cells[0]) <= set("- "):
+            rows.append(cells)
+    return rows
+
+
+def test_readme_lists_the_flags_and_config_keys_the_cli_reads():
+    flags = {row[0].strip("`"): tuple(re.findall(r"`(--[a-z0-9-]+)", row[1]))
+             for row in _readme_table("command")}
+    assert flags == cli._FLAGS
+    keys = [key for row in _readme_table("config key")
+            for key in re.findall(r"`([^`]+)`", row[0])]
+    assert tuple(keys) == cli._CONFIG_KEYS
 
 
 def test_parser_built_once_per_process(tmp_path, capsys):
@@ -538,17 +581,6 @@ def test_truncation_outside_set_is_rejected(tmp_path, capsys, n):
     cfg = write_config(tmp_path, TWO_SCATTERERS)
     assert main(["validate", "--config", cfg, "--n", n]) == 1
     assert capsys.readouterr().err == f"zrs: prefix length {n} outside 1..2\n"
-
-
-def test_n_sweep_config_list_equals_flag(tmp_path, capsys):
-    family = {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": 100}
-    cfg = write_config(tmp_path, {"family": family, "lambda": 4,
-                                  "n_sweep": [25, 50, 100]})
-    outs = []
-    for extra in ([], ["--n-sweep", "25,50,100"]):
-        assert main(["sweep", "--config", cfg, *extra]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 3
 
 
 def test_unwritable_out_exit_1(tmp_path, capsys):
@@ -610,12 +642,9 @@ def test_n_sweep_rows_match_truncation_csv_and_gamma_levels(tmp_path):
 
 def test_n_sweep_needs_two_levels(tmp_path, capsys):
     cfg = write_config(tmp_path, {"family": FAMILY | {"N": 10}})
-    empty = write_config(tmp_path, {"family": FAMILY | {"N": 10}, "n_sweep": []},
-                         name="empty.json")
     # an empty list is an N-sweep too, not a lambda sweep without --interval
     for argv in (["--config", cfg, "--n-sweep", "4"],
-                 ["--config", cfg, "--n-sweep", ","],
-                 ["--config", empty]):
+                 ["--config", cfg, "--n-sweep", ","]):
         assert main(["sweep", *argv, "--lambda", "4"]) == 1
         assert capsys.readouterr() == ("", "zrs: N-sweep needs at least two truncations\n")
     with pytest.raises(BadParams, match="at least two"):
@@ -820,10 +849,9 @@ def test_smatrix_schur_route_success(tmp_path):
     cfg = write_config(tmp_path, {
         "points": [[0, 0, 0], [2.0, 0, 0]],
         "weights": [1.0, 5e4],
-        "lambda": 4.0,
     })
     out = tmp_path / "schur.csv"
-    assert main(["smatrix", "--config", cfg, "--n0", "1",
+    assert main(["smatrix", "--config", cfg, "--lambda", "4", "--n0", "1",
                  "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert "defect_reduced=" in header
@@ -833,11 +861,11 @@ def test_deterministic_outputs(tmp_path):
     cfg = write_config(tmp_path, {
         "points": [[0, 0, 0], [0.7, 0, 0]],
         "weights": [1.0, -0.8],
-        "lambda": 3.0,
     })
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["smatrix", "--config", cfg, "--seed", "1", "--out", str(a)]) == 0
-    assert main(["smatrix", "--config", cfg, "--seed", "1", "--out", str(b)]) == 0
+    for out in (a, b):
+        assert main(["smatrix", "--config", cfg, "--lambda", "3", "--seed", "1",
+                     "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -245,7 +245,7 @@ def test_reduced_defect_sensitivity():
     rep = smatrix(lam, s)
     grid = default_grid(lam, s)
     bad = dataclasses.replace(rep, coeff=rep.coeff * (1 + 1e-3))
-    assert unitarity_defect_quadrature(bad, grid, trials=6) >= 1e-4
+    assert unitarity_defect_quadrature(bad, grid) >= 1e-4
 
 
 def test_reduced_vs_quadrature_oracle_small_n():
@@ -256,20 +256,20 @@ def test_reduced_vs_quadrature_oracle_small_n():
             rep = smatrix(lam, s)
             grid = make_grid(default_order(lam, s) + 8)
             d_red = unitarity_defect_reduced(rep)
-            d_quad = unitarity_defect_quadrature(rep, grid, trials=8)
+            d_quad = unitarity_defect_quadrature(rep, grid)
             err = overlap_error(plane_wave_block(lam, s, grid))
             # both are zero up to quadrature error and round-off
             assert d_red < 1e-12
             assert d_quad <= 10 * err + 1e-10
 
 
-def _quadrature_per_trial(rep, grid, trials=8, seed=0):
+def _quadrature_per_trial(rep, grid, seed=0):
     """unitarity_defect_quadrature with S and S* applied through the public
     functions, each of which builds its own plane-wave block."""
     rng = np.random.default_rng(seed)
     u = plane_wave_block(rep.lam, rep.scatterers, grid).u
     worst = 0.0
-    for t in range(trials):
+    for t in range(8):
         if t % 2 == 0:
             c = rng.standard_normal(u.shape[0]) + 1j * rng.standard_normal(u.shape[0])
             vals = u.T @ c
@@ -422,9 +422,9 @@ def test_quadrature_defect_identity_rep():
     rep = smatrix(2.0, s)
     zero = dataclasses.replace(rep, coeff=np.zeros((1, 1), complex))
     grid = default_grid(2.0, s)
-    assert unitarity_defect_quadrature(zero, grid, trials=4) == 0.0
+    assert unitarity_defect_quadrature(zero, grid) == 0.0
     # single scatterer at default order: deep below 1e-8
-    assert unitarity_defect_quadrature(rep, grid, trials=6) < 1e-8
+    assert unitarity_defect_quadrature(rep, grid) < 1e-8
 
 
 def test_unitarity_mixed_signs_battery(battery25):
@@ -621,7 +621,7 @@ def test_scan_names_first_singular_lambda(monkeypatch):
 
 @pytest.mark.parametrize("scan", [
     lambda s, interval: gamma_continuity_scan(s, None, interval, 4),
-    lambda s, interval: m_sampled(s, 2, interval, 4),
+    lambda s, interval: m_sampled(s, 2, interval),
 ], ids=["gamma_continuity_scan", "m_sampled"])
 @pytest.mark.parametrize("interval", [(1.0, np.inf), (2.0, 1.0)])
 def test_scan_interval_must_be_finite(scan, interval, two_scatterers):
