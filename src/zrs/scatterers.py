@@ -446,10 +446,15 @@ def from_config(data):
     Accepts ``{"points": [[x,y,z],...], "weights": [w,...]}`` or
     ``{"family": {"kind": ..., "params": {...}, "N": n, "strict": false}}``
     (``N`` an integer, ``strict`` a JSON boolean); a section or value of the
-    wrong type, or a family key or parameter that is not read, raises
-    BadParams naming it.
+    wrong type, a family key or parameter that is not read, or a family
+    given together with points or weights, raises BadParams naming it.
     """
     if "family" in _section(data, "scatterer config"):
+        explicit = [key for key in ("points", "weights") if key in data]
+        if explicit:
+            raise BadParams("scatterer config gives both 'family' and "
+                            + " and ".join(map(repr, explicit))
+                            + "; give a family or explicit points, not both")
         fam = _section(data["family"], "family section", _FAMILY_KEYS)
         try:
             kind = fam["kind"]

@@ -137,36 +137,51 @@ class Calls(dict):
         self.log.append((name, order, batch))
 
 
+# the zrs.krein builders that count_linalg_calls also counts
+KREIN_BUILDERS = ("build_q", "gamma_direct", "gamma_levels", "gamma_schur")
+
+
+def _order_batch(a):
+    """Order n and batch K of a (K, n, n) or (n, n) array (K = 1)."""
+    shape = np.shape(a)
+    return shape[-1], int(np.prod(shape[:-2]))
+
+
 def count_linalg_calls(monkeypatch, *names):
     """Count calls of the named ``numpy.linalg`` functions, also those made
     inside numpy (``norm(., 2)`` and ``cond`` call ``svd`` through the
-    implementation module), and of ``zrs.krein.build_q`` for the name
-    ``"build_q"``, wherever a zrs module imported it.
+    implementation module), and of the ``zrs.krein`` builders in
+    ``KREIN_BUILDERS``, wherever a zrs module imported them (a builder's
+    calls from inside ``krein`` count too).
 
     Returns a :class:`Calls`.  A linalg call logs the order n and the batch
     K of its (K, n, n) or (n, n) argument (K = 1; n is the last axis, so
-    the (R, 3) design of a fit has order 3); a ``build_q`` call logs N and
-    the number of spectral points.
+    the (R, 3) design of a fit has order 3), and so does a Gamma builder
+    of its ``qtilde``; a ``build_q`` call logs N and the number of
+    spectral points.
     """
     impl = sys.modules[np.linalg.norm.__wrapped__.__module__]
     calls = Calls(names)
     for name in names:
-        if name == "build_q":
-            real = zrs.krein.build_q
+        if name in KREIN_BUILDERS:
+            real = getattr(zrs.krein, name)
 
-            def counting_q(z, s, _real=real):
-                calls.record("build_q", s.n, int(np.size(z)))
-                return _real(z, s)
+            def counting_builder(*args, _real=real, _name=name):
+                if _name == "build_q":
+                    z, s = args
+                    calls.record(_name, s.n, int(np.size(z)))
+                else:
+                    calls.record(_name, *_order_batch(args[0]))
+                return _real(*args)
             for mod in list(sys.modules.values()):
                 if (mod.__name__.startswith("zrs")
-                        and getattr(mod, "build_q", None) is real):
-                    monkeypatch.setattr(mod, "build_q", counting_q)
+                        and getattr(mod, name, None) is real):
+                    monkeypatch.setattr(mod, name, counting_builder)
             continue
         real = getattr(impl, name)
 
         def counting(a, *args, _real=real, _name=name, **kwargs):
-            shape = np.shape(a)
-            calls.record(_name, shape[-1], int(np.prod(shape[:-2])))
+            calls.record(_name, *_order_batch(a))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
         monkeypatch.setattr(impl, name, counting)

@@ -1,6 +1,6 @@
 """Serial BLAS regions: the OpenBLAS thread count is restored on every
-exit path, and command outputs do not depend on the host's thread count
-at any N."""
+exit path, command outputs do not depend on the host's thread count at
+any N, and the first region sets glibc's heap thresholds once."""
 
 import contextlib
 import json
@@ -168,6 +168,39 @@ def test_region_is_a_no_op_without_openblas(monkeypatch):
     with serial_blas():
         ran.append(True)
     assert ran == [True] and _blas._depth == 0
+
+
+@pytest.fixture
+def fresh_heap():
+    """The heap settings as if no region had run yet; cleared again after,
+    so the next region sets the real thresholds."""
+    _blas._steady_heap.cache_clear()
+    yield
+    _blas._steady_heap.cache_clear()
+
+
+def test_heap_thresholds_are_set_once_per_process(monkeypatch, fresh_heap):
+    sets = []
+    monkeypatch.setattr(_blas, "_mallopt", lambda: lambda *param: sets.append(param))
+    for _ in range(3):
+        with serial_blas(), serial_blas():
+            pass
+    # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 64 MiB
+    assert sets == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_heap_settings_are_a_no_op_without_glibc(monkeypatch, fresh_heap, get_threads):
+    # another C library, or one without mallopt
+    with monkeypatch.context() as m:
+        m.setattr(_blas.os, "confstr", lambda name: None)
+        assert _blas._mallopt() is None
+    with monkeypatch.context() as m:
+        m.setattr(_blas.ctypes, "CDLL", lambda name: object())
+        assert _blas._mallopt() is None
+    monkeypatch.setattr(_blas, "_mallopt", lambda: None)
+    with serial_blas():
+        assert get_threads() == 1
+    assert get_threads() == 2
 
 
 def test_sweep_output_does_not_depend_on_blas_threads(tmp_path, monkeypatch):

@@ -218,6 +218,19 @@ def test_bad_scatterer_section_exit_1(tmp_path, capsys):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("explicit, named", [
+    ({"points": [[0, 0, 0], [1, 0, 0]], "weights": [2, 2]}, "'points' and 'weights'"),
+    ({"weights": [2, 2]}, "'weights'"),
+], ids=["points-weights", "weights"])
+def test_family_with_explicit_points_exit_1(tmp_path, capsys, explicit, named):
+    family = {"kind": "uniform-line", "N": 3, "params": {}}
+    cfg = write_config(tmp_path, dict(explicit, family=family))
+    assert main(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr() == (
+        "", f"zrs: scatterer config gives both 'family' and {named}; "
+        "give a family or explicit points, not both\n")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("N", 2.5, "bad value for family key 'N': 2.5"),
     ("strict", "no", "family key 'strict' must be true or false, got 'no'"),

@@ -1,26 +1,33 @@
-"""Cost census: every dense ``numpy.linalg`` call and every Q build that a
-command makes, pinned as a function of N, the grid size and the N-sweep
-levels.  A change that adds or removes a call updates CENSUS.
+"""Cost census: every dense ``numpy.linalg`` call, every Q build and every
+call of a Gamma builder (``gamma_direct``, ``gamma_levels``,
+``gamma_schur``) that a command makes, pinned as a function of N, the
+grid size and the N-sweep levels.  A change that adds or removes a call
+updates CENSUS.
 
 Each call is counted as (routine, order, batch): order n and batch K of
 its (K, n, n) argument.  A count catches a structural cost (a second Q
 build, one SVD per lambda instead of one per stack, an inversion of the
 full order where a Schur step inverts a block) where a timing cannot.
+
+A repeated in-process N-sweep is also held to the page faults it takes
+once the heap has grown: none beyond a small allowance.
 """
 
 import json
+import resource
 from collections import Counter
 
 import pytest
 
-from zrs import generate_family
+from zrs import _blas, generate_family
 from zrs.cli import main
 from zrs.krein import stack_chunks
 from zrs.spherical import default_order
 
 from conftest import count_linalg_calls
 
-ROUTINES = ("build_q", "inv", "svd", "eigvalsh", "eigh", "solve", "lstsq")
+ROUTINES = ("build_q", "gamma_direct", "gamma_levels", "gamma_schur",
+            "inv", "svd", "eigvalsh", "eigh", "solve", "lstsq")
 LAM = 5.0
 
 
@@ -37,9 +44,11 @@ def _smatrix(n, split=None):
         ("eigvalsh", default_order(LAM, s), 1): 1,
     })
     if split is None:
+        census["gamma_direct", n, 1] += 1
         census["inv", n, 1] += 1
     else:
         # the tail block as the pivot, then its Schur complement
+        census["gamma_schur", n, 1] += 1
         census["inv", n - split, 1] += 1
         census["inv", split, 1] += 1
     return census
@@ -50,7 +59,7 @@ def _sweep(n, points):
     lams = list(range(points))
     for i, chunk in enumerate(stack_chunks(lams, n)):
         k = len(chunk)
-        for routine in ("build_q", "inv", "svd"):
+        for routine in ("build_q", "gamma_direct", "inv", "svd"):
             census[routine, n, k] += 1
         census["eigvalsh", n, k] += 2
         # the increments: the first stack has no earlier Gamma
@@ -59,7 +68,10 @@ def _sweep(n, points):
 
 
 def _nsweep(levels):
+    # the levels grown from the smallest, which gamma_direct inverts
     census = Counter({("build_q", max(levels), 1): 1,
+                      ("gamma_levels", max(levels), 1): 1,
+                      ("gamma_direct", levels[0], 1): 1,
                       ("inv", levels[0], 1): 1})
     for lo, hi in zip(levels, levels[1:]):
         # one bordering step per level, then the gamma_diff on the head
@@ -113,3 +125,25 @@ def test_command_cost_census(tmp_path, monkeypatch, n, weight, argv, expected):
     assert main([command, "--config", str(cfg), *settings,
                  "--out", str(tmp_path / "out")]) == (2 if command == "validate" else 0)
     assert Counter(calls.log) == expected
+
+
+@pytest.mark.skipif(_blas._mallopt() is None,
+                    reason="the heap thresholds are glibc's")
+@pytest.mark.parametrize("n", [200, 400])
+def test_repeated_nsweep_takes_no_fresh_pages(tmp_path, n):
+    # with glibc's own thresholds each N-sweep refaulted what the previous
+    # job freed: about 570 (N = 200, alone in a process) and 2320 (N = 400)
+    # minor faults per call
+    cfg = tmp_path / "lattice.json"
+    cfg.write_text(json.dumps({"family": {"kind": "cubic-lattice-ball", "N": n}}))
+    levels = ",".join(str(v) for v in (25, 50, 100, 200, 400) if v <= n)
+    out = str(tmp_path / "out")
+    faults = []
+    for _ in range(6):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(["sweep", "--config", str(cfg), "--lambda", "5",
+                     "--n-sweep", levels, "--out", out]) == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert main(["validate", "--config", str(cfg), "--out", out]) == 2
+    # the first two runs grow the heap
+    assert max(faults[2:]) <= 50, faults
