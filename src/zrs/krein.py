@@ -114,9 +114,14 @@ def build_weighted(s, q):
     with np.errstate(over="ignore", invalid="ignore"):
         qt = q / np.outer(rootw, rootw)
     if not np.isfinite(qt).all():
-        raise BadParams(f"weighted matrix Qtilde overflows (least |w| = "
-                        f"{np.min(s.abs_weights):g})")
+        raise weight_overflow("weighted matrix Qtilde", s)
     return qt, s.signs.astype(float)
+
+
+def weight_overflow(what, s):
+    """The BadParams for ``what``, scaled by 1/|w|, overflowing at the
+    least weight of ``s``."""
+    return BadParams(f"{what} overflows (least |w| = {np.min(s.abs_weights):g})")
 
 
 def check_rcond(a, label, exc=SingularMatrix):

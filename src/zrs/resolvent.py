@@ -97,10 +97,9 @@ def symmetry_residual(z, s):
 
 
 def default_fit_radii(s):
-    """FIT_RADII scaled by the minimum separation."""
-    eta = eta_by_index(s)
-    scale = float(np.min(eta)) if eta.size else 1.0
-    return FIT_RADII * scale
+    """FIT_RADII scaled by the minimum separation, by 1 for a single site."""
+    eta = eta_by_index(s)[-1]
+    return FIT_RADII * (eta if eta < np.inf else 1.0)
 
 
 def boundary_condition_residual(z, s, source=None, direction=None):

@@ -93,9 +93,9 @@ class ScattererSet:
     """Positions x_m in R^3 and nonzero real weights w_m.
 
     Points must be pairwise distinct (separation above DUPLICATE_EPS);
-    the arrays, and the distance matrix and per-point minimum distances
-    to the earlier points computed for that check, are stored read-only
-    so instances can be shared freely.
+    the arrays, and the distance matrix and the per-site separation eta
+    computed for that check, are stored read-only so instances can be
+    shared freely.
     """
 
     points: np.ndarray
@@ -117,22 +117,22 @@ class ScattererSet:
         d = pairwise_distances(pts)
         if not np.all(np.isfinite(d)):
             raise BadParams("pairwise distances must be finite (points too far apart)")
-        # row m of the strict lower triangle holds the distances from point
-        # m to the earlier points; the distance matrix is exactly symmetric,
-        # so the mask selects each pair once
-        rows = np.min(d, axis=1, initial=np.inf,
-                      where=np.tri(pts.shape[0], k=-1, dtype=bool))
-        dmin = np.min(rows)
-        if dmin <= DUPLICATE_EPS:
+        # eta: the running minimum of each point's distances to the earlier
+        # ones (the strict lower triangle selects each pair once, as d is
+        # exactly symmetric); eta_1 aliases eta_2, and one site gets [inf]
+        eta = np.minimum.accumulate(np.min(
+            d, axis=1, initial=np.inf, where=np.tri(pts.shape[0], k=-1, dtype=bool)))
+        eta[0] = np.min(eta[:2])
+        if eta[-1] <= DUPLICATE_EPS:
             raise DuplicatePoint(
-                f"two points are within {DUPLICATE_EPS:g} (min distance {dmin:g})"
+                f"two points are within {DUPLICATE_EPS:g} (min distance {eta[-1]:g})"
             )
         d.flags.writeable = False
-        rows.flags.writeable = False
+        eta.flags.writeable = False
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "_distances", d)
-        object.__setattr__(self, "_row_minima", rows)
+        object.__setattr__(self, "_eta", eta)
 
     @property
     def n(self):
@@ -147,23 +147,13 @@ class ScattererSet:
         return np.sign(self.weights)
 
     def prefix(self, n):
-        """First ``n`` scatterers (truncation of a generated family); the
-        whole set for ``n`` None.
-
-        A prefix of a valid set is valid, so it shares the leading blocks
-        of the arrays and of the distance matrix without checking again.
-        """
+        """First ``n`` scatterers (truncation of a generated family), built
+        and checked as any set; the whole set for ``n`` None."""
         if n is None or n == self.n:
             return self
         if not 1 <= n <= self.n:
             raise BadParams(f"prefix length {n} outside 1..{self.n}")
-        sub = object.__new__(ScattererSet)
-        for name, val in (("points", self.points[:n]),
-                          ("weights", self.weights[:n]),
-                          ("_distances", self._distances[:n, :n]),
-                          ("_row_minima", self._row_minima[:n])):
-            object.__setattr__(sub, name, val)
-        return sub
+        return ScattererSet(self.points[:n], self.weights[:n])
 
     def distances(self):
         """Read-only (N, N) matrix of pairwise distances."""
@@ -196,24 +186,20 @@ def separation_profile(s):
     """Prefix separation minima of a scatterer set: ``eta[i]`` is the
     minimum pairwise distance among the first ``i + 2`` points, so the
     array has length N - 1 (empty for a single scatterer) and is
-    nonincreasing."""
-    # the per-point minima over earlier points, kept by ScattererSet; min
-    # is exact, so the order of the minima does not matter.  Every minimum
-    # is above DUPLICATE_EPS: the set checked its least one.
-    return np.minimum.accumulate(s._row_minima)[1:]
+    nonincreasing.  It is ``eta_by_index(s)[1:]``."""
+    return s._eta[1:]
 
 
 def eta_by_index(s):
-    """Per-site separation eta_m, m = 1..N, with eta_1 aliased to eta_2.
+    """Per-site separation eta_m, m = 1..N, with eta_1 aliased to eta_2
+    (read-only, stored by the set).
 
     eta_m is the minimum pairwise distance among the first max(m, 2)
     points; this is the quantity entering the K1 sum and the tail
-    bound.  Returns an empty array for N = 1 (no pairs).
+    bound.  A single scatterer has no pairs, and its eta is [inf], the
+    minimum over none: its K1 term is 0, so N = 1 needs no branch.
     """
-    if s.n == 1:
-        return np.empty(0)
-    eta = separation_profile(s)
-    return np.concatenate([eta[:1], eta])
+    return s._eta
 
 
 def _site_terms(s):
@@ -222,7 +208,7 @@ def _site_terms(s):
 
     A K1 term whose denominator overflows is 0, its limit; a term that
     overflows, or whose denominator underflows to 0, is inf.  Neither
-    warns.  A single scatterer has no eta and no K1 terms.
+    warns.
     """
     absw = s.abs_weights
     eta = eta_by_index(s)
@@ -308,16 +294,13 @@ def _tail_bound(s, n0, b, terms):
         raise BadParams(f"n0 = {n0} outside 0..{s.n}")
     if n0 == s.n:
         return 0.0
-    root = np.sqrt(b)
-    absw = s.abs_weights
+    terms_k0, eta, terms_k1 = terms
     with np.errstate(over="ignore"):
-        if s.n == 1:
-            sites = root / (4.0 * np.pi * absw)
-        else:
-            terms_k0, eta, terms_k1 = terms
-            k0 = float(np.sum(terms_k0))
-            k1 = float(np.sum(terms_k1))
-            sites = (root + k0 / eta**2 + k1) / (4.0 * np.pi * absw)
+        k0 = float(np.sum(terms_k0))
+        k1 = float(np.sum(terms_k1))
+        # K0 / eta^2 is 0 at eta = inf (no pairs), also where K0 overflows
+        pairs = np.divide(k0, eta**2, out=np.zeros(s.n), where=eta < np.inf)
+        sites = (np.sqrt(b) + pairs + k1) / (4.0 * np.pi * s.abs_weights)
     return float(np.max(sites[n0:]))
 
 
@@ -343,7 +326,6 @@ def check_admissibility(s, b, n0=None):
     if n0 is None:
         n0 = max(1, s.n // 2)
     terms = _site_terms(s)
-    # a single scatterer has no K1 terms, so tail [0]
     terms_k0, _, terms_k1 = terms
     with np.errstate(over="ignore"):
         k0 = float(np.sum(terms_k0))
@@ -393,28 +375,10 @@ def generate_family(kind, params, n, strict=False):
     """
     if n < 1:
         raise BadParams("n must be >= 1")
-    if isinstance(kind, str) and kind in _FAMILY_PARAMS:
-        _section(params, "family params", _FAMILY_PARAMS[kind])
-    if kind in ("uniform-line", "cubic-lattice-ball"):
-        d = _convert(params.get("spacing", 1.0), "family parameter 'spacing'")
-        w = _convert(params.get("weight", 1.0), "family parameter 'weight'")
-        if d <= 0:
-            raise BadParams("spacing must be positive")
-        if kind == "uniform-line":
-            pts = np.zeros((n, 3))
-            pts[:, 0] = d * np.arange(n)
-            return ScattererSet(pts, np.full(n, w))
-        k = 1
-        while (2 * k + 1) ** 3 < n:
-            k += 1
-        g = np.arange(-k, k + 1)
-        xx, yy, zz = np.meshgrid(g, g, g, indexing="ij")
-        sites = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-        order = np.lexsort((sites[:, 2], sites[:, 1], sites[:, 0],
-                            np.sum(sites**2, axis=1)))
-        pts = d * sites[order[:n]].astype(float)
-        return ScattererSet(pts, np.full(n, w))
-
+    if not (isinstance(kind, str) and kind in _FAMILY_PARAMS):
+        raise BadParams(f"unknown family kind {kind!r}; expected one of "
+                        f"{tuple(_FAMILY_PARAMS)}")
+    _section(params, "family params", _FAMILY_PARAMS[kind])
     if kind == "clustering":
         try:
             p = _convert(params["p"], "family parameter 'p'")
@@ -428,16 +392,37 @@ def generate_family(kind, params, n, strict=False):
             raise BadParams(
                 f"clustering exponents p={p}, q={q} violate q > 2p+1 and q > 1"
             )
-        m = np.arange(1, n + 1, dtype=float)
-        gaps = m**(-p)
-        # x_m = sum of gaps from m to n, so consecutive gaps are m^(-p)
-        x = np.cumsum(gaps[::-1])[::-1]
-        pts = np.zeros((n, 3))
-        pts[:, 0] = x
-        return ScattererSet(pts, w0 * m**q)
-
-    raise BadParams(f"unknown family kind {kind!r}; expected one of "
-                    f"{tuple(_FAMILY_PARAMS)}")
+    else:
+        d = _convert(params.get("spacing", 1.0), "family parameter 'spacing'")
+        w = _convert(params.get("weight", 1.0), "family parameter 'weight'")
+        if d <= 0:
+            raise BadParams("spacing must be positive")
+    # a coordinate or weight past the float range is inf or nan, without a
+    # warning, and ScattererSet rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "uniform-line":
+            pts = np.zeros((n, 3))
+            pts[:, 0] = d * np.arange(n)
+            weights = np.full(n, w)
+        elif kind == "cubic-lattice-ball":
+            k = 1
+            while (2 * k + 1) ** 3 < n:
+                k += 1
+            g = np.arange(-k, k + 1)
+            xx, yy, zz = np.meshgrid(g, g, g, indexing="ij")
+            sites = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+            order = np.lexsort((sites[:, 2], sites[:, 1], sites[:, 0],
+                                np.sum(sites**2, axis=1)))
+            pts = d * sites[order[:n]].astype(float)
+            weights = np.full(n, w)
+        else:
+            m = np.arange(1, n + 1, dtype=float)
+            gaps = m**(-p)
+            # x_m = sum of gaps from m to n, so consecutive gaps are m^(-p)
+            pts = np.zeros((n, 3))
+            pts[:, 0] = np.cumsum(gaps[::-1])[::-1]
+            weights = w0 * m**q
+    return ScattererSet(pts, weights)
 
 
 def from_config(data):

@@ -19,7 +19,8 @@ import numpy as np
 from ._blas import serial_blas
 from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (_gamma_from_q, _gram_from_q, build_q, build_weighted,
-                    check_rcond, gamma_levels, gamma_schur, stack_chunks)
+                    check_rcond, gamma_levels, gamma_schur, stack_chunks,
+                    weight_overflow)
 from .scatterers import _convert, integer, tail_bound, write_csv
 from .spherical import (_plane_waves, default_grid, direction_angles,
                         gram_overlap, plane_wave_block, unit_vector)
@@ -189,7 +190,8 @@ def unitarity_defect_quadrature(rep, grid, seed=0):
     Half of the trials are drawn inside the span of the plane-wave
     columns (where the finite-rank defect lives), the rest are raw
     nodal noise.  The plane-wave block and its weighted conjugate are
-    built once for all trials.
+    built once for all trials.  Raises BadParams, without a warning, when
+    a trial's norms overflow (the block scales as 1/sqrt|w|).
     """
     rng = np.random.default_rng(seed)
     u, uw = _blocks(rep, grid)
@@ -202,11 +204,15 @@ def unitarity_defect_quadrature(rep, grid, seed=0):
         else:
             vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         f = SphereFunction(values=vals, grid=grid)
-        nf = f.norm()
-        if nf == 0.0:
-            continue
-        g = _apply(u, uw, _apply(u, uw, f, rep.coeff), adjoint)
-        worst = max(worst, SphereFunction(g.values - f.values, grid).norm() / nf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nf = f.norm()
+            if nf == 0.0:
+                continue
+            g = _apply(u, uw, _apply(u, uw, f, rep.coeff), adjoint)
+            ratio = SphereFunction(g.values - f.values, grid).norm() / nf
+        if not np.isfinite([nf, ratio]).all():
+            raise weight_overflow("quadrature defect", rep.scatterers)
+        worst = max(worst, ratio)
     return worst
 
 
@@ -379,14 +385,16 @@ def write_defect_csv(s, lambdas, out):
 def write_truncation_csv(s, lam, levels, out):
     """N-sweep table at lambda > 0: for each consecutive pair (lo, hi) of
     ``levels`` (at least two prefix lengths of ``s``), ||Gamma_hi -
-    Gamma_lo||_2 on their common leading block.  Qt of the largest level
-    is built once; :func:`krein.gamma_levels` grows the levels from it.
+    Gamma_lo||_2 on their common leading block.  Only the largest level
+    is built as a set, and its Qt once; :func:`krein.gamma_levels` grows
+    the levels from it.  The first level out of range raises.
     """
     if len(levels) < 2:
         raise BadParams("N-sweep needs at least two truncations")
     if lam <= 0:
         raise BadParams("lambda must be positive")
-    top = max((s.prefix(n) for n in levels), key=lambda t: t.n)
+    bad = [n for n in levels if not 1 <= n <= s.n]
+    top = s.prefix(bad[0] if bad else max(levels))
     gammas = gamma_levels(*build_weighted(top, build_q(lam, top)), levels)
     rows = []
     for lo, hi in zip(levels, levels[1:]):

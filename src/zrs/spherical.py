@@ -11,7 +11,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadOrder, BadParams
-from .krein import gram_matrix
+from .krein import gram_matrix, weight_overflow
 
 # Product-grid order cap (2 * 1024**2, about 2.1M nodes); band limits such as
 # lambda ~ 1e300 ask for ~1e150 and would overflow the node computation.
@@ -138,11 +138,17 @@ def weighted_gram_target(lam, s):
 
 def gram_overlap(gd, s):
     """:func:`weighted_gram_target` from an already built GramData ``gd``
-    (one matrix, or a stack for a stacked ``gd``)."""
+    (one matrix, or a stack for a stacked ``gd``).  Raises BadParams,
+    without a warning, when an entry overflows, as ``build_weighted``
+    does for Qt."""
     rootw = np.sqrt(s.abs_weights)
     scale = 16.0 * np.pi**2 / np.sqrt(gd.lam)
     scale = np.reshape(scale, np.shape(scale) + (1, 1))
-    return scale * gd.g / np.outer(rootw, rootw)
+    with np.errstate(over="ignore"):
+        b = scale * gd.g / np.outer(rootw, rootw)
+    if not np.isfinite(b).all():
+        raise weight_overflow("weighted overlap B", s)
+    return b
 
 
 def overlap_error(block):

@@ -137,8 +137,10 @@ class Calls(dict):
         self.log.append((name, order, batch))
 
 
-# the zrs.krein builders that count_linalg_calls also counts
-KREIN_BUILDERS = ("build_q", "gamma_direct", "gamma_levels", "gamma_schur")
+# the zrs builders that count_linalg_calls also counts, by module
+ZRS_BUILDERS = {"build_q": "krein", "gamma_direct": "krein",
+                "gamma_levels": "krein", "gamma_schur": "krein",
+                "pairwise_distances": "scatterers"}
 
 
 def _order_batch(a):
@@ -150,26 +152,29 @@ def _order_batch(a):
 def count_linalg_calls(monkeypatch, *names):
     """Count calls of the named ``numpy.linalg`` functions, also those made
     inside numpy (``norm(., 2)`` and ``cond`` call ``svd`` through the
-    implementation module), and of the ``zrs.krein`` builders in
-    ``KREIN_BUILDERS``, wherever a zrs module imported them (a builder's
-    calls from inside ``krein`` count too).
+    implementation module), and of the zrs builders in ``ZRS_BUILDERS``,
+    wherever a zrs module imported them (a builder's calls from inside its
+    own module count too).
 
     Returns a :class:`Calls`.  A linalg call logs the order n and the batch
     K of its (K, n, n) or (n, n) argument (K = 1; n is the last axis, so
     the (R, 3) design of a fit has order 3), and so does a Gamma builder
     of its ``qtilde``; a ``build_q`` call logs N and the number of
-    spectral points.
+    spectral points, and a ``pairwise_distances`` call (one per
+    ScattererSet built) the number of points and 1.
     """
     impl = sys.modules[np.linalg.norm.__wrapped__.__module__]
     calls = Calls(names)
     for name in names:
-        if name in KREIN_BUILDERS:
-            real = getattr(zrs.krein, name)
+        if name in ZRS_BUILDERS:
+            real = getattr(getattr(zrs, ZRS_BUILDERS[name]), name)
 
             def counting_builder(*args, _real=real, _name=name):
                 if _name == "build_q":
                     z, s = args
                     calls.record(_name, s.n, int(np.size(z)))
+                elif _name == "pairwise_distances":
+                    calls.record(_name, len(args[0]), 1)
                 else:
                     calls.record(_name, *_order_batch(args[0]))
                 return _real(*args)

@@ -788,6 +788,39 @@ def test_subnormal_weight_exits_1_naming_the_overflow(tmp_path, capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+# weights whose overlap B = (16 pi^2 / sqrt(lam)) D^-1/2 G_N D^-1/2 overflows,
+# or, in the last case, the quadrature defect's norms of functions in the
+# span of the plane waves, which scale as 1/sqrt|w|; Qt does not overflow
+OVERLAP_OVERFLOWS = {
+    "two-sites": {"points": [[0, 0, 0], [10, 0, 0]], "weights": [1e-308, 1e-308]},
+    "clustering-27": {"family": {"kind": "clustering", "N": 27, "params": {
+        "p": -3.2577747906236976, "q": 1.8430980705772795,
+        "w0": 7.582444187883444e-309}}},
+    "clustering-15": {"family": {"kind": "clustering", "N": 15, "params": {
+        "p": 0.17993963505631339, "q": -2.081051786705026,
+        "w0": 5.9203753264245e-305}}},
+}
+
+
+@pytest.mark.parametrize("config, argv, err", [
+    ("two-sites", ["sweep", "--interval", "1", "4", "--grid-points", "5"],
+     "weighted overlap B overflows (least |w| = 1e-308)"),
+    ("two-sites", ["smatrix", "--lambda", "3", "--grid-order", "8"],
+     "weighted overlap B overflows (least |w| = 1e-308)"),
+    ("clustering-27", ["sweep", "--interval", "1", "4", "--grid-points", "5"],
+     "weighted overlap B overflows (least |w| = 7.58244e-309)"),
+    ("clustering-15", ["smatrix", "--lambda", "3", "--grid-order", "8"],
+     "quadrature defect overflows (least |w| = 2.11272e-307)"),
+])
+def test_overflowing_overlap_exits_1_naming_the_least_weight(tmp_path, capsys,
+                                                             config, argv, err):
+    cfg = write_config(tmp_path, OVERLAP_OVERFLOWS[config])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--config", cfg]) == 1
+    assert capsys.readouterr() == ("", f"zrs: {err}\n")
+
+
 def test_convergence_flags_of_terms_spanning_the_float_range(tmp_path, capsys):
     # the K0 terms run 1, ..., 1e-300 (site 5), ..., 1e300 (site 8): the
     # last is above the middle one, so neither flag holds

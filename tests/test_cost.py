@@ -1,8 +1,8 @@
-"""Cost census: every dense ``numpy.linalg`` call, every Q build and every
+"""Cost census: every dense ``numpy.linalg`` call, every Q build, every
 call of a Gamma builder (``gamma_direct``, ``gamma_levels``,
-``gamma_schur``) that a command makes, pinned as a function of N, the
-grid size and the N-sweep levels.  A change that adds or removes a call
-updates CENSUS.
+``gamma_schur``) and every distance-matrix build (one per ScattererSet)
+that a command makes, pinned as a function of N, the grid size and the
+N-sweep levels.  A change that adds or removes a call updates CENSUS.
 
 Each call is counted as (routine, order, batch): order n and batch K of
 its (K, n, n) argument.  A count catches a structural cost (a second Q
@@ -27,7 +27,8 @@ from zrs.spherical import default_order
 from conftest import count_linalg_calls
 
 ROUTINES = ("build_q", "gamma_direct", "gamma_levels", "gamma_schur",
-            "inv", "svd", "eigvalsh", "eigh", "solve", "lstsq")
+            "pairwise_distances", "inv", "svd", "eigvalsh", "eigh", "solve",
+            "lstsq")
 LAM = 5.0
 
 
@@ -104,6 +105,8 @@ CENSUS = {
                  _sweep(20, 64)),
     "sweep-8": (8, 1.0, ["sweep", "--interval", "1", "9", "--grid-points", "300"],
                 _sweep(8, 300)),
+    "sweep-n-20": (20, 1.0, ["sweep", "--interval", "1", "9", "--grid-points", "64",
+                             "--n", "12"], _sweep(12, 64)),
     "nsweep-400": (400, 1.0, ["sweep", "--lambda", "5",
                               "--n-sweep", "25,50,100,200,400"],
                    _nsweep([25, 50, 100, 200, 400])),
@@ -124,7 +127,12 @@ def test_command_cost_census(tmp_path, monkeypatch, n, weight, argv, expected):
     # a lattice of equal weights fails the summability verdict
     assert main([command, "--config", str(cfg), *settings,
                  "--out", str(tmp_path / "out")]) == (2 if command == "validate" else 0)
-    assert Counter(calls.log) == expected
+    # one distance matrix for the config's set, and one for the prefix that
+    # --n asks for; an N-sweep builds only its largest level, the set itself
+    builds = Counter({("pairwise_distances", n, 1): 1})
+    if "--n" in settings:
+        builds["pairwise_distances", int(settings[settings.index("--n") + 1]), 1] += 1
+    assert Counter(calls.log) == expected + builds
 
 
 @pytest.mark.skipif(_blas._mallopt() is None,

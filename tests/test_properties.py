@@ -21,8 +21,8 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zrs import (ScattererSet, build_q, build_weighted, c_matrix,
-                 kernel_correction, smatrix, tail_bound)
+from zrs import (ScattererSet, build_q, build_weighted, c_matrix, eta_by_index,
+                 kernel_correction, separation_profile, smatrix, tail_bound)
 from zrs.cli import main
 
 from conftest import inverse_error_bound, kernel_error_bound
@@ -163,17 +163,39 @@ _COMMANDS = {
 _unit = st.floats(0.0, 1.0)
 
 
+def _ten_to(e):
+    """10^e as a float, inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.power(10.0, e))
+
+
 @st.composite
 def command_runs(draw):
-    """A config of 1..6 points in a box of side 10^U(-3, 3) with weights
-    +-10^U(-300, 300), and the argv of one command on it."""
-    n = draw(st.integers(1, 6))
-    side = 10.0 ** draw(st.floats(-3.0, 3.0))
-    points = draw(st.lists(st.tuples(_unit, _unit, _unit), min_size=n, max_size=n))
-    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
-    exponents = draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
-    data = {"points": (side * np.array(points)).tolist(),
-            "weights": [sign * 10.0 ** e for sign, e in zip(signs, exponents)]}
+    """A config and the argv of one command on it.  The config is 1..6
+    points in a box of side 10^U(-3, 3) with weights +-10^U(-300, 300), or
+    a family of 1..30 sites: spacing 10^U(-320, 320) and weight
+    +-10^U(-320, 320), or exponents p, q in U(-500, 500) and w0
+    +-10^U(-320, 320)."""
+    sign = st.sampled_from([-1.0, 1.0])
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        side = 10.0 ** draw(st.floats(-3.0, 3.0))
+        points = draw(st.lists(st.tuples(_unit, _unit, _unit), min_size=n, max_size=n))
+        signs = draw(st.lists(sign, min_size=n, max_size=n))
+        exponents = draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
+        data = {"points": (side * np.array(points)).tolist(),
+                "weights": [s * 10.0 ** e for s, e in zip(signs, exponents)]}
+    else:
+        n = draw(st.integers(1, 30))
+        kind = draw(st.sampled_from(["uniform-line", "cubic-lattice-ball", "clustering"]))
+        weight = draw(sign) * _ten_to(draw(st.floats(-320.0, 320.0)))
+        if kind == "clustering":
+            params = {"p": draw(st.floats(-500.0, 500.0)),
+                      "q": draw(st.floats(-500.0, 500.0)), "w0": weight}
+        else:
+            params = {"spacing": _ten_to(draw(st.floats(-320.0, 320.0))),
+                      "weight": weight}
+        data = {"family": {"kind": kind, "N": n, "params": params}}
     return data, _COMMANDS[draw(st.sampled_from(sorted(_COMMANDS)))](n)
 
 
@@ -188,12 +210,48 @@ _SPANNING = {"points": [[m, 0, 0] for m in range(8)],
 _SUBNORMAL = {"points": [[0, 0, 0], [1, 0, 0]], "weights": [5e-324, 1.0]}
 
 
+def _family(kind, n, **params):
+    return {"family": {"kind": kind, "N": n, "params": params}}
+
+
+# weights whose overlap B overflows, or (the last) the quadrature defect
+_OVERLAP = [
+    ({"points": [[0, 0, 0], [10, 0, 0]], "weights": [1e-308, 1e-308]},
+     ["sweep", "--interval", "1", "4", "--grid-points", "5"]),
+    ({"points": [[0, 0, 0], [10, 0, 0]], "weights": [1e-308, 1e-308]},
+     ["smatrix", "--lambda", "3", "--grid-order", "8"]),
+    (_family("clustering", 27, p=-3.2577747906236976, q=1.8430980705772795,
+             w0=7.582444187883444e-309),
+     ["sweep", "--interval", "1", "4", "--grid-points", "5"]),
+    (_family("clustering", 15, p=0.17993963505631339, q=-2.081051786705026,
+             w0=5.9203753264245e-305),
+     ["smatrix", "--lambda", "3", "--grid-order", "8"]),
+]
+# families whose coordinates or weights overflow
+_FAMILY_OVERFLOWS = [
+    _family("clustering", 300, p=2, q=400),
+    _family("clustering", 10, p=-400, q=3),
+    _family("clustering", 5, p=2, q=5, w0=1e308),
+    _family("cubic-lattice-ball", 30, spacing=1e308),
+    _family("uniform-line", 3, spacing=1e308),
+]
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command_runs())
 @example((_SPANNING, ["validate", "--n0", "8"]))
 @example((_SUBNORMAL, _COMMANDS["smatrix"](2)))
 @example((_SUBNORMAL, _COMMANDS["lambda-sweep"](2)))
+@example(_OVERLAP[0])
+@example(_OVERLAP[1])
+@example(_OVERLAP[2])
+@example(_OVERLAP[3])
+@example((_FAMILY_OVERFLOWS[0], ["validate"]))
+@example((_FAMILY_OVERFLOWS[1], ["validate"]))
+@example((_FAMILY_OVERFLOWS[2], ["validate"]))
+@example((_FAMILY_OVERFLOWS[3], ["validate"]))
+@example((_FAMILY_OVERFLOWS[4], ["validate"]))
 def test_every_generated_config_runs_or_exits_with_one_line(tmp_path, run):
     data, argv = run
     cfg = tmp_path / "config.json"
@@ -216,3 +274,30 @@ def test_every_generated_config_runs_or_exits_with_one_line(tmp_path, run):
     else:
         assert out == ""
         assert err.startswith("zrs: ") and err.count("\n") == 1
+
+
+@PROPERTY_SETTINGS
+@given(configs(max_n=8))
+def test_eta_and_prefixes_match_brute_force(s):
+    # eta_m is the least pairwise distance among the first max(m, 2)
+    # points, inf where there is no pair (a single site); ref is bit-equal
+    # to the set's distance matrix (test_scatterers.py)
+    ref = np.linalg.norm(s.points[:, None] - s.points[None], axis=-1)
+
+    def least(k):
+        return min((ref[i, j] for i in range(min(k, s.n)) for j in range(i)),
+                   default=np.inf)
+
+    eta = eta_by_index(s)
+    assert eta.tolist() == [least(max(m, 2)) for m in range(1, s.n + 1)]
+    assert separation_profile(s).tobytes() == eta[1:].tobytes()
+    assert np.all(np.diff(eta) <= 0)
+    # a prefix is built as any set: the leading points and weights, the
+    # leading block of the distances and the leading eta (a single site's
+    # is inf)
+    for n in range(1, s.n + 1):
+        sub = s.prefix(n)
+        assert sub.points.tobytes() == s.points[:n].tobytes()
+        assert sub.weights.tobytes() == s.weights[:n].tobytes()
+        assert sub.distances().tobytes() == s.distances()[:n, :n].tobytes()
+        assert eta_by_index(sub).tolist() == (eta[:n].tolist() if n > 1 else [np.inf])

@@ -93,10 +93,12 @@ def test_distances_cached_read_only_and_equal_to_norm(battery25):
             assert np.array_equal(sub.weights, s.weights[:n])
             assert sub.distances().tobytes() == pairwise_distances(pts[:n]).tobytes()
             assert not sub.distances().flags.writeable
-            # the minimum distance from each point to the earlier ones
+            # eta: the running minimum of the distances to the earlier
+            # points, eta_1 aliased to eta_2 (inf for a single site)
             minima = [np.inf] + [np.min(sub.distances()[m, :m]) for m in range(1, n)]
-            assert sub._row_minima.tolist() == minima
-            assert not sub._row_minima.flags.writeable
+            eta = np.minimum.accumulate(minima)
+            assert eta_by_index(sub).tolist() == [eta[min(1, n - 1)], *eta[1:]]
+            assert not eta_by_index(sub).flags.writeable
 
 
 def test_duplicate_point_rejected():
