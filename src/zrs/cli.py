@@ -1,7 +1,7 @@
 """Command-line front end: load configurations, run checks, emit CSV/JSON.
 
 Exit codes: 0 ok, 1 usage error, 2 admissibility failure, 3 numerical
-failure.  Outputs are deterministic for a fixed config and seed.
+failure.  Outputs are deterministic for a fixed config.
 """
 
 import argparse
@@ -71,26 +71,6 @@ def _complex(val):
     return complex(number(re), number(im))
 
 
-def _point(val):
-    x, y, z = val
-    return [number(x), number(y), number(z)]
-
-
-def _tolerances(val):
-    """Residual tolerances: the defaults updated from ``val``.  Values stay
-    as given (an integer is written back as one), but must be numbers
-    (not booleans); a name other than the defaults' is a usage error."""
-    tol = {"hilbert": 1e-10, "symmetry": 1e-12, "boundary": 1e-5}
-    for name, bound in dict(val).items():
-        if name not in tol:
-            raise UsageError(f"unknown tolerance {name!r}; expected one of "
-                             f"{', '.join(tol)}")
-        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-            raise TypeError(bound)
-        tol[name] = bound
-    return tol
-
-
 def _config(cfg, key, convert, default=None):
     """``convert(cfg[key])``, or ``default`` for a missing or null key."""
     val = cfg.get(key)
@@ -118,8 +98,6 @@ def _cmd_smatrix(args, cfg, s):
     # error whatever the numerics would do; the default grid needs a lambda
     # that smatrix has accepted
     grid = None if args.grid_order is None else make_grid(args.grid_order)
-    if args.seed < 0:
-        raise UsageError(f"seed must be non-negative, got {args.seed}")
     try:
         rep = sc.smatrix(lam, sub, split=args.n0)
     except (SingularMatrix, TailNotContractive) as exc:
@@ -128,7 +106,7 @@ def _cmd_smatrix(args, cfg, s):
     if grid is None:
         grid = default_grid(lam, sub)
     d_red = sc.unitarity_defect_reduced(rep)
-    d_quad = sc.unitarity_defect_quadrature(rep, grid, seed=args.seed)
+    d_quad = sc.unitarity_defect_quadrature(rep, grid)
     idx = np.linspace(0, grid.size - 1, 8).astype(int)
     dirs = grid.nodes[idx]
     buf = io.StringIO()
@@ -173,18 +151,21 @@ def _cmd_sweep(args, cfg, s):
     return 0, buf.getvalue()
 
 
+# resolvent's pass thresholds; the payload prints every residual, so a
+# caller can judge them against another threshold
+TOLERANCES = {"hilbert": 1e-10, "symmetry": 1e-12, "boundary": 1e-5}
+
+
 def _cmd_resolvent(args, cfg, s):
     sub = s.prefix(args.n)
     z = _config(cfg, "z", _complex, 1j)
     z1 = _config(cfg, "z1", _complex, 1 + 1j)
     z2 = _config(cfg, "z2", _complex, -2 + 0.5j)
-    source = _config(cfg, "source", _point)
-    tol = _config(cfg, "tolerances", _tolerances, _tolerances({}))
     hil = rsv.hilbert_identity_residual(z1, z2, sub)
     sym = rsv.symmetry_residual(z, sub)
-    bnd = rsv.boundary_condition_residual(z, sub, source=source)
-    ok = (hil < tol["hilbert"] and sym < tol["symmetry"]
-          and bool(np.all(bnd < tol["boundary"])))
+    bnd = rsv.boundary_condition_residual(z, sub)
+    ok = (hil < TOLERANCES["hilbert"] and sym < TOLERANCES["symmetry"]
+          and bool(np.all(bnd < TOLERANCES["boundary"])))
     payload = {
         "z": [z.real, z.imag],
         "z1": [z1.real, z1.imag],
@@ -192,7 +173,7 @@ def _cmd_resolvent(args, cfg, s):
         "hilbert_residual": hil,
         "symmetry_residual": sym,
         "boundary_residuals": bnd.tolist(),
-        "tolerances": tol,
+        "tolerances": TOLERANCES,
         "pass": ok,
     }
     return (0 if ok else 3), json.dumps(payload, indent=2) + "\n"
@@ -207,7 +188,6 @@ _FLAG_SPECS = {
     "--grid-order": dict(type=int),
     "--grid-points": dict(type=int, default=32,
                           help="lambda samples for sweeps"),
-    "--seed": dict(type=int, default=0),
     "--n-sweep": dict(type=_truncations,
                       help="comma list of truncations for convergence mode"),
 }
@@ -216,15 +196,14 @@ _FLAG_SPECS = {
 # is a usage error
 _FLAGS = {
     "validate": ("--lambda", "--n", "--n0"),
-    "smatrix": ("--lambda", "--n", "--n0", "--grid-order", "--seed"),
+    "smatrix": ("--lambda", "--n", "--n0", "--grid-order"),
     "sweep": ("--lambda", "--interval", "--n", "--grid-points", "--n-sweep"),
     "resolvent": ("--n",),
 }
 
 # the top-level config keys: the scatterer section (read by from_config)
-# and resolvent's inputs; any other key is a usage error
-_CONFIG_KEYS = ("points", "weights", "family", "z", "z1", "z2", "source",
-                "tolerances")
+# and resolvent's spectral points; any other key is a usage error
+_CONFIG_KEYS = ("points", "weights", "family", "z", "z1", "z2")
 
 # each command returns (exit code, output text); main writes the text
 _COMMANDS = {

@@ -95,11 +95,10 @@ def build_q(z, s):
     diag = np.reshape(ik, np.shape(ik) + (1, 1))
     q.real[...] = diag.real / FOUR_PI
     q.imag[...] = diag.imag / FOUR_PI
-    if n > 1:
-        iu = np.triu_indices(n, 1)
-        off = green_at_distance(z, s.distances()[iu])
-        q[..., iu[0], iu[1]] = off
-        q[..., iu[1], iu[0]] = off
+    iu = np.triu_indices(n, 1)
+    off = green_at_distance(z, s.distances()[iu])
+    q[..., iu[0], iu[1]] = off
+    q[..., iu[1], iu[0]] = off
     return q
 
 

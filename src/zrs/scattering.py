@@ -6,9 +6,10 @@ matrix T = i sqrt(lam)/(8 pi^2) Gamma(lambda + i0),
 
     (S f)(n) = f(n) - sum_{m,m'} T_mm' u_m(n) <f, u_m'>.
 
-The finite reduction of ||S* S - I|| used below was validated against
-the brute-force quadrature oracle before being trusted (the sign of
-the kernel prefactor is fixed so that S is unitary; see the tests).
+The reduced defect ||M||_2 of the coefficient matrix of S* S - I
+vanishes by algebra and measures the rounding of Gamma; the brute-force
+quadrature defect is the independent check that S is unitary (the sign
+of the kernel prefactor is fixed so that it is; see the tests).
 """
 
 import functools
@@ -133,17 +134,21 @@ def kernel_correction(rep, dirs_out, dirs_in):
 
 
 def unitarity_defect_reduced(rep):
-    """Exact finite-matrix reduction of ||S* S - I|| for ``rep``.
+    """||M||_2 of the coefficient matrix M of S* S - I for ``rep``.
 
     With a = sqrt(lam)/(8 pi^2) and B the exact plane-wave overlap
-    matrix, the coefficient matrix of S*S - I is
+    matrix,
 
-        ia (Gamma^H - Gamma) + a^2 Gamma^H B Gamma,
+        M = ia (Gamma^H - Gamma) + a^2 Gamma^H B Gamma,
 
-    whose spectral norm is returned (zero in exact arithmetic), measured
-    on ``rep.gamma`` (the Schur-route Gamma for ``smatrix(...,
-    split=n0)``) with G_N read off ``rep.q``.  The matrix is Hermitian,
-    so the norm is its largest eigenvalue modulus (see
+    measured on ``rep.gamma`` (the Schur-route Gamma for ``smatrix(...,
+    split=n0)``) with G_N read off ``rep.q``.  M vanishes by algebra:
+    with Gt = Im Qt, Gamma^H - Gamma = 2i Gamma^H Gt Gamma and a^2 B =
+    2a Gt, so the figure measures the rounding of Gamma, not the
+    plane-wave formula.  It is not the operator defect: S*S - I = U M U^H
+    with U^H U = B, so ||S* S - I|| = ||B^{1/2} M B^{1/2}||_2.
+    :func:`unitarity_defect_quadrature` is the independent check.  M is
+    Hermitian, so its norm is its largest eigenvalue modulus (see
     :func:`_defect_reduced`).
     """
     b = gram_overlap(_gram_from_q(rep.lam, rep.q), rep.scatterers)
@@ -170,8 +175,10 @@ def _defect_matrix(lam, gamma, b):
 
 
 def _defect_reduced(lam, gamma, b):
-    """Spectral norm of the S*S - I coefficient matrix (per lambda for a
-    1-D ``lam``).
+    """Spectral norm of the S*S - I coefficient matrix M (per lambda for a
+    1-D ``lam``): zero by algebra, so a measure of the rounding of Gamma,
+    and ||B^{1/2} M B^{1/2}||_2 would be the operator defect (see
+    :func:`unitarity_defect_reduced`).
 
     The matrix is Hermitian by construction, and the 2-norm of a Hermitian
     matrix is max |eigenvalue| (Golub & Van Loan, Matrix Computations,
@@ -366,8 +373,9 @@ def lambda_rows(s, lambdas):
     once per lambda and gives Gamma and G_N.  Each chunk takes two batched
     SVDs, of Gamma for gamma_norm and gamma_cond (as np.linalg.norm(., 2)
     and np.linalg.cond do) and of the Gamma differences for the increment,
-    and two batched ``eigvalsh``: the Hermitian defect matrix
-    (:func:`_defect_reduced`) and G_N (its mu)."""
+    and two batched ``eigvalsh``: the Hermitian defect matrix M, whose
+    norm is the defect_reduced column (:func:`_defect_reduced`; ||M||_2,
+    the rounding of Gamma, not ||S* S - I||), and G_N (its mu)."""
     for lams, gammas, gd, steps in _gamma_chunks(s, lambdas, gram=True):
         defect = _defect_reduced(lams, gammas, gram_overlap(gd, s))
         sv = np.linalg.svd(gammas, compute_uv=False)

@@ -20,8 +20,13 @@ from zrs.cli import main
 from zrs._blas import serial_blas
 from zrs.krein import gamma_levels
 from zrs.scattering import write_defect_csv, write_truncation_csv
+from zrs.scatterers import _FAMILY_KEYS
 
 from conftest import bordering_bound, count_linalg_calls, make_config, run_child
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 TWO_SCATTERERS = {
     "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
@@ -190,6 +195,7 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv, key):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+# source and tolerances are removed keys: a value of any type is unknown
 @pytest.mark.parametrize("key, value", [
     ("z", "x"),
     ("z1", [1.0, "a"]),
@@ -206,6 +212,11 @@ def test_resolvent_config_of_wrong_type_is_usage_error(tmp_path, capsys, key, va
     assert err.startswith("zrs: usage error: ") and f"config key {key!r}" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert captured.out == ""
+    if key in ("source", "tolerances"):
+        assert err == (f"zrs: usage error: unknown config key {key!r}; "
+                       "expected points, weights, family, z, z1, z2\n")
+    else:
+        assert "unknown" not in err
 
 
 def test_bad_scatterer_section_exit_1(tmp_path, capsys):
@@ -264,6 +275,9 @@ TAIL_NOT_CONTRACTIVE = {
 }
 
 
+# smatrix has no --seed (the quadrature defect draws with seed 0), so any
+# seed is an unrecognized argument, rejected before the numerics, which
+# exit 3 on TAIL_NOT_CONTRACTIVE
 @pytest.mark.parametrize("source", ["flag", "flag_n0"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, source):
     data = TAIL_NOT_CONTRACTIVE if source == "flag_n0" else TWO_SCATTERERS
@@ -271,15 +285,15 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, source):
     argv = ["smatrix", "--config", cfg, "--lambda", "4"]
     if source == "flag_n0":
         argv += ["--n0", "1"]
-        assert main([*argv, "--seed", "0"]) == 3
+        assert main(argv) == 3
         capsys.readouterr()
-    argv += ["--seed", "-1"]
-    assert main(argv) == 1
-    assert capsys.readouterr() == (
-        "", "zrs: usage error: seed must be non-negative, got -1\n")
+    for seed in ("0", "-1"):
+        assert main([*argv, "--seed", seed]) == 1
+        assert capsys.readouterr() == (
+            "", f"zrs: usage error: unrecognized arguments: --seed {seed}\n")
 
 
-@pytest.mark.parametrize("bad", [["--seed", "-1"], ["--grid-order", "0"]])
+@pytest.mark.parametrize("bad", [["--n", "3"], ["--grid-order", "0"]])
 def test_smatrix_rejects_settings_before_building_gamma(tmp_path, capsys,
                                                         monkeypatch, bad):
     cfg = write_config(tmp_path, TWO_SCATTERERS)
@@ -293,7 +307,8 @@ def test_smatrix_rejects_settings_before_building_gamma(tmp_path, capsys,
 
 # (command argv, config entries, what the one-line message names); JSON
 # true is no number even though float(True) and int(True) succeed.  The
-# run settings (b to n_sweep) are unknown config keys whatever their value.
+# run settings (b to n_sweep) and the removed resolvent keys source and
+# tolerances are unknown config keys whatever their value.
 FAMILY = {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": 4}
 BOOLEAN_NUMBERS = {
     "b": (["validate"], {"b": True}, "config key 'b'"),
@@ -310,9 +325,10 @@ BOOLEAN_NUMBERS = {
     "z": (["resolvent"], {"z": [True, 0]}, "config key 'z'"),
     "z1": (["resolvent"], {"z1": [1, True]}, "config key 'z1'"),
     "z2": (["resolvent"], {"z2": [False, 1]}, "config key 'z2'"),
-    "source": (["resolvent"], {"source": [0, True, 0]}, "config key 'source'"),
+    "source": (["resolvent"], {"source": [0, True, 0]},
+               "unknown config key 'source'"),
     "tolerances": (["resolvent"], {"tolerances": {"hilbert": True}},
-                   "config key 'tolerances'"),
+                   "unknown config key 'tolerances'"),
     "family-N": (["validate"], {"family": dict(FAMILY, N=True)},
                  "family key 'N'"),
     "family-params": (["validate"],
@@ -438,10 +454,11 @@ def test_smatrix_split_settings_are_checked_by_the_tail_bound(tmp_path, capsys,
 # the flags each command reads besides --config and --out
 FLAGS_READ = {
     "validate": {"--lambda", "--n", "--n0"},
-    "smatrix": {"--lambda", "--n", "--n0", "--grid-order", "--seed"},
+    "smatrix": {"--lambda", "--n", "--n0", "--grid-order"},
     "sweep": {"--lambda", "--interval", "--n", "--grid-points", "--n-sweep"},
     "resolvent": {"--n"},
 }
+# a value for each flag, and for the removed --seed, which no command reads
 FLAG_VALUES = {"--lambda": ["4"], "--interval": ["1", "2"], "--n": ["1"],
                "--n0": ["1"], "--grid-order": ["4"], "--grid-points": ["4"],
                "--seed": ["3"], "--n-sweep": ["1,2"]}
@@ -461,8 +478,8 @@ def test_each_command_declares_only_the_flags_it_reads():
     for name, actions in declared.items():
         flags = {a.option_strings[0] for a in actions} - {"--config", "--out"}
         assert flags == FLAGS_READ[name]
-    assert sum(map(len, declared.values())) == 22
-    assert len(UNREAD) == 18
+    assert sum(map(len, declared.values())) == 21
+    assert len(UNREAD) == 19
 
 
 @pytest.mark.parametrize("command, flag", UNREAD)
@@ -479,9 +496,11 @@ def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys,
                    f"{' '.join([flag, *FLAG_VALUES[flag]])}\n")
 
 
-# the run settings a config carried before they became flags only
+# the run settings a config carried before they became flags only, and
+# the resolvent inputs that became constants
 RUN_SETTINGS = {"lambda": 4, "b": 25, "n0": 1, "interval": [1, 2],
-                "grid_order": 4, "grid_points": 2, "seed": 0, "n_sweep": "1,2"}
+                "grid_order": 4, "grid_points": 2, "seed": 0, "n_sweep": "1,2",
+                "source": [1.0, 2.0, 3.0], "tolerances": {"boundary": 1e-30}}
 
 
 @pytest.mark.parametrize("key", [*RUN_SETTINGS, "lamda"])
@@ -492,7 +511,7 @@ def test_config_key_outside_the_scatterers_is_usage_error(tmp_path, capsys,
     assert main([command, "--config", cfg, *BASE_ARGV[command]]) == 1
     assert capsys.readouterr() == (
         "", f"zrs: usage error: unknown config key {key!r}; expected points, "
-            "weights, family, z, z1, z2, source, tolerances\n")
+            "weights, family, z, z1, z2\n")
 
 
 # a misspelled key inside a config: (config, the message's tail, the
@@ -508,10 +527,11 @@ TYPOS = {
                     "Strict": True}},
         "unknown key 'Strict' in family section; expected kind, N, params, strict",
         list(BASE_ARGV)),
+    # the tolerances key itself is removed, so it is named before its entries
     "tolerance": (
         {**TWO_SCATTERERS, "tolerances": {"hilbrt": 1e-30}},
-        "usage error: unknown tolerance 'hilbrt'; expected one of hilbert, "
-        "symmetry, boundary",
+        "usage error: unknown config key 'tolerances'; expected points, "
+        "weights, family, z, z1, z2",
         ["resolvent"]),
 }
 
@@ -549,6 +569,51 @@ def test_readme_lists_the_flags_and_config_keys_the_cli_reads():
     keys = [key for row in _readme_table("config key")
             for key in re.findall(r"`([^`]+)`", row[0])]
     assert tuple(keys) == cli._CONFIG_KEYS
+
+
+# the settings that no benchmark job sends, each with the reason it stays:
+# (command, flag), ("config", key) or ("family", key)
+KEPT_SETTINGS = {
+    ("validate", "--lambda"): "a report for a window top b other than 25",
+    ("validate", "--n0"): "a report for a head size other than N // 2",
+    ("validate", "--n"): "a report on a truncation of the set",
+    ("smatrix", "--n"): "the kernel of a truncation of the set",
+    ("smatrix", "--grid-order"): "an explicit product-grid order beside the "
+                                 "band-limit default",
+    ("sweep", "--n"): "a sweep of a truncation of the set",
+    ("resolvent", "--n"): "the identities on a truncation of the set",
+    ("family", "strict"): "the exact rule q > 2p + 1, which validate's "
+                          "partial-sum test cannot see",
+}
+
+
+def _benchmark_settings():
+    """The settings the benchmark's CLI jobs send: flags, config keys and
+    family keys of the warm-up and cycle 0 of every workload at seed 1."""
+    sent = set()
+    for name in workloads.WORKLOADS:
+        for jobs, configs in (workloads.make_warmup(name, 1),
+                              workloads.make_cycle(name, 1, 0)):
+            for job in jobs:
+                if not job.argv:  # a library call
+                    continue
+                sent.update((job.argv[0], a) for a in job.argv if a.startswith("--"))
+                data = configs[job.config]
+                sent.update(("config", key) for key in data)
+                sent.update(("family", key) for key in data.get("family", ()))
+    return sent
+
+
+def test_every_setting_is_sent_by_the_benchmark_or_kept_for_a_reason():
+    settings = ({(command, flag) for command, flags in cli._FLAGS.items()
+                 for flag in flags}
+                | {("config", key) for key in cli._CONFIG_KEYS}
+                | {("family", key) for key in _FAMILY_KEYS})
+    sent = _benchmark_settings()
+    assert sorted(settings - sent - set(KEPT_SETTINGS)) == []
+    # a kept setting that is sent, or gone, no longer needs its reason
+    assert sorted(set(KEPT_SETTINGS) & sent) == []
+    assert sorted(set(KEPT_SETTINGS) - settings) == []
 
 
 def test_parser_built_once_per_process(tmp_path, capsys):
@@ -864,7 +929,7 @@ def test_sites_beyond_the_float_range_exit_1(tmp_path, capsys, argv):
         "", "zrs: pairwise distances must be finite (points too far apart)\n")
 
 
-def test_resolvent_pass_and_perturbed_fail(tmp_path, capsys):
+def test_resolvent_pass_and_perturbed_fail(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {"points": [[0, 0, 0]], "weights": [1.0]})
     rc = main(["resolvent", "--config", cfg])
     payload = json.loads(capsys.readouterr().out)
@@ -873,12 +938,13 @@ def test_resolvent_pass_and_perturbed_fail(tmp_path, capsys):
     assert payload["hilbert_residual"] < 1e-10
     assert payload["symmetry_residual"] < 1e-12
     assert all(r < 1e-5 for r in payload["boundary_residuals"])
+    assert payload["tolerances"] == {"hilbert": 1e-10, "symmetry": 1e-12,
+                                     "boundary": 1e-5}
     # impossible tolerance forces the failure path
-    tight = write_config(tmp_path, {
-        "points": [[0, 0, 0]], "weights": [1.0],
-        "tolerances": {"boundary": 1e-30},
-    }, "tight.json")
-    assert main(["resolvent", "--config", tight]) == 3
+    monkeypatch.setitem(cli.TOLERANCES, "boundary", 1e-30)
+    assert main(["resolvent", "--config", cfg]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["pass"] and payload["tolerances"]["boundary"] == 1e-30
 
 
 def test_truncation_flag(tmp_path, capsys):
@@ -910,7 +976,7 @@ def test_deterministic_outputs(tmp_path):
     })
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
-        assert main(["smatrix", "--config", cfg, "--lambda", "3", "--seed", "1",
+        assert main(["smatrix", "--config", cfg, "--lambda", "3",
                      "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
 

@@ -12,18 +12,21 @@ examples are derived from the test names (``derandomize``), so every run
 checks the same inputs.
 """
 
+import functools
 import io
 import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from zrs import (ScattererSet, build_q, build_weighted, c_matrix, eta_by_index,
-                 kernel_correction, separation_profile, smatrix, tail_bound)
+from zrs import (ScattererSet, SingularMatrix, build_q, build_weighted, c_matrix,
+                 eta_by_index, hilbert_identity_residual, kernel_correction,
+                 separation_profile, smatrix, tail_bound)
 from zrs.cli import main
+from zrs.krein import resolvent_strengths
 
 from conftest import inverse_error_bound, kernel_error_bound
 
@@ -115,6 +118,65 @@ def test_translation_multiplies_the_kernel_by_a_phase(s, lam, out, inc, cell):
     err = np.abs(kernel_correction(rep_a, out, inc)
                  - phase * kernel_correction(rep, out, inc))
     assert np.all(err <= bound)
+
+
+EPS = np.finfo(float).eps
+
+
+@PROPERTY_SETTINGS
+@given(st.tuples(*[st.floats(-100.0, 100.0)] * 3), st.floats(-12.0, 12.0),
+       st.booleans(), st.floats(-3.0, 3.0))
+def test_one_site_multiplies_its_s_wave_by_the_closed_form(x0, w_exp, negative,
+                                                           lam_exp):
+    # S maps the s-wave e^{-i k x0.n} about the site to mu times itself:
+    # S f = f - T u <f, u> with u = sqrt(4 pi / |w|) f gives
+    # mu = 1 - 4 pi T / |w| = (4 pi w - i k)/(4 pi w + i k), of modulus 1
+    w = (-1.0 if negative else 1.0) * 10.0 ** w_exp
+    lam = 10.0 ** lam_exp
+    rep = smatrix(lam, ScattererSet([x0], [w]))
+    mu = 1.0 - 4.0 * np.pi * rep.coeff[0, 0] / abs(w)
+    ik = 1j * np.sqrt(lam)
+    assert abs(mu - (4.0 * np.pi * w - ik) / (4.0 * np.pi * w + ik)) <= 16 * EPS
+    assert abs(abs(mu) - 1.0) <= 16 * EPS
+
+
+@st.composite
+def hilbert_cases(draw):
+    """1..12 sites on the grid of 16 steps in a box of side 10^U(-2, 1),
+    weights +-10^U(-3, 3), and two points z with Re z in [-5, 5]
+    and |Im z| = 10^U(-2, 1)."""
+    n = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 16)] * 3),
+                          min_size=n, max_size=n, unique=True))
+    side = 10.0 ** draw(st.floats(-2.0, 1.0))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    z = [complex(draw(st.floats(-5.0, 5.0)),
+                 draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 1.0)))
+         for _ in range(2)]
+    s = ScattererSet(side / 16 * np.array(cells, dtype=float),
+                     np.array(signs) * 10.0 ** np.array(exponents))
+    return s, *z
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(hilbert_cases())
+def test_hilbert_identity_holds_to_round_off(case):
+    # C1 - C2 + (z1 - z2) C1 Phi C2 = C1 (A2 - A1 + (A1 - A2)) C2 = 0 for
+    # A_k = Q(z_k) + 4 pi L and C_k = A_k^{-1}; the bound adds the
+    # backward error of each inverse and carries it through the product
+    s, z1, z2 = case
+    assume(z1 != z2)
+    try:
+        c1, c2 = c_matrix(z1, s), c_matrix(z2, s)
+    except SingularMatrix:
+        assume(False)
+    a1, a2 = (build_q(z, s) + np.diag(resolvent_strengths(s)) for z in (z1, z2))
+    norm = functools.partial(np.linalg.norm, ord=2)
+    da, nc1, nc2 = norm(a1 - a2), norm(c1), norm(c2)
+    bound = 16 * s.n * EPS * (norm(a1) * nc1**2 * (1 + da * nc2)
+                              + norm(a2) * nc2**2 * (1 + da * nc1))
+    assert hilbert_identity_residual(z1, z2, s) <= bound
 
 
 @st.composite
