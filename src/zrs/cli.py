@@ -85,8 +85,15 @@ def _config(cfg, key, convert, default=None):
 def _cmd_validate(args, cfg, s):
     b = 25.0 if args.lam is None else args.lam
     report = check_admissibility(s.prefix(args.n), b, n0=args.n0)
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
-    return (0 if report.passed else 2), text
+    fields = report.to_dict()
+    # json.dumps(fields, indent=2), but the tail's N >= 1 lines are written
+    # here: json prints a finite float (the report holds no other) as
+    # float.__repr__, and its indented encoder is pure Python
+    tail, fields["tail"] = fields["tail"], []
+    text = json.dumps(fields, indent=2).replace(
+        '"tail": []',
+        '"tail": [\n    ' + ",\n    ".join(map(float.__repr__, tail)) + "\n  ]", 1)
+    return (0 if report.passed else 2), text + "\n"
 
 
 def _cmd_smatrix(args, cfg, s):

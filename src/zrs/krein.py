@@ -92,13 +92,20 @@ def build_q(z, s):
     q = np.empty(np.shape(ik) + (n, n), dtype=complex)
     # the diagonal part by part: numpy's complex-by-real division
     # multiplies by the reciprocal and rounds i sqrt(z) / (4 pi) differently
-    diag = np.reshape(ik, np.shape(ik) + (1, 1))
-    q.real[...] = diag.real / FOUR_PI
-    q.imag[...] = diag.imag / FOUR_PI
-    iu = np.triu_indices(n, 1)
-    off = green_at_distance(z, s.distances()[iu])
-    q[..., iu[0], iu[1]] = off
-    q[..., iu[1], iu[0]] = off
+    diag = np.empty(np.shape(ik) + (1,), dtype=complex)
+    diag.real = np.real(ik)[..., None] / FOUR_PI
+    diag.imag = np.imag(ik)[..., None] / FOUR_PI
+    site = np.arange(n)
+    q[..., site, site] = diag
+    # the pairs, in the row order of each matrix's lower triangle, written
+    # there and, through the transposed view, to their mirrors; a mask of
+    # q's whole shape takes numpy's fast boolean path, which a mask on the
+    # last two axes alone does not
+    low = np.empty(q.shape, dtype=bool)
+    low[...] = np.tri(n, k=-1, dtype=bool)
+    off = green_at_distance(z, s.pair_distances()).ravel()
+    q[low] = off
+    np.swapaxes(q, -1, -2)[low] = off
     return q
 
 

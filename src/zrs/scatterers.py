@@ -11,6 +11,7 @@ distance among the first m points (eta_1 aliases eta_2 so that every
 site contributes a term).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +94,10 @@ class ScattererSet:
     """Positions x_m in R^3 and nonzero real weights w_m.
 
     Points must be pairwise distinct (separation above DUPLICATE_EPS);
-    the arrays, and the distance matrix and the per-site separation eta
-    computed for that check, are stored read-only so instances can be
-    shared freely.
+    the arrays and the per-site separation eta computed for that check
+    (in row blocks, without the distance matrix) are stored read-only,
+    and so are the pair distances and the distance matrix once read, so
+    instances can be shared freely.
     """
 
     points: np.ndarray
@@ -114,25 +116,29 @@ class ScattererSet:
             raise BadParams("weights must be nonzero finite reals")
         if not np.all(np.isfinite(pts)):
             raise BadParams("points must be finite")
-        d = pairwise_distances(pts)
-        if not np.all(np.isfinite(d)):
-            raise BadParams("pairwise distances must be finite (points too far apart)")
-        # eta: the running minimum of each point's distances to the earlier
-        # ones (the strict lower triangle selects each pair once, as d is
-        # exactly symmetric); eta_1 aliases eta_2, and one site gets [inf]
-        eta = np.minimum.accumulate(np.min(
-            d, axis=1, initial=np.inf, where=np.tri(pts.shape[0], k=-1, dtype=bool)))
+        # eta: the running minimum of each point's squared distances to the
+        # earlier ones, then its square root (sqrt is monotone and correctly
+        # rounded, so the root of the least square is the least distance);
+        # eta_1 aliases eta_2, and one site gets [inf]
+        eta = np.empty(pts.shape[0])
+        for lo, hi, d2 in _squared_blocks(pts):
+            if np.max(d2) == np.inf:
+                raise BadParams("pairwise distances must be finite (points too far apart)")
+            # in the block's own columns, only the points before each row
+            np.copyto(d2[:, lo:], np.inf, where=_NOT_EARLIER[:hi - lo, :hi - lo])
+            np.min(d2, axis=1, out=eta[lo:hi])
+        eta = np.sqrt(np.minimum.accumulate(eta, out=eta), out=eta)
         eta[0] = np.min(eta[:2])
         if eta[-1] <= DUPLICATE_EPS:
             raise DuplicatePoint(
                 f"two points are within {DUPLICATE_EPS:g} (min distance {eta[-1]:g})"
             )
-        d.flags.writeable = False
         eta.flags.writeable = False
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "_distances", d)
         object.__setattr__(self, "_eta", eta)
+        object.__setattr__(self, "_pairs", None)
+        object.__setattr__(self, "_distances", None)
 
     @property
     def n(self):
@@ -155,31 +161,97 @@ class ScattererSet:
             raise BadParams(f"prefix length {n} outside 1..{self.n}")
         return ScattererSet(self.points[:n], self.weights[:n])
 
+    def pair_distances(self):
+        """Read-only distances of the pairs (i, j), j < i, in the row order
+        of the strict lower triangle (``np.tri(N, k=-1, dtype=bool)``),
+        equal to those of :func:`pairwise_distances`; built on the first
+        call and kept.  A prefix of n sites has the first n(n-1)/2."""
+        if self._pairs is None:
+            pairs = lower_pair_distances(self.points)
+            pairs.flags.writeable = False
+            object.__setattr__(self, "_pairs", pairs)
+        return self._pairs
+
     def distances(self):
-        """Read-only (N, N) matrix of pairwise distances."""
+        """Read-only (N, N) matrix of pairwise distances, equal to
+        :func:`pairwise_distances`; built from :meth:`pair_distances` on
+        the first call and kept."""
+        if self._distances is None:
+            d = np.zeros((self.n, self.n))
+            low = np.tri(self.n, k=-1, dtype=bool)
+            d[low] = self.pair_distances()
+            d.T[low] = self.pair_distances()
+            d.flags.writeable = False
+            object.__setattr__(self, "_distances", d)
         return self._distances
 
     def diameter(self):
-        return float(np.max(self._distances))
+        """The largest pairwise distance (0 for a single site)."""
+        return float(np.max(self.pair_distances(), initial=0.0))
 
     def to_dict(self):
         return {"points": self.points.tolist(), "weights": self.weights.tolist()}
+
+
+def _squared(pts, lo, hi, d, diff):
+    """Squared distances of points ``lo..hi-1`` (rows) to points
+    ``0..hi-1``, written to ``d`` with ``diff`` as work space (both of shape
+    (hi - lo, hi)): dx^2 + dy^2 + dz^2 in the order norm(axis=-1) sums
+    them, without (rows, hi, 3) temporaries; a square above the float range
+    is inf, without an overflow warning.  Returns ``d``."""
+    with np.errstate(over="ignore"):
+        np.subtract.outer(pts[lo:hi, 0], pts[:hi, 0], out=d)
+        d *= d
+        for k in range(1, pts.shape[1]):
+            np.subtract.outer(pts[lo:hi, k], pts[:hi, k], out=diff)
+            diff *= diff
+            d += diff
+    return d
+
+
+# Rows per block of the pairwise passes over a set: a pass holds two
+# (BLOCK_ROWS, N) blocks, never an (N, N) array
+BLOCK_ROWS = 128
+
+# where a block's own columns are not earlier than its row (j >= i)
+_NOT_EARLIER = ~np.tri(BLOCK_ROWS, k=-1, dtype=bool)
+_NOT_EARLIER.flags.writeable = False
+
+
+def _squared_blocks(pts):
+    """``(lo, hi, d2)`` for consecutive row blocks of ``pts``: d2 holds the
+    squared distances of rows lo..hi-1 to points 0..hi-1, so every pair
+    (i, j < i) of those rows, and is overwritten by the next block."""
+    n = pts.shape[0]
+    d, diff = np.empty(min(n, BLOCK_ROWS) * n), np.empty(min(n, BLOCK_ROWS) * n)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(n, lo + BLOCK_ROWS)
+        # contiguous (r, hi) views of the buffers: ufuncs run slower into
+        # row slices of a wider array
+        r = hi - lo
+        yield lo, hi, _squared(pts, lo, hi, d[:r * hi].reshape(r, hi),
+                               diff[:r * hi].reshape(r, hi))
 
 
 def pairwise_distances(points):
     """Distance matrix of ``points``; a distance above the float range is
     inf, without an overflow warning."""
     pts = np.asarray(points, dtype=float)
-    # dx^2 + dy^2 + dz^2 in the order norm(axis=-1) sums them, without
-    # (N, N, 3) temporaries
-    with np.errstate(over="ignore"):
-        d = np.subtract.outer(pts[:, 0], pts[:, 0])
-        d *= d
-        for k in range(1, pts.shape[1]):
-            diff = np.subtract.outer(pts[:, k], pts[:, k])
-            diff *= diff
-            d += diff
+    n = pts.shape[0]
+    d = _squared(pts, 0, n, np.empty((n, n)), np.empty((n, n)))
     return np.sqrt(d, out=d)
+
+
+def lower_pair_distances(points):
+    """The strict lower triangle of :func:`pairwise_distances` as a 1-D
+    array in row order (pairs (1, 0), (2, 0), (2, 1), ...), built in row
+    blocks without the (N, N) matrix."""
+    pts = np.asarray(points, dtype=float)
+    out = np.empty(pts.shape[0] * (pts.shape[0] - 1) // 2)
+    for lo, hi, d2 in _squared_blocks(pts):
+        earlier = np.arange(hi) < np.arange(lo, hi)[:, None]
+        out[lo * (lo - 1) // 2:hi * (hi - 1) // 2] = d2[earlier]
+    return np.sqrt(out, out=out)
 
 
 def separation_profile(s):
@@ -352,6 +424,20 @@ def check_admissibility(s, b, n0=None):
     )
 
 
+# a few shell counts k: a process generates lattices of few sizes, and
+# the entry for N = 10^4 (k = 11) holds 292 KB
+@functools.lru_cache(maxsize=8)
+def _lattice_ball(k):
+    """The integer sites of the cube [-k, k]^3 as floats, sorted by
+    distance from the origin (ties broken lexicographically); read-only."""
+    g = np.arange(-k, k + 1)
+    xx, yy, zz = np.meshgrid(g, g, g, indexing="ij")
+    sites = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    order = np.lexsort((sites[:, 2], sites[:, 1], sites[:, 0],
+                        np.sum(sites**2, axis=1)))
+    return _freeze(sites[order])
+
+
 def generate_family(kind, params, n, strict=False):
     """Deterministic point/weight families truncated to ``n`` sites.
 
@@ -408,12 +494,7 @@ def generate_family(kind, params, n, strict=False):
             k = 1
             while (2 * k + 1) ** 3 < n:
                 k += 1
-            g = np.arange(-k, k + 1)
-            xx, yy, zz = np.meshgrid(g, g, g, indexing="ij")
-            sites = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-            order = np.lexsort((sites[:, 2], sites[:, 1], sites[:, 0],
-                                np.sum(sites**2, axis=1)))
-            pts = d * sites[order[:n]].astype(float)
+            pts = d * _lattice_ball(k)[:n]
             weights = np.full(n, w)
         else:
             m = np.arange(1, n + 1, dtype=float)

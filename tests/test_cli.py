@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from zrs import (BadParams, NonPositiveGram, ScattererSet, SingularMatrix, build_q,
-                 build_weighted, gamma_direct, smatrix, tail_bound,
-                 unitarity_defect_reduced)
+                 build_weighted, check_admissibility, gamma_direct, generate_family,
+                 smatrix, tail_bound, unitarity_defect_reduced)
 from zrs import cli, krein, scattering
 from zrs.cli import main
 from zrs._blas import serial_blas
@@ -48,6 +48,31 @@ def test_validate_two_scatterers(tmp_path, capsys):
     assert out["K0"] == pytest.approx(1.0)
     assert out["K1"] == pytest.approx(1.0)
     assert out["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("settings", [
+    # argv after --config, and the truncation, b and n0 it asks for
+    lambda n: ([], n, 25.0, None),
+    lambda n: (["--lambda", "0.3"], n, 0.3, None),
+    lambda n: (["--n0", str(n // 3)], n, 25.0, n // 3),
+    lambda n: (["--n", str((n + 1) // 2), "--n0", "1", "--lambda", "40"],
+               (n + 1) // 2, 40.0, 1),
+], ids=["defaults", "lambda", "n0", "n-n0-lambda"])
+@pytest.mark.parametrize("n", [1, 2, 50, 400])
+@pytest.mark.parametrize("family", [
+    {"kind": "cubic-lattice-ball", "params": {"spacing": 1.1, "weight": 0.9}},
+    {"kind": "clustering", "params": {"p": 2, "q": 6}},
+], ids=["lattice", "clustering"])
+def test_validate_prints_the_json_of_the_report(tmp_path, capsys, family, n, settings):
+    # the report's text is json.dumps(to_dict, indent=2) byte for byte,
+    # the tail's lines included
+    cfg = write_config(tmp_path, {"family": {**family, "N": n}})
+    argv, m, b, n0 = settings(n)
+    code = main(["validate", "--config", cfg, *argv])
+    report = check_admissibility(
+        generate_family(family["kind"], family["params"], n).prefix(m), b, n0=n0)
+    assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
+    assert code == (0 if report.passed else 2)
 
 
 def test_validate_clustering_pass_and_fail(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Cost census: every dense ``numpy.linalg`` call, every Q build, every
 call of a Gamma builder (``gamma_direct``, ``gamma_levels``,
-``gamma_schur``) and every distance-matrix build (one per ScattererSet)
-that a command makes, pinned as a function of N, the grid size and the
-N-sweep levels.  A change that adds or removes a call updates CENSUS.
+``gamma_schur``), every distance-matrix build (none) and every pair-list
+build (one per set whose Q is built) that a command makes, pinned as a
+function of N, the grid size and the N-sweep levels.  A change that adds
+or removes a call updates CENSUS.
 
 Each call is counted as (routine, order, batch): order n and batch K of
 its (K, n, n) argument.  A count catches a structural cost (a second Q
@@ -19,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from zrs import _blas, generate_family
+from zrs import _blas, generate_family, scatterers
 from zrs.cli import main
 from zrs.krein import stack_chunks
 from zrs.spherical import default_order
@@ -123,15 +124,23 @@ def test_command_cost_census(tmp_path, monkeypatch, n, weight, argv, expected):
     cfg.write_text(json.dumps({"family": {"kind": "cubic-lattice-ball", "N": n,
                                           "params": {"weight": weight}}}))
     calls = count_linalg_calls(monkeypatch, *ROUTINES)
+    pair_lists = scatterers.lower_pair_distances
+
+    def counting_pair_lists(points):
+        calls.log.append(("lower_pair_distances", len(points), 1))
+        return pair_lists(points)
+    monkeypatch.setattr(scatterers, "lower_pair_distances", counting_pair_lists)
     command, *settings = argv
     # a lattice of equal weights fails the summability verdict
     assert main([command, "--config", str(cfg), *settings,
                  "--out", str(tmp_path / "out")]) == (2 if command == "validate" else 0)
-    # one distance matrix for the config's set, and one for the prefix that
-    # --n asks for; an N-sweep builds only its largest level, the set itself
-    builds = Counter({("pairwise_distances", n, 1): 1})
-    if "--n" in settings:
-        builds["pairwise_distances", int(settings[settings.index("--n") + 1]), 1] += 1
+    # no distance matrix; one pair list, of the set whose Q is built: the
+    # prefix that --n asks for, or for an N-sweep its largest level, the set
+    # itself.  The admissibility report reads eta alone.
+    builds = Counter()
+    if command != "validate":
+        size = int(settings[settings.index("--n") + 1]) if "--n" in settings else n
+        builds["lower_pair_distances", size, 1] = 1
     assert Counter(calls.log) == expected + builds
 
 

@@ -1,5 +1,6 @@
 """Scatterer configurations, separation profiles, admissibility."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -312,3 +313,123 @@ def test_ratio_flag_compares_the_last_term_with_the_middle_one(last, middle, fla
     terms[4], terms[-1] = middle, last
     with np.errstate(all="raise"):
         assert scatterers._ratio_converges(terms) is flag
+
+
+# the row-block edges: one site, one pair, a block short of full, full and
+# one row over, two blocks and one row over, and the benchmark's largest N
+BLOCK_EDGE_SIZES = (1, 2, 127, 128, 129, 257, 400)
+GEOMETRY_KINDS = ("box", "near-duplicates", "uniform-line", "cubic-lattice-ball",
+                  "clustering")
+
+
+def _box(n, seed=7):
+    return np.random.default_rng(seed).uniform(-5.0, 5.0, (n, 3))
+
+
+def _geometry_case(kind, n):
+    if kind == "box":
+        return ScattererSet(_box(n), np.ones(n))
+    if kind == "near-duplicates":
+        # pairs 3e-12 apart, just above DUPLICATE_EPS, inside the first
+        # block and across each block edge
+        pts = _box(n)
+        for i, j, axis in ((1, 0, 0), (128, 127, 0), (n - 1, 0, 1)):
+            if i < n:
+                pts[i] = pts[j]
+                pts[i, axis] += 3e-12
+        return ScattererSet(pts, np.ones(n))
+    params = {"p": 2, "q": 6} if kind == "clustering" else {"spacing": 0.7}
+    return generate_family(kind, params, n)
+
+
+def _norm_distances(pts):
+    return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+@pytest.mark.parametrize("kind", GEOMETRY_KINDS)
+def test_block_geometry_equals_the_distance_matrix(kind, n):
+    # eta, the profile, the pair list, the lazily built matrix and the
+    # diameter, of the set and of every prefix, against the distance matrix
+    # (norm(axis=-1), which pairwise_distances equals bit for bit) and the
+    # running minimum over its rows
+    s = _geometry_case(kind, n)
+    d = _norm_distances(s.points)
+    assert pairwise_distances(s.points).tobytes() == d.tobytes()
+    eta = np.minimum.accumulate([np.inf] + [np.min(d[m, :m]) for m in range(1, n)])
+    low = np.tri(n, k=-1, dtype=bool)
+    for m in range(1, n + 1):
+        sub = s.prefix(m)
+        lead = d[:m, :m]
+        assert eta_by_index(sub).tobytes() == np.array(
+            [eta[min(1, m - 1)], *eta[1:m]]).tobytes()
+        assert separation_profile(sub).tobytes() == eta[1:m].tobytes()
+        assert sub.pair_distances().tobytes() == lead[low[:m, :m]].tobytes()
+        assert sub.pair_distances().tobytes() == \
+            s.pair_distances()[:m * (m - 1) // 2].tobytes()
+        assert sub.distances().tobytes() == lead.tobytes()
+        assert sub.diameter() == float(np.max(lead))
+    assert s.distances() is s.distances()
+    for a in (s.pair_distances(), s.distances()):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("far", [3, 127, 128, 399])
+def test_overflow_in_any_block_raises_before_a_duplicate(far):
+    # a duplicate pair in the first block, and a pair whose squared
+    # distance overflows (1.5e154^2 > 1.8e308) in the block of row ``far``
+    pts = _box(400)
+    pts[2] = pts[0]
+    pts[far] = [1.5e154, 0.0, 0.0]
+    with pytest.raises(BadParams) as exc:
+        ScattererSet(pts, np.ones(400))
+    assert str(exc.value) == "pairwise distances must be finite (points too far apart)"
+
+
+@pytest.mark.parametrize("i, j", [(1, 0), (127, 126), (128, 127), (399, 3)])
+def test_near_duplicate_in_any_block_names_the_least_distance(i, j):
+    pts = _box(400)
+    pts[i] = pts[j] + [5e-13, 0.0, 0.0]
+    d = _norm_distances(pts)
+    least = np.min(d[np.tri(400, k=-1, dtype=bool)])
+    with pytest.raises(DuplicatePoint) as exc:
+        ScattererSet(pts, np.ones(400))
+    assert str(exc.value) == f"two points are within 1e-12 (min distance {least:g})"
+
+
+def test_ten_thousand_sites_validate_in_a_few_row_blocks():
+    # the bound is fixed from the block size, before any measurement: four
+    # (BLOCK_ROWS, N) float blocks, 41 MB at N = 1e4, where the distance
+    # matrix alone is 800 MB
+    n = 10_000
+    bound = 4 * scatterers.BLOCK_ROWS * n * 8
+    tracemalloc.start()
+    try:
+        s = generate_family("clustering", {"p": 2, "q": 6}, n)
+        report = check_admissibility(s, 25.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
+    assert report.passed and len(report.tail) == n
+    # the set holds its points, weights and eta, and no pair array
+    arrays = [v for v in vars(s).values() if v is not None]
+    assert all(np.size(v) <= 3 * n for v in arrays)
+
+
+def test_lattice_sites_are_kept_read_only_and_unchanged():
+    # the sorted sites of the smallest cube holding n, as generated before
+    # they were kept
+    for n in (1, 7, 27, 28, 125, 400):
+        k = 1
+        while (2 * k + 1) ** 3 < n:
+            k += 1
+        g = np.arange(-k, k + 1)
+        xx, yy, zz = np.meshgrid(g, g, g, indexing="ij")
+        sites = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+        order = np.lexsort((sites[:, 2], sites[:, 1], sites[:, 0],
+                            np.sum(sites**2, axis=1)))
+        s = generate_family("cubic-lattice-ball", {"spacing": 0.7}, n)
+        assert s.points.tobytes() == (0.7 * sites[order[:n]].astype(float)).tobytes()
+        assert scatterers._lattice_ball(k) is scatterers._lattice_ball(k)
+        assert not scatterers._lattice_ball(k).flags.writeable
