@@ -121,11 +121,11 @@ class ScattererSet:
         # rounded, so the root of the least square is the least distance);
         # eta_1 aliases eta_2, and one site gets [inf]
         eta = np.empty(pts.shape[0])
-        for lo, hi, d2 in _squared_blocks(pts):
+        for lo, hi, d2, later in _squared_blocks(pts):
             if np.max(d2) == np.inf:
                 raise BadParams("pairwise distances must be finite (points too far apart)")
-            # in the block's own columns, only the points before each row
-            np.copyto(d2[:, lo:], np.inf, where=_NOT_EARLIER[:hi - lo, :hi - lo])
+            # only the points before each row
+            np.copyto(d2[:, lo:], np.inf, where=later)
             np.min(d2, axis=1, out=eta[lo:hi])
         eta = np.sqrt(np.minimum.accumulate(eta, out=eta), out=eta)
         eta[0] = np.min(eta[:2])
@@ -173,14 +173,10 @@ class ScattererSet:
         return self._pairs
 
     def distances(self):
-        """Read-only (N, N) matrix of pairwise distances, equal to
-        :func:`pairwise_distances`; built from :meth:`pair_distances` on
-        the first call and kept."""
+        """Read-only (N, N) matrix of pairwise distances
+        (:func:`pairwise_distances`), built on the first call and kept."""
         if self._distances is None:
-            d = np.zeros((self.n, self.n))
-            low = np.tri(self.n, k=-1, dtype=bool)
-            d[low] = self.pair_distances()
-            d.T[low] = self.pair_distances()
+            d = pairwise_distances(self.points)
             d.flags.writeable = False
             object.__setattr__(self, "_distances", d)
         return self._distances
@@ -219,9 +215,11 @@ _NOT_EARLIER.flags.writeable = False
 
 
 def _squared_blocks(pts):
-    """``(lo, hi, d2)`` for consecutive row blocks of ``pts``: d2 holds the
-    squared distances of rows lo..hi-1 to points 0..hi-1, so every pair
-    (i, j < i) of those rows, and is overwritten by the next block."""
+    """``(lo, hi, d2, later)`` for consecutive row blocks of ``pts``: d2
+    holds the squared distances of rows lo..hi-1 to points 0..hi-1, so
+    every pair (i, j < i) of those rows, and is overwritten by the next
+    block; ``later`` (read-only) masks the entries of the block's own
+    columns ``d2[:, lo:]`` that are no such pair (j >= i)."""
     n = pts.shape[0]
     d, diff = np.empty(min(n, BLOCK_ROWS) * n), np.empty(min(n, BLOCK_ROWS) * n)
     for lo in range(0, n, BLOCK_ROWS):
@@ -230,7 +228,7 @@ def _squared_blocks(pts):
         # row slices of a wider array
         r = hi - lo
         yield lo, hi, _squared(pts, lo, hi, d[:r * hi].reshape(r, hi),
-                               diff[:r * hi].reshape(r, hi))
+                               diff[:r * hi].reshape(r, hi)), _NOT_EARLIER[:r, :r]
 
 
 def pairwise_distances(points):
@@ -248,8 +246,9 @@ def lower_pair_distances(points):
     blocks without the (N, N) matrix."""
     pts = np.asarray(points, dtype=float)
     out = np.empty(pts.shape[0] * (pts.shape[0] - 1) // 2)
-    for lo, hi, d2 in _squared_blocks(pts):
-        earlier = np.arange(hi) < np.arange(lo, hi)[:, None]
+    for lo, hi, d2, later in _squared_blocks(pts):
+        earlier = np.ones(d2.shape, dtype=bool)
+        earlier[:, lo:] = ~later
         out[lo * (lo - 1) // 2:hi * (hi - 1) // 2] = d2[earlier]
     return np.sqrt(out, out=out)
 

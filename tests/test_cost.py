@@ -1,9 +1,9 @@
 """Cost census: every dense ``numpy.linalg`` call, every Q build, every
 call of a Gamma builder (``gamma_direct``, ``gamma_levels``,
-``gamma_schur``), every distance-matrix build (none) and every pair-list
-build (one per set whose Q is built) that a command makes, pinned as a
-function of N, the grid size and the N-sweep levels.  A change that adds
-or removes a call updates CENSUS.
+``gamma_schur``), every ScattererSet built, every distance-matrix build
+(none) and every pair-list build (one per set whose Q is built) that a
+command makes, pinned as a function of N, the grid size and the N-sweep
+levels.  A change that adds or removes a call updates CENSUS.
 
 Each call is counted as (routine, order, batch): order n and batch K of
 its (K, n, n) argument.  A count catches a structural cost (a second Q
@@ -99,6 +99,7 @@ def _resolvent(n):
 CENSUS = {
     # the admissibility report is sums over sites: no dense call
     "validate-20": (20, 1.0, ["validate"], Counter()),
+    "validate-n-20": (20, 1.0, ["validate", "--n", "12"], Counter()),
     "smatrix-20": (20, 1.0, ["smatrix", "--lambda", "5"], _smatrix(20)),
     "smatrix-n0-20": (20, 100.0, ["smatrix", "--lambda", "5", "--n0", "8"],
                       _smatrix(20, split=8)),
@@ -124,22 +125,31 @@ def test_command_cost_census(tmp_path, monkeypatch, n, weight, argv, expected):
     cfg.write_text(json.dumps({"family": {"kind": "cubic-lattice-ball", "N": n,
                                           "params": {"weight": weight}}}))
     calls = count_linalg_calls(monkeypatch, *ROUTINES)
+    construct = scatterers.ScattererSet.__post_init__
     pair_lists = scatterers.lower_pair_distances
+
+    def counting_construct(s):
+        construct(s)
+        calls.log.append(("ScattererSet", s.n, 1))
 
     def counting_pair_lists(points):
         calls.log.append(("lower_pair_distances", len(points), 1))
         return pair_lists(points)
+    monkeypatch.setattr(scatterers.ScattererSet, "__post_init__", counting_construct)
     monkeypatch.setattr(scatterers, "lower_pair_distances", counting_pair_lists)
     command, *settings = argv
     # a lattice of equal weights fails the summability verdict
     assert main([command, "--config", str(cfg), *settings,
                  "--out", str(tmp_path / "out")]) == (2 if command == "validate" else 0)
-    # no distance matrix; one pair list, of the set whose Q is built: the
-    # prefix that --n asks for, or for an N-sweep its largest level, the set
-    # itself.  The admissibility report reads eta alone.
-    builds = Counter()
+    # the config's set and the prefix that --n asks for, each validated in
+    # one row-block pass; an N-sweep builds only its largest level, the set
+    # itself.  No distance matrix, and one pair list, of the set whose Q is
+    # built: the admissibility report reads eta alone.
+    size = int(settings[settings.index("--n") + 1]) if "--n" in settings else n
+    builds = Counter({("ScattererSet", n, 1): 1})
+    if size != n:
+        builds["ScattererSet", size, 1] += 1
     if command != "validate":
-        size = int(settings[settings.index("--n") + 1]) if "--n" in settings else n
         builds["lower_pair_distances", size, 1] = 1
     assert Counter(calls.log) == expected + builds
 
