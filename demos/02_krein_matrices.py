@@ -20,6 +20,7 @@ from zrs import (
     m_sampled,
     tail_bound,
 )
+from zrs.scatterers import pairwise_distances
 
 s = ScattererSet(
     [[0, 0, 0], [0.45, 0.1, -0.2], [-0.3, 0.4, 0.25], [0.1, -0.5, 0.3]],
@@ -42,7 +43,7 @@ print()
 print("== boundary Gram identity at lambda + i0 ==")
 lam = 6.0
 g = gram_matrix(lam, s)  # read off as Im Q(lam + i0)
-k, d = np.sqrt(lam), s.distances()
+k, d = np.sqrt(lam), pairwise_distances(s.points)
 explicit = np.where(np.eye(s.n, dtype=bool), k / (4 * np.pi),
                     np.sin(k * d) / (4 * np.pi * (d + np.eye(s.n))))
 print(f"max |G_N(lam) - [sin(sqrt(lam) r) / (4 pi r)]| = "

@@ -17,7 +17,6 @@ from .scatterers import (
     AdmissibilityReport,
     ScattererSet,
     check_admissibility,
-    eta_by_index,
     from_config,
     generate_family,
     separation_profile,

@@ -32,6 +32,7 @@ from .errors import (
     TailNotContractive,
     ZeroDistance,
 )
+from .scatterers import _convert, integer
 
 FOUR_PI = 4.0 * np.pi
 
@@ -249,9 +250,11 @@ def gamma_levels(qtilde, j, levels):
     :func:`_certified`, or the level below was not certified (it passed
     the SVD check only).  When a level raises, the levels are inverted
     again by :func:`gamma_direct` in the order given, so the first
-    singular level in that order decides the error.
+    singular level in that order decides the error.  Each level is
+    converted as ``scatterers.integer`` does (BadParams naming it).
     """
     n = qtilde.shape[0]
+    levels = [_convert(v, "level", integer) for v in levels]
     if not all(1 <= v <= n for v in levels):
         raise BadParams(f"levels {list(levels)} outside 1..{n}")
 
@@ -328,8 +331,9 @@ def gamma_schur(qtilde, j, split, tail_bound):
     ----------
     qtilde, j : weighted matrix and signature from :func:`build_weighted`.
     split : int
-        Head size N0; the tail holds indices > N0.  At ``split == N`` the
-        tail is empty and the step inverts W = J + Qt as its complement.
+        Head size N0, converted as ``scatterers.integer`` does; the tail
+        holds indices > N0.  At ``split == N`` the tail is empty and the
+        step inverts W = J + Qt as its complement.
     tail_bound : float
         The tail bound p_{N0,L}(b) (``scatterers.tail_bound``); raises
         TailNotContractive exactly when it is >= 1.
@@ -339,6 +343,7 @@ def gamma_schur(qtilde, j, split, tail_bound):
     (gamma, SchurFactors)
     """
     n = qtilde.shape[0]
+    split = _convert(split, "split", integer)
     if not 1 <= split <= n:
         raise BadParams(f"split {split} outside 1..{n}")
     a = qtilde + np.diag(np.asarray(j, dtype=float))

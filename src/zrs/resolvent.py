@@ -24,7 +24,7 @@ from .krein import (
     green_at_distance,
     resolvent_strengths,
 )
-from .scatterers import eta_by_index, write_csv
+from .scatterers import write_csv
 from .spherical import make_grid, unit_vector
 
 # fixed, arbitrary unit vector for the local boundary-condition rays
@@ -98,7 +98,7 @@ def symmetry_residual(z, s):
 
 def default_fit_radii(s):
     """FIT_RADII scaled by the minimum separation, by 1 for a single site."""
-    eta = eta_by_index(s)[-1]
+    eta = s.eta[-1]
     return FIT_RADII * (eta if eta < np.inf else 1.0)
 
 

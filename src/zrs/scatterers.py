@@ -94,10 +94,15 @@ class ScattererSet:
     """Positions x_m in R^3 and nonzero real weights w_m.
 
     Points must be pairwise distinct (separation above DUPLICATE_EPS);
-    the arrays and the per-site separation eta computed for that check
+    the arrays and the per-site separation ``eta`` computed for that check
     (in row blocks, without the distance matrix) are stored read-only,
-    and so are the pair distances and the distance matrix once read, so
-    instances can be shared freely.
+    and so is the pair list once read, so instances can be shared freely.
+
+    ``eta[m - 1]`` is eta_m, m = 1..N, the minimum pairwise distance among
+    the first max(m, 2) points (eta_1 aliases eta_2); this is the quantity
+    entering the K1 sum and the tail bound.  A single scatterer has no
+    pairs, and its eta is [inf], the minimum over none: its K1 term is 0,
+    so N = 1 needs no branch.
     """
 
     points: np.ndarray
@@ -136,9 +141,8 @@ class ScattererSet:
         eta.flags.writeable = False
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "_eta", eta)
+        object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "_pairs", None)
-        object.__setattr__(self, "_distances", None)
 
     @property
     def n(self):
@@ -154,8 +158,12 @@ class ScattererSet:
 
     def prefix(self, n):
         """First ``n`` scatterers (truncation of a generated family), built
-        and checked as any set; the whole set for ``n`` None."""
-        if n is None or n == self.n:
+        and checked as any set; the whole set for ``n`` None.  ``n`` is
+        converted as :func:`integer` does (BadParams naming it)."""
+        if n is None:
+            return self
+        n = _convert(n, "n", integer)
+        if n == self.n:
             return self
         if not 1 <= n <= self.n:
             raise BadParams(f"prefix length {n} outside 1..{self.n}")
@@ -171,15 +179,6 @@ class ScattererSet:
             pairs.flags.writeable = False
             object.__setattr__(self, "_pairs", pairs)
         return self._pairs
-
-    def distances(self):
-        """Read-only (N, N) matrix of pairwise distances
-        (:func:`pairwise_distances`), built on the first call and kept."""
-        if self._distances is None:
-            d = pairwise_distances(self.points)
-            d.flags.writeable = False
-            object.__setattr__(self, "_distances", d)
-        return self._distances
 
     def diameter(self):
         """The largest pairwise distance (0 for a single site)."""
@@ -257,36 +256,23 @@ def separation_profile(s):
     """Prefix separation minima of a scatterer set: ``eta[i]`` is the
     minimum pairwise distance among the first ``i + 2`` points, so the
     array has length N - 1 (empty for a single scatterer) and is
-    nonincreasing.  It is ``eta_by_index(s)[1:]``."""
-    return s._eta[1:]
-
-
-def eta_by_index(s):
-    """Per-site separation eta_m, m = 1..N, with eta_1 aliased to eta_2
-    (read-only, stored by the set).
-
-    eta_m is the minimum pairwise distance among the first max(m, 2)
-    points; this is the quantity entering the K1 sum and the tail
-    bound.  A single scatterer has no pairs, and its eta is [inf], the
-    minimum over none: its K1 term is 0, so N = 1 needs no branch.
-    """
-    return s._eta
+    nonincreasing.  It is ``s.eta[1:]``."""
+    return s.eta[1:]
 
 
 def _site_terms(s):
-    """Per-site summability data: the K0 terms 1/|w_m|, eta_m (as
-    :func:`eta_by_index`) and the K1 terms 1/(eta_m^2 |w_m|).
+    """Per-site summability terms: the K0 terms 1/|w_m| and the K1 terms
+    1/(eta_m^2 |w_m|).
 
     A K1 term whose denominator overflows is 0, its limit; a term that
     overflows, or whose denominator underflows to 0, is inf.  Neither
     warns.
     """
     absw = s.abs_weights
-    eta = eta_by_index(s)
     with np.errstate(over="ignore", divide="ignore"):
         terms_k0 = 1.0 / absw
-        terms_k1 = 1.0 / (eta**2 * absw)
-    return terms_k0, eta, terms_k1
+        terms_k1 = 1.0 / (s.eta**2 * absw)
+    return terms_k0, terms_k1
 
 
 @dataclass(frozen=True)
@@ -353,24 +339,26 @@ def tail_bound(s, n0, b):
     K0 and K1 are taken over the retained scatterers.  A single scatterer
     has no pairs and gives sqrt(b) / (4 pi |w|).  Returns 0.0 for an empty
     tail (N0 = N), and inf, without a warning, for a bound that overflows.
+    ``n0`` is converted as :func:`integer` does (BadParams naming it).
     """
-    return _tail_bound(s, n0, b, _site_terms(s))
+    return _tail_bound(s, _convert(n0, "n0", integer), b, _site_terms(s))
 
 
 def _tail_bound(s, n0, b, terms):
-    """:func:`tail_bound` from the per-site terms ``_site_terms(s)``."""
+    """:func:`tail_bound` of an int ``n0`` from the per-site terms
+    ``_site_terms(s)``."""
     if not 0 < b < np.inf:
         raise BadParams(f"b must be positive and finite, got {b}")
     if not 0 <= n0 <= s.n:
         raise BadParams(f"n0 = {n0} outside 0..{s.n}")
     if n0 == s.n:
         return 0.0
-    terms_k0, eta, terms_k1 = terms
+    terms_k0, terms_k1 = terms
     with np.errstate(over="ignore"):
         k0 = float(np.sum(terms_k0))
         k1 = float(np.sum(terms_k1))
         # K0 / eta^2 is 0 at eta = inf (no pairs), also where K0 overflows
-        pairs = np.divide(k0, eta**2, out=np.zeros(s.n), where=eta < np.inf)
+        pairs = np.divide(k0, s.eta**2, out=np.zeros(s.n), where=s.eta < np.inf)
         sites = (np.sqrt(b) + pairs + k1) / (4.0 * np.pi * s.abs_weights)
     return float(np.max(sites[n0:]))
 
@@ -384,8 +372,8 @@ def check_admissibility(s, b, n0=None):
     b : float
         Upper end of the spectral window (used in the tail bound).
     n0 : int, optional
-        Head size for the tail bound p_{N0,L}(b); defaults to N // 2
-        (at least 1).
+        Head size for the tail bound p_{N0,L}(b), converted as
+        :func:`integer` does; defaults to N // 2 (at least 1).
 
     Returns
     -------
@@ -394,10 +382,9 @@ def check_admissibility(s, b, n0=None):
         BadParams naming the first of K0, K1, the tail entries and p_tail
         that overflows, as no finite report can be given.
     """
-    if n0 is None:
-        n0 = max(1, s.n // 2)
+    n0 = max(1, s.n // 2) if n0 is None else _convert(n0, "n0", integer)
     terms = _site_terms(s)
-    terms_k0, _, terms_k1 = terms
+    terms_k0, terms_k1 = terms
     with np.errstate(over="ignore"):
         k0 = float(np.sum(terms_k0))
         k1 = float(np.sum(terms_k1))

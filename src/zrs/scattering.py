@@ -62,9 +62,12 @@ def smatrix(lam, s, split=None):
         Truncate a family with ``s.prefix(n)``.
     split : int, optional
         When given, Gamma is computed through the Schur-Frobenius
-        route with this head size, admitted by the tail bound
-        p_{N0,L}(lam) of ``s`` (propagates TailNotContractive).
+        route with this head size (converted as ``scatterers.integer``
+        does), admitted by the tail bound p_{N0,L}(lam) of ``s``
+        (propagates TailNotContractive).
     """
+    if split is not None:
+        split = _convert(split, "split", integer)
     # the bound checks lam and split first, so its messages come first
     p = None if split is None else tail_bound(s, split, lam)
     if lam <= 0:

@@ -15,6 +15,7 @@ import pytest
 
 import zrs
 from zrs import ScattererSet
+from zrs.scatterers import pairwise_distances
 
 BOX_HALF = 0.55
 MIN_SEP = 0.18
@@ -52,7 +53,7 @@ def explicit_gram(lams, s):
     entries sqrt(lam)/(4 pi) and sin(sqrt(lam) r)/(4 pi r) apart from Q:
     the reference for G_N = Im Q(lam + i0)."""
     k = np.sqrt(np.asarray(lams, dtype=float))[:, None, None]
-    d = s.distances()
+    d = pairwise_distances(s.points)
     with np.errstate(invalid="ignore"):  # 0/0 on the diagonal, replaced
         off = np.sin(k * d) / (4.0 * np.pi * d)
     return np.where(np.eye(s.n, dtype=bool), k / (4.0 * np.pi), off)

@@ -1,5 +1,7 @@
 """Krein matrices: Green function, Q, weighting, inverses, Gram, bounds."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from zrs import (
     build_q,
     build_weighted,
     c_matrix,
+    check_admissibility,
     gamma_at,
+    gamma_continuity_scan,
     gamma_direct,
     gamma_schur,
     generate_family,
@@ -419,6 +423,36 @@ def test_gamma_schur_matches_direct_with_contractive_tail():
     gd = gamma_direct(qt, j)
     assert np.linalg.norm(gamma - gd, 2) / np.linalg.norm(gd, 2) < 1e-10
     assert np.allclose(factors.product(), qt + np.diag(j), atol=1e-14)
+
+
+# each library call with an integer argument: (the name its BadParams
+# gives the argument, the call of a set s with that argument v)
+INTEGER_ARGUMENTS = {
+    "prefix": ("n", lambda s, v: s.prefix(v).to_dict()),
+    "m_sampled": ("n", lambda s, v: m_sampled(s, v, (1, 9))),
+    "gamma_continuity_scan": ("n", lambda s, v: vars(
+        gamma_continuity_scan(s, v, (1, 9), 5))),
+    "check_admissibility": ("n0", lambda s, v: check_admissibility(
+        s, 25.0, n0=v).to_dict()),
+    "tail_bound": ("n0", lambda s, v: tail_bound(s, v, 25.0)),
+    "smatrix": ("split", lambda s, v: smatrix(2.0, s, split=v).gamma),
+    "gamma_levels": ("level", lambda s, v: gamma_levels(
+        *build_weighted(s, build_q(2.0, s)), [v, 5])),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+def test_integer_arguments_convert_as_the_config_n_does(call):
+    # an integral float or a digit string gives the bytes of the int;
+    # other values raise BadParams naming the argument
+    name, run = INTEGER_ARGUMENTS[call]
+    s = _heavy_tail_config(33, 6, 3)
+    want = pickle.dumps(run(s, 3))
+    for v in (3.0, "3"):
+        assert pickle.dumps(run(s, v)) == want
+    for v in (2.5, "x", True):
+        with pytest.raises(BadParams, match=f"^bad value for {name}: "):
+            run(s, v)
 
 
 def _gamma_schur_blocks(qtilde, j, split):

@@ -23,10 +23,12 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from zrs import (ScattererSet, SingularMatrix, build_q, build_weighted, c_matrix,
-                 eta_by_index, hilbert_identity_residual, kernel_correction,
-                 separation_profile, smatrix, tail_bound)
+                 hilbert_identity_residual, kernel_correction,
+                 separation_profile, smatrix, smatrix_minus_identity_norm,
+                 tail_bound)
 from zrs.cli import main
 from zrs.krein import resolvent_strengths
+from zrs.scatterers import pairwise_distances
 
 from conftest import inverse_error_bound, kernel_error_bound
 
@@ -124,7 +126,7 @@ EPS = np.finfo(float).eps
 
 
 @PROPERTY_SETTINGS
-@given(st.tuples(*[st.floats(-100.0, 100.0)] * 3), st.floats(-12.0, 12.0),
+@given(st.tuples(*[st.floats(-100.0, 100.0)] * 3), st.floats(-300.0, 300.0),
        st.booleans(), st.floats(-3.0, 3.0))
 def test_one_site_multiplies_its_s_wave_by_the_closed_form(x0, w_exp, negative,
                                                            lam_exp):
@@ -138,6 +140,30 @@ def test_one_site_multiplies_its_s_wave_by_the_closed_form(x0, w_exp, negative,
     ik = 1j * np.sqrt(lam)
     assert abs(mu - (4.0 * np.pi * w - ik) / (4.0 * np.pi * w + ik)) <= 16 * EPS
     assert abs(abs(mu) - 1.0) <= 16 * EPS
+
+
+# relative rounding of the computed ||S - I|| and of 2q/(1 - q): Q, Qt,
+# Gamma, B, its root and the norms each round by a few eps per order
+S_MINUS_I_ROUNDING = 32
+
+
+@PROPERTY_SETTINGS
+@given(configs(max_n=8), st.floats(0.0, 12.0), st.floats(-2.0, 2.0))
+# one site, the largest weight and the least lambda: q ~ 3e-15, where the
+# bound is tightest (the exact ratio to it is 1 - q + O(q^2))
+@example(ScattererSet([[0.0, 0.0, 0.0]], [3.0]), 12.0, -2.0)
+def test_s_tends_to_the_identity_as_the_weights_grow(s, w_exp, lam_exp):
+    # with q = ||Qt(lam)||_2 < 1: ||S - I|| = ||B^{1/2} T B^{1/2}|| <= ||B|| ||T||,
+    # B = (16 pi^2 / sqrt(lam)) Im Qt gives ||B|| <= (16 pi^2 / sqrt(lam)) q,
+    # T = i sqrt(lam) / (8 pi^2) Gamma, and Gamma = (J + Qt)^{-1}
+    # = (I + J Qt)^{-1} J with J a signature matrix gives ||Gamma|| <= 1/(1 - q);
+    # so ||S - I|| <= 2q/(1 - q), which tends to 0 as |w| grows
+    s = ScattererSet(s.points, s.weights * 10.0 ** w_exp)
+    lam = 10.0 ** lam_exp
+    q = np.linalg.norm(build_weighted(s, build_q(lam, s))[0], 2)
+    assume(q < 1.0)
+    bound = 2.0 * q / (1.0 - q) * (1.0 + S_MINUS_I_ROUNDING * s.n * EPS)
+    assert smatrix_minus_identity_norm(smatrix(lam, s)) <= bound
 
 
 @st.composite
@@ -350,7 +376,7 @@ def test_eta_and_prefixes_match_brute_force(s):
         return min((ref[i, j] for i in range(min(k, s.n)) for j in range(i)),
                    default=np.inf)
 
-    eta = eta_by_index(s)
+    eta = s.eta
     assert eta.tolist() == [least(max(m, 2)) for m in range(1, s.n + 1)]
     assert separation_profile(s).tobytes() == eta[1:].tobytes()
     assert np.all(np.diff(eta) <= 0)
@@ -361,5 +387,6 @@ def test_eta_and_prefixes_match_brute_force(s):
         sub = s.prefix(n)
         assert sub.points.tobytes() == s.points[:n].tobytes()
         assert sub.weights.tobytes() == s.weights[:n].tobytes()
-        assert sub.distances().tobytes() == s.distances()[:n, :n].tobytes()
-        assert eta_by_index(sub).tolist() == (eta[:n].tolist() if n > 1 else [np.inf])
+        assert pairwise_distances(sub.points).tobytes() == \
+            pairwise_distances(s.points)[:n, :n].tobytes()
+        assert sub.eta.tolist() == (eta[:n].tolist() if n > 1 else [np.inf])

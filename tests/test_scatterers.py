@@ -11,7 +11,6 @@ from zrs import (
     DuplicatePoint,
     ScattererSet,
     check_admissibility,
-    eta_by_index,
     from_config,
     generate_family,
     separation_profile,
@@ -57,7 +56,7 @@ def test_profile_nonincreasing_and_permutation_floor():
     eta = separation_profile(s)
     assert np.all(np.diff(eta) <= 1e-15)
     # final value is the global minimum pairwise distance, however indexed
-    d = s.distances()
+    d = pairwise_distances(s.points)
     dmin = np.min(d[np.triu_indices(10, 1)])
     assert np.isclose(eta[-1], dmin)
     rng = np.random.default_rng(3)
@@ -77,14 +76,13 @@ def _profile_loop(d):
 
 def test_profile_equals_loop_definition(battery25):
     for s in battery25 + [generate_family("clustering", {"p": 2, "q": 6}, 60)]:
-        assert separation_profile(s).tobytes() == _profile_loop(s.distances()).tobytes()
+        assert separation_profile(s).tobytes() == \
+            _profile_loop(pairwise_distances(s.points)).tobytes()
 
 
 def test_distances_cached_read_only_and_equal_to_norm(battery25):
     for s in battery25:
         pts = s.points
-        assert s.distances() is s.distances()
-        assert not s.distances().flags.writeable
         # the in-place sum matches norm(axis=-1) bit for bit
         ref = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
         assert pairwise_distances(pts).tobytes() == ref.tobytes()
@@ -92,14 +90,15 @@ def test_distances_cached_read_only_and_equal_to_norm(battery25):
             sub = s.prefix(n)
             assert np.array_equal(sub.points, pts[:n])
             assert np.array_equal(sub.weights, s.weights[:n])
-            assert sub.distances().tobytes() == pairwise_distances(pts[:n]).tobytes()
-            assert not sub.distances().flags.writeable
+            assert pairwise_distances(sub.points).tobytes() == \
+                pairwise_distances(pts[:n]).tobytes()
             # eta: the running minimum of the distances to the earlier
             # points, eta_1 aliased to eta_2 (inf for a single site)
-            minima = [np.inf] + [np.min(sub.distances()[m, :m]) for m in range(1, n)]
+            d = pairwise_distances(sub.points)
+            minima = [np.inf] + [np.min(d[m, :m]) for m in range(1, n)]
             eta = np.minimum.accumulate(minima)
-            assert eta_by_index(sub).tolist() == [eta[min(1, n - 1)], *eta[1:]]
-            assert not eta_by_index(sub).flags.writeable
+            assert sub.eta.tolist() == [eta[min(1, n - 1)], *eta[1:]]
+            assert not sub.eta.flags.writeable
 
 
 def test_duplicate_point_rejected():
@@ -200,7 +199,7 @@ def test_clustering_pass_and_strict_reject():
 
 def test_clustering_eta_scaling():
     fam = generate_family("clustering", {"p": 2, "q": 6}, 12)
-    eta = eta_by_index(fam)
+    eta = fam.eta
     m = np.arange(2, 13, dtype=float)
     # min gap among first m points is the last consecutive gap (m-1)^-p
     assert np.allclose(eta[1:], (m - 1) ** -2.0)
@@ -349,7 +348,7 @@ def _norm_distances(pts):
 @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
 @pytest.mark.parametrize("kind", GEOMETRY_KINDS)
 def test_block_geometry_equals_the_distance_matrix(kind, n):
-    # eta, the profile, the pair list, the lazily built matrix and the
+    # eta, the profile, the pair list, the distance matrix and the
     # diameter, of the set and of every prefix, against the distance matrix
     # (norm(axis=-1), which pairwise_distances equals bit for bit) and the
     # running minimum over its rows
@@ -361,17 +360,15 @@ def test_block_geometry_equals_the_distance_matrix(kind, n):
     for m in range(1, n + 1):
         sub = s.prefix(m)
         lead = d[:m, :m]
-        assert eta_by_index(sub).tobytes() == np.array(
+        assert sub.eta.tobytes() == np.array(
             [eta[min(1, m - 1)], *eta[1:m]]).tobytes()
         assert separation_profile(sub).tobytes() == eta[1:m].tobytes()
         assert sub.pair_distances().tobytes() == lead[low[:m, :m]].tobytes()
         assert sub.pair_distances().tobytes() == \
             s.pair_distances()[:m * (m - 1) // 2].tobytes()
-        assert sub.distances().tobytes() == lead.tobytes()
+        assert pairwise_distances(sub.points).tobytes() == lead.tobytes()
         assert sub.diameter() == float(np.max(lead))
-    assert s.distances() is s.distances()
-    for a in (s.pair_distances(), s.distances()):
-        assert not a.flags.writeable
+    assert not s.pair_distances().flags.writeable
 
 
 @pytest.mark.parametrize("far", [3, 127, 128, 399])
