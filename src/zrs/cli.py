@@ -25,7 +25,7 @@ from .errors import (
 # unused here; perfbench's tracer test reads it as zrs.cli.build_q
 from .krein import build_q  # noqa: F401
 from .scatterers import (check_admissibility, from_config, integer, number,
-                         write_text)
+                         window, write_text)
 from .spherical import default_grid, make_grid
 
 
@@ -147,9 +147,7 @@ def _cmd_sweep(args, cfg, s):
 
     if args.interval is None:
         raise UsageError("sweep needs --interval A B")
-    a, b = args.interval
-    if not 0 < a < b < np.inf:
-        raise UsageError("interval must satisfy 0 < a < b < inf")
+    a, b = window(args.interval)
     points = args.grid_points
     if points < 0:
         raise UsageError(f"grid points must be non-negative, got {points}")

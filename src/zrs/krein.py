@@ -32,7 +32,7 @@ from .errors import (
     TailNotContractive,
     ZeroDistance,
 )
-from .scatterers import _convert, integer
+from .scatterers import _convert, integer, positive, window
 
 FOUR_PI = 4.0 * np.pi
 
@@ -56,10 +56,10 @@ def branch_sqrt(z):
     """Square root with Im sqrt(z) >= 0, +sqrt(lambda) on the positive
     axis, of a spectral point or of each point of an array of them.
 
-    A scalar ``z`` gives a numpy complex scalar.  Raises BadParams naming
-    the first point that is not finite.
+    A scalar ``z`` gives a numpy complex scalar.  Raises BadParams for a
+    ``z`` that is no complex number, and names its first non-finite point.
     """
-    z = np.asarray(z, dtype=complex)
+    z = _convert(z, "z", lambda v: np.asarray(v, dtype=complex))
     bad = ~np.isfinite(z)
     if bad.any():
         raise BadParams(f"spectral point must be finite, got {z[bad][0]}")
@@ -377,15 +377,10 @@ def _gram_from_q(lam, q):
     """GramData of G_N = Im Q(lambda + i0) from an already built Q (one
     matrix, or the stack of a 1-D ``lam``).
 
-    Raises BadParams for a lambda that is not positive and finite, and
+    ``lam`` must have passed ``scatterers.positive``.  Raises
     NonPositiveGram when the least eigenvalue is not positive beyond
     round-off; a stack raises for its first failing point.
     """
-    lam = np.asarray(lam)
-    bad = np.flatnonzero(~((0 < lam) & (lam < np.inf)))
-    if bad.size:
-        raise BadParams(
-            f"lambda must be positive and finite, got {lam.flat[bad[0]]}")
     g = q.imag
     ev = np.linalg.eigvalsh(g)
     mu = ev[..., 0]
@@ -396,7 +391,7 @@ def _gram_from_q(lam, q):
     bad = np.flatnonzero(mu <= floor)
     if bad.size:
         raise NonPositiveGram(f"least Gram eigenvalue {mu.flat[bad[0]]:g} <= 0")
-    return GramData(g=g, mu=mu[()], lam=lam.astype(float)[()])
+    return GramData(g=g, mu=mu[()], lam=np.asarray(lam)[()])
 
 
 def gram_matrix(lam, s):
@@ -407,6 +402,7 @@ def gram_matrix(lam, s):
     positive beyond round-off.  A 1-D ``lam`` gives the stacked GramData;
     its first failing point raises.
     """
+    lam = positive(lam, "lambda")
     return _gram_from_q(lam, build_q(lam, s))
 
 
@@ -414,9 +410,7 @@ def m_sampled(s, n, interval):
     """Sampled sup of ||G_N(lambda)^{-1}||_2 over a log-spaced lambda grid
     of 64 points: a lower estimate of the true supremum M_N([a, b]).
     """
-    a, b = interval
-    if not 0 < a < b < np.inf:
-        raise BadParams("interval must satisfy 0 < a < b < inf")
+    a, b = window(interval)
     sub = s.prefix(n)
     worst = 0.0
     for lams in stack_chunks(np.geomspace(a, b, 64), sub.n):
@@ -461,7 +455,7 @@ def krein_matrices(z, s):
     used by the resolvent kernel); D^{-1/2} Gamma D^{-1/2} equals
     (Q + L)^{-1}.
     """
-    z = complex(z)
+    z = _convert(z, "z", complex)
     q = build_q(z, s)
     qt, j = build_weighted(s, q)
     gamma = gamma_direct(qt, j)

@@ -24,7 +24,7 @@ from .krein import (
     green_at_distance,
     resolvent_strengths,
 )
-from .scatterers import write_csv
+from .scatterers import _convert, _floats, write_csv
 from .spherical import make_grid, unit_vector
 
 # fixed, arbitrary unit vector for the local boundary-condition rays
@@ -65,7 +65,7 @@ class ResolventKernel:
 
 def resolvent_kernel(z, s):
     """Build the resolvent kernel; requires Q(z) + 4 pi L invertible."""
-    z = complex(z)
+    z = _convert(z, "z", complex)
     return ResolventKernel(z=z, c=c_matrix(z, s), scatterers=s)
 
 
@@ -75,7 +75,8 @@ def hilbert_identity_residual(z1, z2, s):
     Phi is the divided difference (Q(z1) - Q(z2)) / (z1 - z2), the
     diagonal included; the residual vanishes in exact arithmetic.
     """
-    dz = complex(z1) - complex(z2)
+    z1, z2 = _convert(z1, "z1", complex), _convert(z2, "z2", complex)
+    dz = z1 - z2
     if dz == 0:
         raise BadParams("z1 and z2 must differ")
     q1, q2 = build_q(z1, s), build_q(z2, s)
@@ -89,7 +90,7 @@ def symmetry_residual(z, s):
     """Residual ||C(z)^H - C(conj z)||_2 of the adjoint symmetry.  A real
     z > 0 raises BadParams: the branch takes C(lambda + i0) for z and conj z
     alike there, where the identity does not hold."""
-    z = complex(z)
+    z = _convert(z, "z", complex)
     if z.imag == 0 and 0 < z.real < np.inf:
         raise BadParams(f"symmetry residual needs z off (0, inf), got {z}")
     return float(np.linalg.norm(c_matrix(z, s).conj().T
@@ -123,15 +124,17 @@ def boundary_condition_residual(z, s, source=None, direction=None):
     ``direction`` fixes the approach ray (scaled by
     :func:`spherical.unit_vector`); the default is an arbitrary fixed one.
     """
-    kern = resolvent_kernel(z, s)
     if source is None:
         source = np.mean(s.points, axis=0) + np.array([0.53, 0.71, 0.83])
-    source = np.asarray(source, dtype=float)
+    source = _convert(source, "source", _floats)
+    if source.shape != (3,) or not np.isfinite(source).all():
+        raise BadParams(f"source must be a finite 3-vector, got {source.tolist()}")
     d_src = np.linalg.norm(s.points - source, axis=1)
     if np.any(d_src < 1e-9):
         raise BadParams("source must be distinct from every scatterer")
-    radii = default_fit_radii(s)
     direction = unit_vector(_RAY_DIRECTION if direction is None else direction)
+    kern = resolvent_kernel(z, s)
+    radii = default_fit_radii(s)
     # Python complex arithmetic: numpy's complex division by 4 pi rounds
     # differently
     ik = 1j * complex(branch_sqrt(kern.z))

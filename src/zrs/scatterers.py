@@ -49,7 +49,7 @@ def _no_bool(val):
 
 
 def _floats(val):
-    return np.array(_no_bool(val), dtype=float)
+    return np.array(val, dtype=float)
 
 
 def number(val):
@@ -69,12 +69,32 @@ def integer(val):
 
 
 def _convert(val, what, convert=number):
-    """``convert(val)``; a value of the wrong type raises BadParams naming
-    ``what``."""
+    """``convert(val)``; a boolean (also in nested lists) or a value of the
+    wrong type raises BadParams naming ``what``."""
     try:
-        return convert(val)
+        return convert(_no_bool(val))
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"bad value for {what}: {exc}") from None
+
+
+def positive(val, what):
+    """``val`` (a number, or an array of them) as a float or float array,
+    converted as :func:`number` does; BadParams naming ``what`` unless
+    every value is positive and finite."""
+    out = _convert(val, what, _floats)
+    bad = out[~((0 < out) & (out < np.inf))]
+    if bad.size:
+        raise BadParams(f"{what} must be positive and finite, got {bad[0]}")
+    return out.item() if out.ndim == 0 else out
+
+
+def window(interval):
+    """The spectral window ``(a, b)`` as floats with 0 < a < b < inf, else
+    BadParams (also for an interval without exactly two ends)."""
+    ends = _convert(interval, "interval", _floats)
+    if ends.shape != (2,) or not 0 < ends[0] < ends[1] < np.inf:
+        raise BadParams("interval must satisfy 0 < a < b < inf")
+    return float(ends[0]), float(ends[1])
 
 
 def _section(val, what, keys=None):
@@ -341,14 +361,12 @@ def tail_bound(s, n0, b):
     tail (N0 = N), and inf, without a warning, for a bound that overflows.
     ``n0`` is converted as :func:`integer` does (BadParams naming it).
     """
-    return _tail_bound(s, _convert(n0, "n0", integer), b, _site_terms(s))
+    return _tail_bound(s, _convert(n0, "n0", integer), positive(b, "b"), _site_terms(s))
 
 
 def _tail_bound(s, n0, b, terms):
-    """:func:`tail_bound` of an int ``n0`` from the per-site terms
-    ``_site_terms(s)``."""
-    if not 0 < b < np.inf:
-        raise BadParams(f"b must be positive and finite, got {b}")
+    """:func:`tail_bound` of an int ``n0`` and a checked ``b`` from the
+    per-site terms ``_site_terms(s)``."""
     if not 0 <= n0 <= s.n:
         raise BadParams(f"n0 = {n0} outside 0..{s.n}")
     if n0 == s.n:
@@ -382,6 +400,7 @@ def check_admissibility(s, b, n0=None):
         BadParams naming the first of K0, K1, the tail entries and p_tail
         that overflows, as no finite report can be given.
     """
+    b = positive(b, "b")
     n0 = max(1, s.n // 2) if n0 is None else _convert(n0, "n0", integer)
     terms = _site_terms(s)
     terms_k0, terms_k1 = terms
@@ -445,6 +464,7 @@ def generate_family(kind, params, n, strict=False):
 
     A parameter the kind does not read raises BadParams naming it.
     """
+    n = _convert(n, "n", integer)
     if n < 1:
         raise BadParams("n must be >= 1")
     if not (isinstance(kind, str) and kind in _FAMILY_PARAMS):

@@ -22,7 +22,8 @@ from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (_gamma_from_q, _gram_from_q, build_q, build_weighted,
                     check_rcond, gamma_levels, gamma_schur, stack_chunks,
                     weight_overflow)
-from .scatterers import _convert, integer, tail_bound, write_csv
+from .scatterers import (_convert, integer, positive, tail_bound, window,
+                         write_csv)
 from .spherical import (_plane_waves, default_grid, direction_angles,
                         gram_overlap, plane_wave_block, unit_vector)
 
@@ -66,12 +67,10 @@ def smatrix(lam, s, split=None):
         does), admitted by the tail bound p_{N0,L}(lam) of ``s``
         (propagates TailNotContractive).
     """
+    lam = positive(lam, "lambda")
     if split is not None:
         split = _convert(split, "split", integer)
-    # the bound checks lam and split first, so its messages come first
     p = None if split is None else tail_bound(s, split, lam)
-    if lam <= 0:
-        raise BadParams("lambda must be positive")
     q = build_q(lam, s)
     if split is None:
         gamma = _gamma_from_q(q, s)
@@ -203,7 +202,7 @@ def unitarity_defect_quadrature(rep, grid, seed=0):
     built once for all trials.  Raises BadParams, without a warning, when
     a trial's norms overflow (the block scales as 1/sqrt|w|).
     """
-    rng = np.random.default_rng(seed)
+    rng = _convert(seed, "seed", lambda v: np.random.default_rng(integer(v)))
     u, uw = _blocks(rep, grid)
     adjoint = rep.coeff.conj().T
     worst = 0.0
@@ -331,9 +330,7 @@ def gamma_continuity_scan(s, n, interval, points):
 
     Inversion failures are re-raised with the offending lambda attached.
     """
-    a, b = interval
-    if not 0 < a < b < np.inf:
-        raise BadParams("interval must satisfy 0 < a < b < inf")
+    a, b = window(interval)
     points = _convert(points, "points", integer)
     if points < 2:
         raise BadParams("need at least two lambda samples")
@@ -379,6 +376,7 @@ def lambda_rows(s, lambdas):
     and two batched ``eigvalsh``: the Hermitian defect matrix M, whose
     norm is the defect_reduced column (:func:`_defect_reduced`; ||M||_2,
     the rounding of Gamma, not ||S* S - I||), and G_N (its mu)."""
+    lambdas = positive(lambdas, "lambda")
     for lams, gammas, gd, steps in _gamma_chunks(s, lambdas, gram=True):
         defect = _defect_reduced(lams, gammas, gram_overlap(gd, s))
         sv = np.linalg.svd(gammas, compute_uv=False)
@@ -389,8 +387,7 @@ def lambda_rows(s, lambdas):
 def write_defect_csv(s, lambdas, out):
     """Defect-vs-lambda table: unitarity defect, Gamma norms, Gram mu and
     the Gamma increment from the previous lambda (nan at the first)."""
-    write_csv(out, DEFECT_CSV_HEADER,
-              lambda_rows(s, np.asarray(lambdas, dtype=float)))
+    write_csv(out, DEFECT_CSV_HEADER, lambda_rows(s, lambdas))
 
 
 def write_truncation_csv(s, lam, levels, out):
@@ -400,10 +397,10 @@ def write_truncation_csv(s, lam, levels, out):
     is built as a set, and its Qt once; :func:`krein.gamma_levels` grows
     the levels from it.  The first level out of range raises.
     """
+    lam = positive(lam, "lambda")
+    levels = [_convert(v, "level", integer) for v in levels]
     if len(levels) < 2:
         raise BadParams("N-sweep needs at least two truncations")
-    if lam <= 0:
-        raise BadParams("lambda must be positive")
     bad = [n for n in levels if not 1 <= n <= s.n]
     top = s.prefix(bad[0] if bad else max(levels))
     gammas = gamma_levels(*build_weighted(top, build_q(lam, top)), levels)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import BadOrder, BadParams
 from .krein import gram_matrix, weight_overflow
+from .scatterers import _convert, _floats, positive
 
 # Product-grid order cap (2 * 1024**2, about 2.1M nodes); band limits such as
 # lambda ~ 1e300 ask for ~1e150 and would overflow the node computation.
@@ -38,7 +39,7 @@ class SphereGrid:
 def unit_vector(v):
     """``v`` divided by its length; raises BadParams, without a warning,
     unless ``v`` is a 3-vector of finite nonzero length."""
-    v = np.asarray(v, dtype=float)
+    v = _convert(v, "direction", _floats)
     with np.errstate(over="ignore"):
         length = np.linalg.norm(v) if v.shape == (3,) else np.nan
     if not 0 < length < np.inf:
@@ -82,7 +83,7 @@ def make_grid(order):
     uniform phi nodes and is exact for spherical harmonics up to degree
     2*order - 1.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
         raise BadOrder(f"order must be a positive integer, got {order!r}")
     if order > MAX_PRODUCT_ORDER:
         raise BadOrder(f"grid order {order:.3g} exceeds {MAX_PRODUCT_ORDER}")
@@ -94,6 +95,7 @@ def make_grid(order):
 
 def default_order(lam, s):
     """Grid order covering the plane-wave band limit of the configuration."""
+    lam = positive(lam, "lambda")
     return max(16, int(np.ceil(2.0 * np.sqrt(lam) * s.diameter())) + 8)
 
 
@@ -120,8 +122,7 @@ def _plane_waves(lam, s, dirs):
 
 
 def plane_wave_block(lam, s, grid):
-    if lam <= 0:
-        raise BadParams("lambda must be positive")
+    lam = positive(lam, "lambda")
     return PlaneWaveBlock(u=_plane_waves(lam, s, grid.nodes), lam=float(lam),
                           grid=grid, scatterers=s)
 

@@ -152,6 +152,12 @@ def test_sweep_empty_interval_usage_error(tmp_path):
     assert main(["sweep", "--config", cfg]) == 1
 
 
+def test_sweep_interval_checked_by_the_window_rule(tmp_path, capsys):
+    cfg = write_config(tmp_path, TWO_SCATTERERS)
+    assert main(["sweep", "--config", cfg, "--interval", "5", "1"]) == 1
+    assert capsys.readouterr() == ("", "zrs: interval must satisfy 0 < a < b < inf\n")
+
+
 def test_sweep_n_mode(tmp_path):
     cfg = write_config(tmp_path, {
         "family": {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": 8},
@@ -200,7 +206,8 @@ def test_non_positive_lambda_same_error_for_smatrix_and_n_sweep(tmp_path, capsys
     cfg = write_config(tmp_path, TWO_SCATTERERS)
     assert main([*argv, "--config", cfg]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "zrs: lambda must be positive\n"
+    lam = float(argv[2])
+    assert captured.err == f"zrs: lambda must be positive and finite, got {lam}\n"
     assert captured.out == ""
 
 
@@ -464,8 +471,8 @@ def test_smatrix_split_at_n_prints_the_direct_bytes(tmp_path, capsys, lam):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--lambda", "-1", "--n0", "1"], "b must be positive and finite, got -1.0"),
-    (["--lambda", "nan", "--n0", "1"], "b must be positive and finite, got nan"),
+    (["--lambda", "-1", "--n0", "1"], "lambda must be positive and finite, got -1.0"),
+    (["--lambda", "nan", "--n0", "1"], "lambda must be positive and finite, got nan"),
     (["--lambda", "4", "--n0", "0"], "split 0 outside 1..2"),
     (["--lambda", "4", "--n0", "3"], "n0 = 3 outside 0..2"),
 ])

@@ -1,11 +1,13 @@
 """Krein matrices: Green function, Q, weighting, inverses, Gram, bounds."""
 
+import io
 import pickle
 
 import numpy as np
 import pytest
 
 from zrs import (
+    BadOrder,
     BadParams,
     NonPositiveGram,
     ScattererSet,
@@ -15,9 +17,13 @@ from zrs import (
     ZeroDistance,
     branch_sqrt,
     build_q,
+    boundary_condition_residual,
     build_weighted,
     c_matrix,
     check_admissibility,
+    cross_section,
+    default_order,
+    free_resolvent_reproduction,
     gamma_at,
     gamma_continuity_scan,
     gamma_direct,
@@ -25,13 +31,22 @@ from zrs import (
     generate_family,
     gram_matrix,
     green_at_distance,
+    hilbert_identity_residual,
     krein_matrices,
     m_sampled,
+    make_grid,
+    plane_wave_block,
+    resolvent_kernel,
     smatrix,
+    symmetry_residual,
     tail_bound,
+    unitarity_defect_quadrature,
+    weighted_gram_target,
 )
 from zrs import krein
 from zrs.krein import STACK_ENTRIES, _checked_inv, check_rcond, gamma_levels
+from zrs.scattering import write_defect_csv, write_truncation_csv
+from zrs.spherical import unit_vector
 
 from conftest import bordering_bound, explicit_gram, explicit_gram_cases, make_config
 
@@ -69,7 +84,10 @@ def test_non_finite_spectral_point_rejected(fn, z, two_scatterers):
 def test_non_finite_point_in_a_stack_rejected(fn, two_scatterers):
     zs = np.array([1.0, 2.0, np.nan, 4.0, np.inf])
     args = () if fn is branch_sqrt else (two_scatterers,)
-    with pytest.raises(BadParams, match=r"must be finite, got \(nan\+0j\)"):
+    # gram_matrix takes a real lambda, checked by scatterers.positive
+    want = ("lambda must be positive and finite, got nan" if fn is gram_matrix
+            else r"must be finite, got \(nan\+0j\)")
+    with pytest.raises(BadParams, match=want):
         fn(zs, *args)
 
 
@@ -452,6 +470,95 @@ def test_integer_arguments_convert_as_the_config_n_does(call):
         assert pickle.dumps(run(s, v)) == want
     for v in (2.5, "x", True):
         with pytest.raises(BadParams, match=f"^bad value for {name}: "):
+            run(s, v)
+
+
+# each argument kind: (a value, a value that must give the same bytes, the
+# values it rejects, the error type); a window varies its lower end
+ARGUMENT_KINDS = {
+    "real": (2.0, "2", ["x", True, np.nan, np.inf, -1, 0], BadParams),
+    "window": ((2.0, 9), ("2", 9), [("x", 9), (True, 9), (np.nan, 9), (2, np.inf),
+                                    (-1, 9), (0, 9), (9, 2), (1, 2, 3)], BadParams),
+    "complex": (-2.0, "-2", ["x", True, np.nan, np.inf], BadParams),
+    "count": (3, "3", [2.5, "x", True], BadParams),
+    "vector": ([0.3, 0.4, 1.2], ["0.3", "0.4", "1.2"],
+               ["x", [True, 0, 0], [1, 2], [np.nan, 0, 0], [np.inf, 0, 0]], BadParams),
+    "order": (3, np.int64(3), [True, 2.5, "3"], BadOrder),
+}
+
+
+def _csv(write, *args):
+    buf = io.StringIO()
+    write(*args, buf)
+    return buf.getvalue()
+
+
+# every public call taking lambda, b, a window or z, and the counts, seeds
+# and vectors beside them: (kind, the name its errors give the argument,
+# the call of a set s with that argument v)
+SPECTRAL_ARGUMENTS = {
+    "smatrix": ("real", "lambda", lambda s, v: smatrix(v, s).gamma),
+    "smatrix-split": ("real", "lambda", lambda s, v: smatrix(v, s, split=3).gamma),
+    "gram_matrix": ("real", "lambda", lambda s, v: gram_matrix(v, s).g),
+    "weighted_gram_target": ("real", "lambda", lambda s, v: weighted_gram_target(v, s)),
+    "plane_wave_block": ("real", "lambda",
+                         lambda s, v: plane_wave_block(v, s, make_grid(4)).u),
+    "default_order": ("real", "lambda", lambda s, v: default_order(v, s)),
+    "write_truncation_csv": ("real", "lambda", lambda s, v: _csv(
+        write_truncation_csv, s, v, [2, 4])),
+    "write_defect_csv": ("real", "lambda", lambda s, v: _csv(
+        write_defect_csv, s, [1.0, v])),
+    "tail_bound": ("real", "b", lambda s, v: tail_bound(s, 3, v)),
+    "check_admissibility": ("real", "b", lambda s, v: check_admissibility(s, v).to_dict()),
+    "m_sampled": ("window", "interval", lambda s, v: m_sampled(s, 3, v)),
+    "gamma_continuity_scan": ("window", "interval", lambda s, v: vars(
+        gamma_continuity_scan(s, 3, v, 5))),
+    "branch_sqrt": ("complex", "z", lambda s, v: branch_sqrt(v)),
+    "green_at_distance": ("complex", "z", lambda s, v: green_at_distance(v, [1.0, 2.0])),
+    "build_q": ("complex", "z", lambda s, v: build_q(v, s)),
+    "gamma_at": ("complex", "z", lambda s, v: gamma_at(v, s)),
+    "c_matrix": ("complex", "z", lambda s, v: c_matrix(v, s)),
+    "krein_matrices": ("complex", "z", lambda s, v: krein_matrices(v, s).c),
+    "resolvent_kernel": ("complex", "z", lambda s, v: resolvent_kernel(v, s).c),
+    "symmetry_residual": ("complex", "z", lambda s, v: symmetry_residual(v, s)),
+    "hilbert_identity_residual-z1": ("complex", "z1", lambda s, v: (
+        hilbert_identity_residual(v, 1j, s))),
+    "hilbert_identity_residual-z2": ("complex", "z2", lambda s, v: (
+        hilbert_identity_residual(1j, v, s))),
+    "boundary_condition_residual": ("complex", "z", lambda s, v: (
+        boundary_condition_residual(v, s))),
+    "free_resolvent_reproduction": ("complex", "z", lambda s, v: (
+        free_resolvent_reproduction(v, [[0.1, 0.0, 0.0]]))),
+    "generate_family": ("count", "n", lambda s, v: generate_family(
+        "uniform-line", {}, v).to_dict()),
+    "unitarity_defect_quadrature": ("count", "seed", lambda s, v: (
+        unitarity_defect_quadrature(smatrix(2.0, s), make_grid(8), seed=v))),
+    "write_truncation_csv-level": ("count", "level", lambda s, v: _csv(
+        write_truncation_csv, s, 4.0, [2, v])),
+    "unit_vector": ("vector", "direction", lambda s, v: unit_vector(v)),
+    "cross_section": ("vector", "direction", lambda s, v: (
+        cross_section(smatrix(2.0, s), v).values)),
+    "boundary_condition_residual-direction": ("vector", "direction", lambda s, v: (
+        boundary_condition_residual(1j, s, direction=v))),
+    "boundary_condition_residual-source": ("vector", "source", lambda s, v: (
+        boundary_condition_residual(1j, s, source=v))),
+    "make_grid": ("order", "order", lambda s, v: make_grid(v).nodes),
+}
+
+
+@pytest.mark.parametrize("call", SPECTRAL_ARGUMENTS)
+def test_one_rule_per_argument_kind(call):
+    # a digit string gives the bytes of the number; every rejected value
+    # raises the kind's error naming the argument (a complex point that is
+    # not finite names the spectral point), never a raw TypeError or
+    # ValueError, and returns no NaN output
+    kind, name, run = SPECTRAL_ARGUMENTS[call]
+    good, alike, bad, error = ARGUMENT_KINDS[kind]
+    s = generate_family("clustering", {"p": 2, "q": 6}, 6)
+    assert pickle.dumps(run(s, alike)) == pickle.dumps(run(s, good))
+    named = rf"^(bad value for )?({name}|spectral point)\b"
+    for v in bad:
+        with pytest.raises(error, match=named):
             run(s, v)
 
 

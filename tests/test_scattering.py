@@ -584,10 +584,10 @@ def test_lambda_rows_and_scan_equal_per_point_across_stacks():
 
 def test_first_failing_lambda_decides_the_error():
     s = make_config(4, 2)
-    # -1 fails only the G_N check; nan fails Gamma before G_N
+    # the grid is checked before Gamma is built, first bad lambda first
     with pytest.raises(BadParams, match="positive and finite, got -1.0"):
         write_defect_csv(s, [1.0, -1.0, np.nan], io.StringIO())
-    with pytest.raises(BadParams, match="spectral point must be finite"):
+    with pytest.raises(BadParams, match="positive and finite, got nan"):
         write_defect_csv(s, [1.0, np.nan, -1.0], io.StringIO())
 
 
