@@ -84,7 +84,8 @@ def _config(cfg, key, convert, default=None):
 
 def _cmd_validate(args, cfg, s):
     b = 25.0 if args.lam is None else args.lam
-    report = check_admissibility(s.prefix(args.n), b, n0=args.n0)
+    report = check_admissibility(s.prefix(args.n), b, n0=args.n0,
+                                 family=cfg.get("family"))
     fields = report.to_dict()
     # json.dumps(fields, indent=2), but the tail's N >= 1 lines are written
     # here: json prints a finite float (the report holds no other) as

@@ -32,7 +32,7 @@ from .errors import (
     TailNotContractive,
     ZeroDistance,
 )
-from .scatterers import _convert, integer, positive, window
+from .scatterers import _convert, _positive, integer, window
 
 FOUR_PI = 4.0 * np.pi
 
@@ -377,7 +377,7 @@ def _gram_from_q(lam, q):
     """GramData of G_N = Im Q(lambda + i0) from an already built Q (one
     matrix, or the stack of a 1-D ``lam``).
 
-    ``lam`` must have passed ``scatterers.positive``.  Raises
+    ``lam`` must have passed ``scatterers._positive``.  Raises
     NonPositiveGram when the least eigenvalue is not positive beyond
     round-off; a stack raises for its first failing point.
     """
@@ -402,7 +402,7 @@ def gram_matrix(lam, s):
     positive beyond round-off.  A 1-D ``lam`` gives the stacked GramData;
     its first failing point raises.
     """
-    lam = positive(lam, "lambda")
+    lam = _positive(lam, "lambda", (0, 1))
     return _gram_from_q(lam, build_q(lam, s))
 
 

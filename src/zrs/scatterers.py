@@ -6,9 +6,9 @@ generator truncated to N sites; the summability conditions
 
     K0 = sum_m 1/|w_m| < inf,    K1 = sum_m 1/(eta_m^2 |w_m|) < inf,
 
-are assessed on partial sums, where eta_m is the minimum pairwise
-distance among the first m points (eta_1 aliases eta_2 so that every
-site contributes a term).
+are decided by the family's law (:func:`_summable`; an explicit set is
+finite), where eta_m is the minimum pairwise distance among the first m
+points (eta_1 aliases eta_2 so that every site contributes a term).
 """
 
 import functools
@@ -27,7 +27,38 @@ _FAMILY_PARAMS = {
     "clustering": ("p", "q", "w0"),
 }
 
-_FAMILY_KEYS = ("kind", "N", "params", "strict")
+_FAMILY_KEYS = ("kind", "N", "params")
+
+
+def _family_params(kind, params):
+    """``params`` of a ``kind`` family; BadParams for an unknown kind or param."""
+    if not (isinstance(kind, str) and kind in _FAMILY_PARAMS):
+        raise BadParams(f"unknown family kind {kind!r}; expected one of "
+                        f"{tuple(_FAMILY_PARAMS)}")
+    return _section(params, "family params", _FAMILY_PARAMS[kind])
+
+
+def _exponents(params):
+    """The gap and weight exponents (p, q) of a clustering family."""
+    try:
+        return (_convert(params["p"], "family parameter 'p'"),
+                _convert(params["q"], "family parameter 'q'"))
+    except KeyError as exc:
+        raise BadParams(f"clustering family needs parameter {exc}") from exc
+
+
+def _summable(family):
+    """``(K0 < inf, K1 < inf)`` for the infinite family of a config's family
+    section by the integral test ((True, True) for None, a finite set): a
+    lattice has constant terms, clustering |w_m| ~ m^q, eta_m = m^-max(p, 0)."""
+    if family is None:
+        return True, True
+    fam = _section(family, "family section", _FAMILY_KEYS)
+    params = _family_params(fam.get("kind"), fam.get("params", {}))
+    if fam["kind"] != "clustering":
+        return False, False
+    p, q = _exponents(params)
+    return q > 1, q > 2 * max(p, 0.0) + 1
 
 
 def _freeze(a):
@@ -77,15 +108,30 @@ def _convert(val, what, convert=number):
         raise BadParams(f"bad value for {what}: {exc}") from None
 
 
-def positive(val, what):
-    """``val`` (a number, or an array of them) as a float or float array,
-    converted as :func:`number` does; BadParams naming ``what`` unless
-    every value is positive and finite."""
+# what a real argument of each number of dimensions is called
+_RANKS = {0: "a number", 1: "a 1-D array"}
+
+
+def _positive(val, what, ndims):
+    """``val`` as a float, or for ``ndims`` holding 1 a 1-D float array,
+    converted as :func:`number` does; BadParams naming ``what`` unless its
+    number of dimensions is in ``ndims`` and every value is positive and
+    finite."""
     out = _convert(val, what, _floats)
+    if out.ndim not in ndims:
+        raise BadParams(f"{what} must be {' or '.join(_RANKS[d] for d in ndims)}, "
+                        f"got shape {out.shape}")
     bad = out[~((0 < out) & (out < np.inf))]
     if bad.size:
         raise BadParams(f"{what} must be positive and finite, got {bad[0]}")
     return out.item() if out.ndim == 0 else out
+
+
+def positive(val, what):
+    """``val`` as a float, converted as :func:`number` does; BadParams
+    naming ``what`` unless it is one positive finite number (an array is
+    none: a grid entry takes :func:`_positive`)."""
+    return _positive(val, what, (0,))
 
 
 def window(interval):
@@ -302,10 +348,8 @@ class AdmissibilityReport:
     ``tail[j]`` is tau_j = sum_{m > j+1} of the K1 terms, j = 0..N-1,
     so the last entry is zero.  ``p_tail`` is the tail bound
     p_{N0,L}(b), the admission rule of the Schur route.  The convergence
-    flags are partial-sum diagnostics (geometric-mean ratio of successive
-    terms below 1), meaningful for generated families; short lists
-    (N < 8) pass by convention and the verdict carries no information
-    for unordered finite sets.
+    flags come from the family's law (:func:`_summable`), not from the
+    N sites held; both hold for an explicit set, which is finite.
     """
 
     k0: float
@@ -337,21 +381,6 @@ class AdmissibilityReport:
         }
 
 
-def _ratio_converges(terms):
-    # geometric-mean ratio of successive terms over the trailing half;
-    # < 1 is taken as evidence the partial sums converge.  Over k steps
-    # from the middle term it is (last / middle) ** (1 / k), which is < 1
-    # when last < middle (up to the rounding of the quotient; inf and 0
-    # terms included), so the two terms are compared without a division
-    # that could overflow.
-    # Too-short sequences pass by convention (nothing to diagnose).
-    terms = np.asarray(terms, dtype=float)
-    n = len(terms)
-    if n < 8:
-        return True
-    return bool(terms[-1] < terms[max(1, n // 2)])
-
-
 def tail_bound(s, n0, b):
     """Tail bound p_{N0,L}(b) = max_{m>N0} (sqrt(b) + K0/eta_m^2 + K1) / (4 pi |w_m|),
     the admission rule of the Schur route: a tail is admitted when p < 1.
@@ -381,7 +410,7 @@ def _tail_bound(s, n0, b, terms):
     return float(np.max(sites[n0:]))
 
 
-def check_admissibility(s, b, n0=None):
+def check_admissibility(s, b, n0=None, family=None):
     """Evaluate the summability conditions on a scatterer set.
 
     Parameters
@@ -392,6 +421,9 @@ def check_admissibility(s, b, n0=None):
     n0 : int, optional
         Head size for the tail bound p_{N0,L}(b), converted as
         :func:`integer` does; defaults to N // 2 (at least 1).
+    family : dict, optional
+        The config's family section, whose law gives the flags; None for
+        an explicit set.
 
     Returns
     -------
@@ -402,6 +434,7 @@ def check_admissibility(s, b, n0=None):
     """
     b = positive(b, "b")
     n0 = max(1, s.n // 2) if n0 is None else _convert(n0, "n0", integer)
+    k0_converges, k1_converges = _summable(family)
     terms = _site_terms(s)
     terms_k0, terms_k1 = terms
     with np.errstate(over="ignore"):
@@ -423,8 +456,8 @@ def check_admissibility(s, b, n0=None):
         p_tail=p,
         n0=n0,
         b=b,
-        k0_converges=_ratio_converges(terms_k0),
-        k1_converges=_ratio_converges(terms_k1),
+        k0_converges=k0_converges,
+        k1_converges=k1_converges,
         tail_contractive=bool(p < 1.0),
     )
 
@@ -443,7 +476,7 @@ def _lattice_ball(k):
     return _freeze(sites[order])
 
 
-def generate_family(kind, params, n, strict=False):
+def generate_family(kind, params, n):
     """Deterministic point/weight families truncated to ``n`` sites.
 
     Kinds
@@ -457,33 +490,21 @@ def generate_family(kind, params, n, strict=False):
         weight.  Params: ``spacing`` (default 1), ``weight`` (default 1).
     clustering
         Points on the x axis accumulating at the origin with gap
-        m^(-p), so eta_m ~ m^(-p), and weights w0 * m^q.  Satisfies the
-        summability conditions iff q > 2p + 1 and q > 1; with
-        ``strict=True`` parameters violating that raise BadParams.
-        Params: ``p``, ``q``, ``w0`` (default 1).
+        m^(-p), so eta_m ~ m^(-p) (1 for p < 0), and weights w0 * m^q.
+        Satisfies the summability conditions iff q > 2 max(p, 0) + 1
+        (:func:`_summable`).  Params: ``p``, ``q``, ``w0`` (default 1).
 
     A parameter the kind does not read raises BadParams naming it.
     """
     n = _convert(n, "n", integer)
     if n < 1:
         raise BadParams("n must be >= 1")
-    if not (isinstance(kind, str) and kind in _FAMILY_PARAMS):
-        raise BadParams(f"unknown family kind {kind!r}; expected one of "
-                        f"{tuple(_FAMILY_PARAMS)}")
-    _section(params, "family params", _FAMILY_PARAMS[kind])
+    _family_params(kind, params)
     if kind == "clustering":
-        try:
-            p = _convert(params["p"], "family parameter 'p'")
-            q = _convert(params["q"], "family parameter 'q'")
-        except KeyError as exc:
-            raise BadParams(f"clustering family needs parameter {exc}") from exc
+        p, q = _exponents(params)
         w0 = _convert(params.get("w0", 1.0), "family parameter 'w0'")
         if w0 == 0:
             raise BadParams("w0 must be nonzero")
-        if strict and not (q > 2 * p + 1 and q > 1):
-            raise BadParams(
-                f"clustering exponents p={p}, q={q} violate q > 2p+1 and q > 1"
-            )
     else:
         d = _convert(params.get("spacing", 1.0), "family parameter 'spacing'")
         w = _convert(params.get("weight", 1.0), "family parameter 'weight'")
@@ -516,10 +537,10 @@ def from_config(data):
     """Build a ScattererSet from the JSON scatterer schema.
 
     Accepts ``{"points": [[x,y,z],...], "weights": [w,...]}`` or
-    ``{"family": {"kind": ..., "params": {...}, "N": n, "strict": false}}``
-    (``N`` an integer, ``strict`` a JSON boolean); a section or value of the
-    wrong type, a family key or parameter that is not read, or a family
-    given together with points or weights, raises BadParams naming it.
+    ``{"family": {"kind": ..., "params": {...}, "N": n}}`` (``N`` an
+    integer); a section or value of the wrong type, a family key or
+    parameter that is not read, or a family given together with points or
+    weights, raises BadParams naming it.
     """
     if "family" in _section(data, "scatterer config"):
         explicit = [key for key in ("points", "weights") if key in data]
@@ -533,11 +554,7 @@ def from_config(data):
             n = _convert(fam["N"], "family key 'N'", integer)
         except KeyError as exc:
             raise BadParams(f"family section needs key {exc}") from exc
-        strict = fam.get("strict", False)
-        if not isinstance(strict, bool):
-            raise BadParams(f"family key 'strict' must be true or false, "
-                            f"got {strict!r}")
-        return generate_family(kind, fam.get("params", {}), n, strict=strict)
+        return generate_family(kind, fam.get("params", {}), n)
     try:
         return ScattererSet(data["points"], data["weights"])
     except KeyError as exc:

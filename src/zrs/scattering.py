@@ -22,8 +22,8 @@ from .errors import BadParams, GridMismatch, SingularMatrix, ZrsError
 from .krein import (_gamma_from_q, _gram_from_q, build_q, build_weighted,
                     check_rcond, gamma_levels, gamma_schur, stack_chunks,
                     weight_overflow)
-from .scatterers import (_convert, integer, positive, tail_bound, window,
-                         write_csv)
+from .scatterers import (_convert, _positive, integer, positive, tail_bound,
+                         window, write_csv)
 from .spherical import (_plane_waves, default_grid, direction_angles,
                         gram_overlap, plane_wave_block, unit_vector)
 
@@ -376,7 +376,7 @@ def lambda_rows(s, lambdas):
     and two batched ``eigvalsh``: the Hermitian defect matrix M, whose
     norm is the defect_reduced column (:func:`_defect_reduced`; ||M||_2,
     the rounding of Gamma, not ||S* S - I||), and G_N (its mu)."""
-    lambdas = positive(lambdas, "lambda")
+    lambdas = _positive(lambdas, "lambda", (1,))
     for lams, gammas, gd, steps in _gamma_chunks(s, lambdas, gram=True):
         defect = _defect_reduced(lams, gammas, gram_overlap(gd, s))
         sv = np.linalg.svd(gammas, compute_uv=False)

@@ -5,6 +5,8 @@ weights sum to 4 pi (solid-angle convention).  An order-n product grid
 integrates spherical harmonics exactly up to degree 2n - 1.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -94,9 +96,13 @@ def make_grid(order):
 
 
 def default_order(lam, s):
-    """Grid order covering the plane-wave band limit of the configuration."""
+    """Grid order covering the plane-wave band limit of the configuration.
+    A band limit past the float range is taken as the largest float, an
+    order :func:`make_grid` rejects."""
     lam = positive(lam, "lambda")
-    return max(16, int(np.ceil(2.0 * np.sqrt(lam) * s.diameter())) + 8)
+    # Python floats overflow to inf without a warning
+    band = 2.0 * math.sqrt(lam) * s.diameter()
+    return max(16, math.ceil(min(band, sys.float_info.max)) + 8)
 
 
 def default_grid(lam, s):

@@ -15,7 +15,7 @@ import pytest
 from zrs import (BadParams, NonPositiveGram, ScattererSet, SingularMatrix, build_q,
                  build_weighted, check_admissibility, gamma_direct, generate_family,
                  smatrix, tail_bound, unitarity_defect_reduced)
-from zrs import cli, krein, scattering
+from zrs import cli, krein, scattering, scatterers
 from zrs.cli import main
 from zrs._blas import serial_blas
 from zrs.krein import gamma_levels
@@ -70,7 +70,8 @@ def test_validate_prints_the_json_of_the_report(tmp_path, capsys, family, n, set
     argv, m, b, n0 = settings(n)
     code = main(["validate", "--config", cfg, *argv])
     report = check_admissibility(
-        generate_family(family["kind"], family["params"], n).prefix(m), b, n0=n0)
+        generate_family(family["kind"], family["params"], n).prefix(m), b, n0=n0,
+        family={**family, "N": n})
     assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
     assert code == (0 if report.passed else 2)
 
@@ -276,8 +277,7 @@ def test_family_with_explicit_points_exit_1(tmp_path, capsys, explicit, named):
 
 @pytest.mark.parametrize("key, value, message", [
     ("N", 2.5, "bad value for family key 'N': 2.5"),
-    ("strict", "no", "family key 'strict' must be true or false, got 'no'"),
-], ids=["N", "strict"])
+], ids=["N"])
 def test_family_value_of_wrong_kind_exit_1(tmp_path, capsys, key, value, message):
     family = {"kind": "clustering", "params": {"p": 2, "q": 3}, "N": 8, key: value}
     cfg = write_config(tmp_path, {"family": family})
@@ -285,7 +285,7 @@ def test_family_value_of_wrong_kind_exit_1(tmp_path, capsys, key, value, message
     assert capsys.readouterr() == ("", f"zrs: {message}\n")
 
 
-def test_family_integral_n_and_boolean_strict(tmp_path, capsys):
+def test_family_integral_n_and_no_strict_key(tmp_path, capsys):
     family = {"kind": "clustering", "params": {"p": 2, "q": 3}, "N": 8}
 
     def validate(**extra):
@@ -295,9 +295,11 @@ def test_family_integral_n_and_boolean_strict(tmp_path, capsys):
     plain = validate()
     assert plain[0] == 2
     assert validate(N=8.0) == plain
-    assert validate(strict=False) == plain
-    rc, (out, err) = validate(strict=True)
-    assert rc == 1 and out == "" and "violate q > 2p+1" in err
+    # the family's law decides the verdict; there is no key to ask for it
+    for strict in (False, True):
+        assert validate(strict=strict) == (1, (
+            "", "zrs: unknown key 'strict' in family section; expected kind, "
+                "N, params\n"))
 
 
 # --n0 1 on this set exits 3 (TailNotContractive) when the settings are valid
@@ -557,7 +559,7 @@ TYPOS = {
     "family-key": (
         {"family": {"kind": "clustering", "N": 8, "params": {"p": 2, "q": 6},
                     "Strict": True}},
-        "unknown key 'Strict' in family section; expected kind, N, params, strict",
+        "unknown key 'Strict' in family section; expected kind, N, params",
         list(BASE_ARGV)),
     # the tolerances key itself is removed, so it is named before its entries
     "tolerance": (
@@ -603,6 +605,30 @@ def test_readme_lists_the_flags_and_config_keys_the_cli_reads():
     assert tuple(keys) == cli._CONFIG_KEYS
 
 
+def _law_cell(cell, p, q):
+    """A cell of README's summability-law table at exponents (p, q): the
+    rule in backticks, with a product written as ``2 max(...)``, or
+    False for ``never``."""
+    rule = re.findall(r"`([^`]+)`", cell)
+    if not rule:
+        assert cell.startswith("never"), cell
+        return False
+    expr = re.sub(r"(\d) (?=[a-z(])", r"\1 * ", rule[0])
+    return eval(expr, {"__builtins__": {}}, {"p": p, "q": q, "max": max})
+
+
+def test_readme_law_table_is_the_law_the_code_applies():
+    law = {row[0].strip("`"): row[1:] for row in _readme_table("family kind")}
+    assert sorted(law) == sorted(scatterers._FAMILY_PARAMS)
+    for kind, cells in law.items():
+        # both sides of q = 1 and of q = 2p + 1, p = 0 and p < 0
+        for p in (-1.0, -0.5, 0.0, 0.2, 1.0, 2.0):
+            for q in (0.5, 0.9, 1.0, 1.1, 1.4, 1.5, 2.5, 3.0, 3.5, 4.5, 5.0, 5.5):
+                params = {"p": p, "q": q} if kind == "clustering" else {}
+                want = scatterers._summable({"kind": kind, "params": params})
+                assert tuple(_law_cell(c, p, q) for c in cells) == want, (kind, p, q)
+
+
 # the settings that no benchmark job sends, each with the reason it stays:
 # (command, flag), ("config", key) or ("family", key)
 KEPT_SETTINGS = {
@@ -614,8 +640,6 @@ KEPT_SETTINGS = {
                                  "band-limit default",
     ("sweep", "--n"): "a sweep of a truncation of the set",
     ("resolvent", "--n"): "the identities on a truncation of the set",
-    ("family", "strict"): "the exact rule q > 2p + 1, which validate's "
-                          "partial-sum test cannot see",
 }
 
 
@@ -918,20 +942,28 @@ def test_overflowing_overlap_exits_1_naming_the_least_weight(tmp_path, capsys,
     assert capsys.readouterr() == ("", f"zrs: {err}\n")
 
 
-def test_convergence_flags_of_terms_spanning_the_float_range(tmp_path, capsys):
-    # the K0 terms run 1, ..., 1e-300 (site 5), ..., 1e300 (site 8): the
-    # last is above the middle one, so neither flag holds
-    cfg = write_config(tmp_path, {
-        "points": [[m, 0, 0] for m in range(8)],
-        "weights": [1, 1, 1, 1, 1e300, 1, 1, 1e-300]})
+@pytest.mark.parametrize("config, code", [
+    # clustering families that violate q > 1 or q > 2p + 1 (p >= 0)
+    *(({"family": {"kind": "clustering", "N": 400, "params": {"p": p, "q": q}}}, 2)
+      for p, q in ((1, 2.5), (0.2, 0.9), (2, 4.5), (-1, 0.8), (0, 1.0))),
+    *(({"family": {"kind": "clustering", "N": 400, "params": {"p": p, "q": q}}}, 0)
+      for p, q in ((1, 3.5), (2, 5.5))),
+    # a finite set has finite sums, whatever its terms do
+    ({"points": [[m, 0, 0] for m in range(8)], "weights": [1.0] * 8}, 0),
+    ({"points": [[m, 0, 0] for m in range(8)],
+      "weights": [1, 1, 1, 1, 1e300, 1, 1, 1e-300]}, 0),
+], ids=["p1-q2.5", "p0.2-q0.9", "p2-q4.5", "p-1-q0.8", "p0-q1", "p1-q3.5",
+        "p2-q5.5", "line-8", "line-8-float-range"])
+def test_validate_verdict_is_the_family_law(tmp_path, capsys, config, code):
+    cfg = write_config(tmp_path, config)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["validate", "--config", cfg, "--n0", "8"]) == 2
+        # the empty tail keeps p_tail finite for weights down to 1e-300
+        assert main(["validate", "--config", cfg, "--n0", "8"]) == code
     out, err = capsys.readouterr()
     report = json.loads(out)
     assert err == ""
-    assert (report["k0_converges"], report["k1_converges"]) == (False, False)
-    assert report["verdict"] == "fail"
+    assert report["verdict"] == ("pass" if code == 0 else "fail")
 
 
 @pytest.mark.parametrize("weight, argv", [

@@ -2,6 +2,7 @@
 
 import io
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -560,6 +561,38 @@ def test_one_rule_per_argument_kind(call):
     for v in bad:
         with pytest.raises(error, match=named):
             run(s, v)
+
+
+# the real arguments that take an array: a grid, or a number or a stack
+GRID_LAMBDAS = ("write_defect_csv", "gram_matrix", "weighted_gram_target")
+
+
+def test_scalar_and_grid_lambdas_keep_their_shape(tmp_path):
+    s = generate_family("uniform-line", {}, 3)
+    # a scalar entry (smatrix's lambda among them) takes one number, never
+    # an array
+    for call, (kind, name, run) in SPECTRAL_ARGUMENTS.items():
+        if kind != "real" or call in GRID_LAMBDAS:
+            continue
+        for v in (np.array([1.0, 2.0]), [2.0], [[2.0]]):
+            shape = re.escape(str(np.shape(v)))
+            with pytest.raises(BadParams, match=f"^{name} must be a number, got shape {shape}$"):
+                run(s, v)
+    # the grid entry takes a 1-D array, and writes nothing for another shape
+    out = tmp_path / "defect.csv"
+    for v in (2.0, [[1.0, 2.0]]):
+        shape = re.escape(str(np.shape(v)))
+        with pytest.raises(BadParams, match=f"^lambda must be a 1-D array, got shape {shape}$"):
+            write_defect_csv(s, v, out)
+    assert not out.exists()
+    # gram_matrix takes both: a number and a stack of them
+    single = gram_matrix(2.0, s)
+    stack = gram_matrix([2.0, 3.0], s)
+    assert single.g.shape == (3, 3) and stack.g.shape == (2, 3, 3)
+    assert pickle.dumps(stack.g[0]) == pickle.dumps(single.g)
+    for gram in (gram_matrix, weighted_gram_target):
+        with pytest.raises(BadParams, match=r"^lambda must be a number or a 1-D array, "):
+            gram([[2.0]], s)
 
 
 def _gamma_schur_blocks(qtilde, j, split):

@@ -143,9 +143,6 @@ def test_admissibility_zeta_family_exact_oracle():
     rep = check_admissibility(s, 25.0)
     assert rep.k0 == pytest.approx(1.0173430613758094, rel=1e-12)
     assert rep.k1 == pytest.approx(11.803423417881824, rel=1e-9)
-    # the K1 terms of this family tend to 1/4, so the diagnostics must
-    # refuse K1 while accepting the K0 series
-    assert rep.k0_converges and not rep.k1_converges
 
     # recompute the oracle here to keep it honest
     xs = [Fraction(1, m * m) for m in range(1, n + 1)]
@@ -168,10 +165,11 @@ def test_tail_monotone_and_vanishing(battery25):
 
 
 def test_prefix_of_passing_family_passes():
-    fam = generate_family("clustering", {"p": 2, "q": 6}, 16)
-    assert check_admissibility(fam, 25.0).passed
+    family = {"kind": "clustering", "params": {"p": 2, "q": 6}, "N": 16}
+    fam = generate_family("clustering", family["params"], 16)
+    assert check_admissibility(fam, 25.0, family=family).passed
     for n in (3, 8, 12):
-        assert check_admissibility(fam.prefix(n), 25.0).passed
+        assert check_admissibility(fam.prefix(n), 25.0, family=family).passed
 
 
 def test_uniform_line_example():
@@ -181,20 +179,66 @@ def test_uniform_line_example():
 
 
 def test_uniform_line_diverges():
-    # constant terms: the infinite-family diagnostics must not pass
-    s = generate_family("uniform-line", {}, 20)
-    rep = check_admissibility(s, 25.0)
-    assert not rep.passed
+    # constant terms: the infinite family's sums diverge at every N
+    for n in (1, 2, 20):
+        s = generate_family("uniform-line", {}, n)
+        rep = check_admissibility(s, 25.0, family={"kind": "uniform-line", "N": n})
+        assert not rep.passed
 
 
-def test_clustering_pass_and_strict_reject():
-    fam = generate_family("clustering", {"p": 2, "q": 6}, 10)
-    assert check_admissibility(fam, 25.0).passed
-    with pytest.raises(BadParams):
-        generate_family("clustering", {"p": 2, "q": 3}, 10, strict=True)
-    # non-strict builds it, diagnostics then refuse
-    loose = generate_family("clustering", {"p": 2, "q": 3}, 24)
-    assert not check_admissibility(loose, 25.0).passed
+# (kind, params, K0 < inf, K1 < inf) by the integral test: both sides of
+# q = 1 and of q = 2p + 1, p = 0, and p < 0, where eta_m = 1
+SUMMABILITY_LAW = [
+    ("uniform-line", {}, False, False),
+    ("uniform-line", {"spacing": 0.5, "weight": 1e6}, False, False),
+    ("cubic-lattice-ball", {}, False, False),
+    ("cubic-lattice-ball", {"spacing": 2.0, "weight": -3.0}, False, False),
+    ("clustering", {"p": 2, "q": 5.5}, True, True),
+    ("clustering", {"p": 2, "q": 5}, True, False),
+    ("clustering", {"p": 2, "q": 4.5}, True, False),
+    ("clustering", {"p": 1, "q": 3.5}, True, True),
+    ("clustering", {"p": 1, "q": 2.5}, True, False),
+    ("clustering", {"p": 0.2, "q": 1.5}, True, True),
+    ("clustering", {"p": 0.2, "q": 1.4}, True, False),
+    ("clustering", {"p": 0.2, "q": 1.0}, False, False),
+    ("clustering", {"p": 0.2, "q": 0.9}, False, False),
+    ("clustering", {"p": 0, "q": 1.01}, True, True),
+    ("clustering", {"p": 0, "q": 1}, False, False),
+    ("clustering", {"p": -1, "q": 1.5, "w0": -2}, True, True),
+    ("clustering", {"p": -1, "q": 1}, False, False),
+    ("clustering", {"p": -1, "q": 0.8}, False, False),
+]
+
+
+@pytest.mark.parametrize("kind, params, k0, k1", SUMMABILITY_LAW, ids=[
+    kind + "".join(f"-{k}{v}" for k, v in params.items())
+    for kind, params, _, _ in SUMMABILITY_LAW])
+def test_the_family_law_gives_the_convergence_flags(kind, params, k0, k1):
+    family = {"kind": kind, "N": 24, "params": params}
+    s = generate_family(kind, params, 24)
+    report = check_admissibility(s, 25.0, family=family).to_dict()
+    assert (report["k0_converges"], report["k1_converges"]) == (k0, k1)
+    assert report["verdict"] == ("pass" if k0 and k1 else "fail")
+    # the sums over the sites held are those of the finite set, which passes
+    finite = check_admissibility(s, 25.0).to_dict()
+    assert finite["verdict"] == "pass"
+    flags = ("k0_converges", "k1_converges", "verdict")
+    assert ({k: v for k, v in report.items() if k not in flags}
+            == {k: v for k, v in finite.items() if k not in flags})
+
+
+@pytest.mark.parametrize("family, message", [
+    ([1], "family section must be a JSON object"),
+    ({"kind": "clustering", "params": {"p": 2, "q": 6}, "strict": True},
+     "unknown key 'strict' in family section"),
+    ({"kind": "hexagonal"}, "unknown family kind 'hexagonal'"),
+    ({"kind": "clustering", "params": {"p": 2}}, "needs parameter 'q'"),
+    ({"kind": "clustering", "params": {"p": 2, "q": "x"}}, "family parameter 'q'"),
+    ({"kind": "uniform-line", "params": {"p": 2}}, "unknown key 'p' in family params"),
+])
+def test_a_bad_family_section_is_rejected_by_the_law(family, message):
+    with pytest.raises(BadParams, match=message):
+        check_admissibility(make_config(5, 5), 25.0, family=family)
 
 
 def test_clustering_eta_scaling():
@@ -298,20 +342,6 @@ def test_bad_weights_rejected():
         ScattererSet([[0, 0, 0]], [0.0])
     with pytest.raises(BadParams):
         ScattererSet([[0, 0, 0], [1, 0, 0]], [1.0])
-
-
-@pytest.mark.parametrize("last, middle, flag", [
-    (0.5, 1.0, True), (1.0, 0.5, False), (1.0, 1.0, False),
-    (0.0, 1.0, True), (0.0, 0.0, False), (1.0, 0.0, False),
-    (np.inf, 1.0, False), (1.0, np.inf, True), (np.inf, np.inf, False),
-    (1e300, 1e-300, False), (1e-300, 1e300, True),
-])
-def test_ratio_flag_compares_the_last_term_with_the_middle_one(last, middle, flag):
-    # the geometric-mean ratio (last / middle)^(1/k) < 1, with no division
-    terms = np.ones(9)
-    terms[4], terms[-1] = middle, last
-    with np.errstate(all="raise"):
-        assert scatterers._ratio_converges(terms) is flag
 
 
 # the row-block edges: one site, one pair, a block short of full, full and

@@ -1,11 +1,14 @@
 """Sphere quadrature and plane-wave blocks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from zrs import (
     BadOrder,
     ScattererSet,
+    default_grid,
     default_order,
     gram_matrix,
     make_grid,
@@ -73,6 +76,19 @@ def test_default_order_growth():
     assert default_order(1.0, s1) == 16
     s2 = ScattererSet([[0, 0, 0], [3.0, 0, 0]], [1.0, 1.0])
     assert default_order(50.0, s2) == int(np.ceil(2 * np.sqrt(50) * 3)) + 8
+
+
+def test_band_limit_past_the_float_range_is_a_bad_order():
+    # sqrt(1e308) * 1e154 overflows: the order is capped, not int(inf)
+    s = ScattererSet([[0, 0, 0], [1e154, 0, 0]], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order = default_order(1e308, s)
+        assert order > MAX_PRODUCT_ORDER
+        with pytest.raises(BadOrder, match=f"exceeds {MAX_PRODUCT_ORDER}"):
+            default_grid(1e308, s)
+    # a finite band keeps its order
+    assert default_order(1e300, s) == int(np.ceil(2 * np.sqrt(1e300) * 1e154)) + 8
 
 
 def test_block_entries_and_limits():
