@@ -950,10 +950,8 @@ def test_overflowing_overlap_exits_1_naming_the_least_weight(tmp_path, capsys,
       for p, q in ((1, 3.5), (2, 5.5))),
     # a finite set has finite sums, whatever its terms do
     ({"points": [[m, 0, 0] for m in range(8)], "weights": [1.0] * 8}, 0),
-    ({"points": [[m, 0, 0] for m in range(8)],
-      "weights": [1, 1, 1, 1, 1e300, 1, 1, 1e-300]}, 0),
 ], ids=["p1-q2.5", "p0.2-q0.9", "p2-q4.5", "p-1-q0.8", "p0-q1", "p1-q3.5",
-        "p2-q5.5", "line-8", "line-8-float-range"])
+        "p2-q5.5", "line-8"])
 def test_validate_verdict_is_the_family_law(tmp_path, capsys, config, code):
     cfg = write_config(tmp_path, config)
     with warnings.catch_warnings():
@@ -964,6 +962,23 @@ def test_validate_verdict_is_the_family_law(tmp_path, capsys, config, code):
     report = json.loads(out)
     assert err == ""
     assert report["verdict"] == ("pass" if code == 0 else "fail")
+
+
+def test_convergence_flags_of_terms_spanning_the_float_range(tmp_path, capsys):
+    # the K0 terms run 1, ..., 1e-300 (site 5), ..., 1e300 (site 8): a finite
+    # set has finite sums, so both flags hold however the terms are spread
+    cfg = write_config(tmp_path, {
+        "points": [[m, 0, 0] for m in range(8)],
+        "weights": [1, 1, 1, 1, 1e300, 1, 1, 1e-300]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the empty tail keeps p_tail finite for weights down to 1e-300
+        assert main(["validate", "--config", cfg, "--n0", "8"]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == ""
+    assert (report["k0_converges"], report["k1_converges"]) == (True, True)
+    assert report["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("weight, argv", [
